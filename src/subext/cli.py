@@ -10,13 +10,12 @@ import click
 
 from .errors import SubextError
 from .ext import ext as ext_op
-from .ext import enumerate_classes, group_order, middle
+from .ext import group_order, middle
 from .modules import is_mcm, length, mu
 from .rings import m_ideal, ring_invariants
 from .scenarios import (DEFAULT_BUDGET, list_scenarios, render_report,
                         run_scenario, SCENARIOS)
-from .subfun import (ext1_additive, ext1_ulrich, fn_colength, fn_mu,
-                     member_coords)
+from .subfun import ext1_additive, ext1_ulrich, fn_colength, fn_mu
 from .workspace import default_workspace, parse_workspace
 
 
@@ -53,20 +52,18 @@ def cmd_list_scenarios():
               help="Also write the report to this file.")
 def cmd_verify(scenario, seed, budget, out):
     """Run one scenario (or 'all') and print its report; exit status 0
-    on pass, 1 on fail, 3 on budget exhaustion."""
+    on pass, 1 on any fail, else 3 on budget exhaustion."""
     names = list_scenarios() if scenario == "all" else [scenario]
-    worst = 0
+    statuses = set()
     for name in names:
         try:
             result = run_scenario(name, seed=seed, budget=budget, out=out)
         except SubextError as exc:
             raise click.ClickException(str(exc))
         click.echo(render_report(result), nl=False)
-        if result.status == "fail":
-            worst = max(worst, 1)
-        elif result.status == "budget":
-            worst = max(worst, 3)
-    sys.exit(worst)
+        statuses.add(result.status)
+    # a failure outranks budget exhaustion, as in a scenario's own status
+    sys.exit(1 if "fail" in statuses else 3 if "budget" in statuses else 0)
 
 
 @main.group("compute")
@@ -84,8 +81,8 @@ _WORKSPACE_OPT = click.option(
 @_WORKSPACE_OPT
 def cmd_ring_info(ring_name, workspace_path):
     """Invariants of a ring: dimension, multiplicity, type, flags."""
-    ws = _load_workspace(workspace_path)
     try:
+        ws = _load_workspace(workspace_path)
         handle = ws.ring(ring_name)
         inv = ring_invariants(handle)
     except SubextError as exc:
@@ -103,8 +100,8 @@ def cmd_ring_info(ring_name, workspace_path):
 @_WORKSPACE_OPT
 def cmd_mod_invariants(module_name, workspace_path):
     """Invariants of a module: generators, length, MCM flag."""
-    ws = _load_workspace(workspace_path)
     try:
+        ws = _load_workspace(workspace_path)
         M = ws.module(module_name)
         lam = length(M) if all(e is not None or not M.handle.base.local
                                for e in M.exps) else None
@@ -123,8 +120,8 @@ def cmd_mod_invariants(module_name, workspace_path):
 @_WORKSPACE_OPT
 def cmd_ext(m_name, n_name, deg, workspace_path):
     """Invariant factors and order of Ext^deg(M, N)."""
-    ws = _load_workspace(workspace_path)
     try:
+        ws = _load_workspace(workspace_path)
         pres = ext_op(ws.module(m_name), ws.module(n_name), deg)
         _emit({"M": m_name, "N": n_name, "deg": deg,
                "invariant_factors": [e if e is not None else "free"
@@ -147,8 +144,8 @@ def cmd_ext(m_name, n_name, deg, workspace_path):
 def cmd_ext_sub(m_name, n_name, fn_name, ideal_name, budget,
                 workspace_path):
     """Member count and submodule certificate of an Ext^1 subfunctor."""
-    ws = _load_workspace(workspace_path)
     try:
+        ws = _load_workspace(workspace_path)
         M, N = ws.module(m_name), ws.module(n_name)
         pres = ext_op(M, N, 1)
         if fn_name == "mu":
@@ -176,8 +173,8 @@ def cmd_ext_sub(m_name, n_name, fn_name, ideal_name, budget,
 @_WORKSPACE_OPT
 def cmd_ext_ul(m_name, n_name, ideal_name, budget, workspace_path):
     """Classes of Ext^1(M, N) whose middle is I-Ulrich."""
-    ws = _load_workspace(workspace_path)
     try:
+        ws = _load_workspace(workspace_path)
         M, N = ws.module(m_name), ws.module(n_name)
         I = ws.ideal(ideal_name) if ideal_name else m_ideal(M.handle)
         pres = ext_op(M, N, 1)
@@ -200,8 +197,8 @@ def cmd_verify_ses(m_name, n_name, coords, workspace_path):
     """Build the extension with the given class coordinates, certify it,
     and report its middle's invariants."""
     from .ext import ExtClass, classify, split_sequence
-    ws = _load_workspace(workspace_path)
     try:
+        ws = _load_workspace(workspace_path)
         M, N = ws.module(m_name), ws.module(n_name)
         pres = ext_op(M, N, 1)
         base = M.handle.base

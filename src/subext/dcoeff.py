@@ -7,9 +7,9 @@ equality and hashing are structural.
 
 The linear algebra here is the workhorse for everything else: a local Smith
 normal form (diagonal entries are exact powers of t, exponents nondecreasing),
-kernels, deterministic solves, cokernel invariants, and a Subquotient helper
-that puts U/V (for V <= U <= D^n) into the canonical form
-D^f + D/t^a1 + ... + D/t^ak together with coordinate maps.
+kernels and preimages modulo relations, deterministic solves, cokernel
+invariants, and a Subquotient helper that puts U/V (for V <= U <= D^n) into
+the canonical form D^f + D/t^a1 + ... + D/t^ak together with coordinate maps.
 """
 
 from __future__ import annotations
@@ -42,9 +42,6 @@ def padd(a, b, p):
 
 def pneg(a, p):
     return tuple((-x) % p for x in a)
-
-def psub(a, b, p):
-    return padd(a, pneg(b, p), p)
 
 
 def pmul(a, b, p):
@@ -297,7 +294,9 @@ class Mat:
     @staticmethod
     def zeros(base, m, n):
         z = base.zero()
-        return Mat(base, [[z] * n for _ in range(m)])
+        out = Mat(base, [[z] * n for _ in range(m)])
+        out.n = n  # a matrix with no rows keeps its width
+        return out
 
     @staticmethod
     def identity(base, n):
@@ -317,9 +316,6 @@ class Mat:
 
     def cols(self):
         return [self.col(j) for j in range(self.n)]
-
-    def copy(self):
-        return Mat(self.base, self.rows)
 
     def __matmul__(self, other):
         if isinstance(other, list):
@@ -388,7 +384,21 @@ def vstack(base, mats):
     rows = []
     for mat in mats:
         rows.extend(mat.rows)
+    if not rows:
+        return Mat.zeros(base, 0, mats[0].n if mats else 0)
     return Mat(base, rows)
+
+
+def block_diag(base, mats):
+    """Block-diagonal matrix with the given blocks along the diagonal."""
+    out = Mat.zeros(base, sum(x.m for x in mats), sum(x.n for x in mats))
+    i0 = j0 = 0
+    for mat in mats:
+        for i, row in enumerate(mat.rows):
+            out.rows[i0 + i][j0:j0 + mat.n] = row
+        i0 += mat.m
+        j0 += mat.n
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -517,6 +527,19 @@ def kernel(A):
     snf = smith(A, want_v=True)
     cols = [snf.V.col(j) for j in range(snf.rank, A.n)]
     return Mat.from_cols(A.base, A.n, cols)
+
+
+def preimage(A, span):
+    """Columns spanning {x : A x in <span>} over D, zero columns dropped.
+
+    With no rows in A there is no condition, and the identity is returned.
+    """
+    base = A.base
+    if A.m == 0:
+        return Mat.identity(base, A.n)
+    K = kernel(hstack(base, [A, span], m=A.m))
+    cols = [K.col(j)[:A.n] for j in range(K.n)]
+    return Mat.from_cols(base, A.n, [c for c in cols if any(x.num for x in c)])
 
 
 def solve(A, b):
@@ -679,6 +702,3 @@ class Subquotient:
                 return None
             return sum(self.exps)
         return len(self.exps)
-
-    def is_zero_module(self):
-        return not self.exps

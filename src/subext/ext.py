@@ -11,15 +11,16 @@ constructions so they can be cross-checked.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .dcoeff import Mat, Subquotient, hstack, kernel, solve, solve_matrix
+from .dcoeff import (Mat, Subquotient, block_diag, hstack, preimage, solve,
+                     vstack)
 from .errors import (BudgetExceeded, CertificateError, InfiniteLengthError,
                      SubextError)
-from .modules import (CoeffModule, ModMap, _free_cover_matrix, _rmatrix_of,
-                      direct_sum, free_module, hom, normalize_rows,
-                      quotient_module, resolution, subquotient_module,
-                      zero_module)
+from .modules import (CoeffModule, ModMap, _block_ambient, _free_cover_matrix,
+                      _image_length, _linearity_conditions, _rmatrix_of,
+                      direct_sum, hom, normalize_rows, resolution,
+                      subquotient_module, zero_module)
 
 
 # ---------------------------------------------------------------------------
@@ -43,7 +44,7 @@ class SES:
         if not (self.p @ self.i).is_zero_map():
             raise CertificateError("p o i is not zero")
         # i injective: {x : i(x) in rel_B} must lie in rel_A
-        kerm = _preimage_cols(self.i.mat, self.B.rel())
+        kerm = preimage(self.i.mat, self.B.rel())
         sq = Subquotient(base, self.A.n,
                          hstack(base, [kerm, self.A.rel()], m=self.A.n),
                          self.A.rel())
@@ -55,7 +56,7 @@ class SES:
         if sq.exps:
             raise CertificateError("p is not surjective")
         # exact in the middle: ker p = im i
-        Z = _preimage_cols(self.p.mat, self.C.rel())
+        Z = preimage(self.p.mat, self.C.rel())
         relB = self.B.rel()
         U = hstack(base, [Z, relB], m=self.B.n)
         V = hstack(base, [self.i.mat, relB], m=self.B.n)
@@ -63,16 +64,6 @@ class SES:
         if sq.exps:
             raise CertificateError("sequence is not exact in the middle")
         return True
-
-
-def _preimage_cols(Amat, span):
-    """Columns spanning {x : A x in <span>} over D."""
-    base = Amat.base
-    big = hstack(base, [Amat, span], m=Amat.m)
-    K = kernel(big)
-    cols = [K.col(j)[:Amat.n] for j in range(K.n)]
-    cols = [c for c in cols if any(x.num for x in c)]
-    return Mat.from_cols(base, Amat.n, cols)
 
 
 def split_sequence(A, C):
@@ -96,35 +87,6 @@ def direct_sum_seq(s1, s2):
 # ---------------------------------------------------------------------------
 # Ext presentations
 # ---------------------------------------------------------------------------
-
-
-def _block_ambient(N, slots):
-    """Ambient data for N^slots: (n, relations, actions)."""
-    base = N.handle.base
-    relN = N.rel()
-    tau = relN.n
-    amb_n = slots * N.n
-    cols = []
-    for j in range(slots):
-        for c in range(tau):
-            col = [base.zero()] * amb_n
-            for i in range(N.n):
-                if relN.rows[i][c].num:
-                    col[j * N.n + i] = relN.rows[i][c]
-            cols.append(col)
-    amb_rel = Mat.from_cols(base, amb_n, cols)
-    amb_actions = {}
-    for g in N.handle.gen_names:
-        Bm = N.actions[g]
-        A = Mat.zeros(base, amb_n, amb_n)
-        for j in range(slots):
-            off = j * N.n
-            for i in range(N.n):
-                for i2 in range(N.n):
-                    if Bm.rows[i][i2].num:
-                        A.rows[off + i][off + i2] = Bm.rows[i][i2]
-        amb_actions[g] = A
-    return amb_n, amb_rel, amb_actions
 
 
 def _delta_matrix(N, rmx):
@@ -222,7 +184,7 @@ def ext(M, N, j):
     """Ext^j_R(M, N) as an ExtPresentation (j >= 1); Hom for j = 0."""
     if j == 0:
         raise SubextError("use hom() for degree zero")
-    key = ("ext", j, id(N))
+    key = ("ext", j, N)
     if key in M._cache:
         return M._cache[key]
     h = M.handle
@@ -242,24 +204,11 @@ def ext(M, N, j):
     # delta_out: N^{beta_j} -> N^{beta_{j+1}}
     if res.betti[j + 1]:
         delta_out = _delta_matrix(N, res.rmx[j])
-        nxt_n = res.betti[j + 1] * N.n
-        _, nxt_rel, _ = _block_ambient(N, res.betti[j + 1])
-        big = hstack(base, [delta_out, nxt_rel], m=nxt_n)
-        K = kernel(big)
-        cols = [K.col(c)[:amb_n] for c in range(K.n)]
-        cols = [c for c in cols if any(x.num for x in c)]
-        Z = Mat.from_cols(base, amb_n, cols)
     else:
         delta_out = Mat.zeros(base, 0, amb_n)
-        Z = Mat.identity(base, amb_n)
-    # delta_in: N^{beta_{j-1}} -> N^{beta_j}
-    if j >= 2:
-        prev_rmx = res.rmx[j - 1]
-        delta_in = _delta_matrix(N, prev_rmx)
-    else:
-        # boundaries in degree 1: maps factoring as phi o d_1 with
-        # phi in Hom(F_0, N); columns of delta_in live in N^{beta_1}
-        delta_in = _delta_matrix(N, res.rmx[0])
+    Z = preimage(delta_out, _block_ambient(N, res.betti[j + 1])[1])
+    # delta_in: N^{beta_{j-1}} -> N^{beta_j}, the maps factoring through d_j
+    delta_in = _delta_matrix(N, res.rmx[j - 1])
     U = hstack(base, [Z, amb_rel], m=amb_n)
     V = hstack(base, [delta_in, amb_rel], m=amb_n)
     module, sq = subquotient_module(h, amb_actions, amb_n, U, V)
@@ -280,35 +229,15 @@ def ext_length(M, N, j):
 
 
 def middle(cls):
-    """The extension 0 -> N -> E -> M -> 0 represented by a degree-1 class."""
+    """The extension 0 -> N -> E -> M -> 0 represented by a degree-1 class:
+    the pushout of the presentation F_1 -d_1-> F_0 -> M along a cocycle."""
     pres = cls.pres
     assert pres.j == 1
-    M, N = pres.M, pres.N
-    h = M.handle
-    base = h.base
-    phi = cls.cocycle()          # F_1 -> N
     res = pres.res
     F0, F1 = res.frees[0], res.frees[1]
-    S, injs, projs = direct_sum([N, F0])
-    # quotient by (-phi(v), d1(v)) for v over the D-basis of F1
-    cols = []
-    for jj in range(F1.n):
-        v = [base.zero()] * F1.n
-        v[jj] = base.one()
-        w1 = injs[0].mat @ [-x for x in (phi.mat @ v)]
-        w2 = injs[1].mat @ (res.diffs[0] @ v)
-        cols.append([a + b for a, b in zip(w1, w2)])
-    W = Mat.from_cols(base, S.n, cols)
-    V = hstack(base, [W, S.rel()], m=S.n)
-    E, sq = subquotient_module(h, S.actions, S.n, Mat.identity(base, S.n), V)
-    icols = [sq.project(injs[0].mat.col(a)) for a in range(N.n)]
-    imap = ModMap(N, E, Mat.from_cols(base, E.n, icols))
-    lifts = Mat.from_cols(base, S.n,
-                          [sq.lift([base.one() if t == jj else base.zero()
-                                    for t in range(E.n)])
-                           for jj in range(E.n)])
-    pmap = ModMap(E, M, res.cover.mat @ projs[1].mat @ lifts)
-    return SES(A=N, B=E, C=M, i=imap, p=pmap)
+    presentation = SES(A=F1, B=F0, C=pres.M, i=ModMap(F1, F0, res.diffs[0]),
+                       p=res.cover)
+    return pushout_seq(presentation, cls.cocycle())
 
 
 def classify(ses, pres=None):
@@ -361,73 +290,17 @@ def is_split(ses, pres=None, cross_check=True):
 def _has_section(p):
     """Does the surjection p : B -> C admit an R-linear section?"""
     B, C = p.src, p.dst
-    h = B.handle
-    base = h.base
-    nB, nC = B.n, C.n
-    nun = nC * nB                 # unknown s : C -> B, u[(j, i)] = j*nB + i
-    relB = B.rel()
-    relC = C.rel()
-    rows = []
-    rhs = []
-    slack_blocks = []             # (kind, index) per block to size slacks
-    blocks = []
-    # R-linearity of s
-    for g in h.gen_names:
-        Ac, Bb = C.actions[g], B.actions[g]
-        for j in range(nC):
-            blk = []
-            for i in range(nB):
-                line = [base.zero()] * nun
-                for k in range(nC):
-                    a = Ac.rows[k][j]
-                    if a.num:
-                        line[k * nB + i] = line[k * nB + i] + a
-                for i2 in range(nB):
-                    b = Bb.rows[i][i2]
-                    if b.num:
-                        line[j * nB + i2] = line[j * nB + i2] - b
-                blk.append((line, base.zero()))
-            blocks.append(("B", blk))
-    if base.local:
-        for j, e in enumerate(C.exps):
-            if e is None:
-                continue
-            blk = []
-            for i in range(nB):
-                line = [base.zero()] * nun
-                line[j * nB + i] = base.t_power(e)
-                blk.append((line, base.zero()))
-            blocks.append(("B", blk))
-    # p o s = id_C, modulo rel_C
-    for j in range(nC):
-        blk = []
-        for i in range(nC):
-            line = [base.zero()] * nun
-            for k in range(nB):
-                a = p.mat.rows[i][k]
-                if a.num:
-                    line[j * nB + k] = line[j * nB + k] + a
-            tgt = base.one() if i == j else base.zero()
-            blk.append((line, tgt))
-        blocks.append(("C", blk))
-    tauB, tauC = relB.n, relC.n
-    total_slack = sum(tauB if kind == "B" else tauC for kind, _ in blocks)
-    big_rows = []
-    big_rhs = []
-    off = 0
-    for kind, blk in blocks:
-        tau = tauB if kind == "B" else tauC
-        rel = relB if kind == "B" else relC
-        for i, (line, tgt) in enumerate(blk):
-            pad = [base.zero()] * total_slack
-            for c in range(tau):
-                pad[off + c] = -rel.rows[i % (nB if kind == "B" else nC)][c]
-            big_rows.append(line + pad)
-            big_rhs.append(tgt)
-        off += tau
-    if not big_rows:
-        return True
-    return solve(Mat(base, big_rows), big_rhs) is not None
+    base = B.handle.base
+    # unknown s : C -> B as the slots s(e_j) of B^{C.n}: R-linear, and
+    # p(s(e_j)) = e_j modulo the relations of C
+    A, span = _linearity_conditions(C, B)
+    P = block_diag(base, [p.mat] * C.n)
+    rels = block_diag(base, [span] + [C.rel()] * C.n)
+    big = hstack(base, [vstack(base, [A, P]), rels], m=A.m + P.m)
+    rhs = ([base.zero()] * A.m
+           + [base.one() if i == j else base.zero()
+              for j in range(C.n) for i in range(C.n)])
+    return solve(big, rhs) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +350,7 @@ def pullback_seq(ses, g):
     for i in range(C.n):
         for jj in range(S.n):
             cond.rows[i][jj] = pm.rows[i][jj] - gm.rows[i][jj]
-    K = _preimage_cols(cond, relC)
+    K = preimage(cond, relC)
     U = hstack(base, [K, S.rel()], m=S.n)
     E, sq = subquotient_module(h, S.actions, S.n, U, S.rel())
     icols = [sq.project(injs[0].mat @ ses.i.mat.col(a)) for a in range(A.n)]
@@ -668,20 +541,6 @@ def connecting_map(ses, N, hp_A=None, pres_C=None):
     return Mat.from_cols(base, pres_C.module.n, cols)
 
 
-def _image_length(module, mat):
-    """Length of the image of a coordinate matrix inside the module."""
-    base = module.handle.base
-    if module.n == 0 or mat.n == 0 or mat.m == 0:
-        return 0
-    rel = module.rel()
-    sq = Subquotient(base, module.n,
-                     hstack(base, [mat, rel], m=module.n), rel)
-    out = sq.length()
-    if out is None:
-        raise InfiniteLengthError("image has a free summand")
-    return out
-
-
 def six_term_check(ses, N):
     """Exactness of
     0 -> Hom(C,N) -> Hom(B,N) -> Hom(A,N) -> Ext^1(C,N) -> Ext^1(B,N)
@@ -734,7 +593,7 @@ def tor1_length(M, J):
         return 0
     gens = J.as_ring_ideal().gens
     JF0 = hstack(base, [F0.element_action(g) for g in gens], m=F0.n)
-    Z = _preimage_cols(res.diffs[0], JF0)
+    Z = preimage(res.diffs[0], JF0)
     JF1 = hstack(base, [F1.element_action(g) for g in gens], m=F1.n)
     V = hstack(base, [res.diffs[1], JF1], m=F1.n)
     sq = Subquotient(base, F1.n, hstack(base, [Z, V], m=F1.n), V)

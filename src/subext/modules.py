@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dcoeff import (Mat, Subquotient, hstack, kernel, smith, solve_matrix)
+from .dcoeff import (Mat, Subquotient, block_diag, hstack, kernel, preimage,
+                     vstack)
 from .errors import (BudgetExceeded, InfiniteLengthError, NotAModuleError,
                      SubextError)
 from .rings import FracIdeal, RingElement, canonical_ideal
@@ -141,9 +142,6 @@ class ModMap:
 
     def __neg__(self):
         return ModMap(self.src, self.dst, -self.mat)
-
-    def apply(self, vec):
-        return self.dst.reduce_vec(self.mat @ list(vec))
 
     def is_zero_map(self):
         # rows are normalized modulo the torsion exponents at construction
@@ -418,6 +416,20 @@ def nu(J, M):
     return out
 
 
+def _image_length(module, mat):
+    """Length of the image of a coordinate matrix inside the module."""
+    base = module.handle.base
+    if module.n == 0 or mat.n == 0 or mat.m == 0:
+        return 0
+    rel = module.rel()
+    sq = Subquotient(base, module.n,
+                     hstack(base, [mat, rel], m=module.n), rel)
+    out = sq.length()
+    if out is None:
+        raise InfiniteLengthError("image has infinite length")
+    return out
+
+
 def tensor_length_with_quotient(J, M):
     """lambda(M (x) R/J) = lambda(M/JM); same as nu."""
     return nu(J, M)
@@ -425,25 +437,8 @@ def tensor_length_with_quotient(J, M):
 
 def socle(M):
     """Submodule killed by m; returns (S, incl)."""
-    base = M.handle.base
-    if M.is_zero():
-        return M, ModMap.identity(M)
-    rel = M.rel()
-    blocks = []
-    slack = rel.n
-    names = M.handle.gen_names
-    total_slack = slack * len(names)
-    for bi, g in enumerate(names):
-        A = M.actions[g]
-        for i in range(M.n):
-            line = list(A.rows[i])
-            pad = [base.zero()] * total_slack
-            for j in range(slack):
-                pad[bi * slack + j] = -rel.rows[i][j]
-            blocks.append(line + pad)
-    K = kernel(Mat(base, blocks)) if blocks else Mat.identity(base, M.n)
-    gens = Mat.from_cols(base, M.n, [K.col(j)[:M.n] for j in range(K.n)])
-    return submodule(M, gens)
+    return colon_in_module(M, Mat.zeros(M.handle.base, M.n, 0),
+                           M.handle.gen_names)
 
 
 def torsion_part(M):
@@ -466,27 +461,12 @@ def annihilator(M):
     base = h.base
     if M.is_zero():
         return FracIdeal.unit_ideal(h)
-    rel = M.rel()
-    slack = rel.n
-    total_slack = slack * M.n
-    big = []
-    for j in range(M.n):
-        # sum_i r_i * (basis_action(i) e_j) = 0 mod rel
-        cols_of_r = [M.basis_action(i).col(j) for i in range(h.nR)]
-        for row in range(M.n):
-            line = [cols_of_r[i][row] for i in range(h.nR)]
-            pad = [base.zero()] * total_slack
-            for c in range(slack):
-                pad[j * slack + c] = -rel.rows[row][c]
-            big.append(line + pad)
-    K = kernel(Mat(base, big))
-    gens = []
-    for j in range(K.n):
-        col = K.col(j)[:h.nR]
-        if any(c.num for c in col):
-            gens.append(RingElement(h, col))
-    if not gens:
-        gens = [h.zero_elt()]
+    # r = sum_i r_i * (basis monomial i) kills e_j iff sum_i r_i b_i e_j in rel
+    blocks = [Mat.from_cols(base, M.n, [M.basis_action(i).col(j)
+                                        for i in range(h.nR)])
+              for j in range(M.n)]
+    K = preimage(vstack(base, blocks), block_diag(base, [M.rel()] * M.n))
+    gens = [RingElement(h, K.col(j)) for j in range(K.n)] or [h.zero_elt()]
     return FracIdeal(h, gens).reduce_gens()
 
 
@@ -516,21 +496,13 @@ def loewy_length(M):
 def colon_in_module(M, W_cols, elems):
     """{x in M : g*x in <W_cols> + rel for all g in elems}; returns (K, incl)."""
     base = M.handle.base
-    rel = M.rel()
-    span = hstack(base, [W_cols, rel], m=M.n)
-    slack = span.n
-    total_slack = slack * len(elems)
-    big = []
-    for bi, g in enumerate(elems):
-        A = M.element_action(g) if isinstance(g, RingElement) else M.actions[g]
-        for i in range(M.n):
-            line = list(A.rows[i])
-            pad = [base.zero()] * total_slack
-            for j in range(slack):
-                pad[bi * slack + j] = -span.rows[i][j]
-            big.append(line + pad)
-    K = kernel(Mat(base, big)) if big else Mat.identity(base, M.n)
-    gens = Mat.from_cols(base, M.n, [K.col(j)[:M.n] for j in range(K.n)])
+    span = hstack(base, [W_cols, M.rel()], m=M.n)
+    # the leading empty block keeps the width when elems is empty
+    blocks = [Mat.zeros(base, 0, M.n)] + [
+        M.element_action(g) if isinstance(g, RingElement) else M.actions[g]
+        for g in elems]
+    gens = preimage(vstack(base, blocks),
+                    block_diag(base, [span] * len(elems)))
     return submodule(M, gens)
 
 
@@ -585,9 +557,50 @@ def _unvec(base, vec, nrows, ncols):
     return Mat.from_cols(base, nrows, cols)
 
 
+def _block_ambient(N, slots):
+    """Ambient data for N^slots: (n, relations, actions)."""
+    base = N.handle.base
+    amb_n = slots * N.n
+    amb_rel = block_diag(base, [N.rel()] * slots)
+    amb_actions = {g: block_diag(base, [N.actions[g]] * slots)
+                   for g in N.handle.gen_names}
+    return amb_n, amb_rel, amb_actions
+
+
+def _linearity_conditions(M, N):
+    """(A, span) such that a D-linear phi : M -> N, stored as the slots
+    phi(e_j) of N^{M.n}, is R-linear iff A phi lies in <span>."""
+    base = M.handle.base
+    nM, nN = M.n, N.n
+    _, amb_rel, amb_actions = _block_ambient(N, nM)
+    # the leading empty block keeps the width when there are no conditions
+    blocks, spans = [Mat.zeros(base, 0, nM * nN)], []
+    for g in M.handle.gen_names:
+        # phi(g e_j) - g phi(e_j), with g e_j = sum_k A[k][j] e_k
+        Ag = M.actions[g]
+        C = Mat.zeros(base, nM * nN, nM * nN)
+        for j in range(nM):
+            for k in range(nM):
+                if Ag.rows[k][j].num:
+                    for i in range(nN):
+                        C.rows[j * nN + i][k * nN + i] = Ag.rows[k][j]
+        blocks.append(C - amb_actions[g])
+        spans.append(amb_rel)
+    if base.local:
+        for j, e in enumerate(M.exps):
+            if e is not None:
+                # t^e phi(e_j) = 0 in N
+                T = Mat.zeros(base, nN, nM * nN)
+                for i in range(nN):
+                    T.rows[i][j * nN + i] = base.t_power(e)
+                blocks.append(T)
+                spans.append(N.rel())
+    return vstack(base, blocks), block_diag(base, spans)
+
+
 def hom(M, N):
     """Hom_R(M, N) as a CoeffModule with lifted generator maps."""
-    key = ("hom", id(N))
+    key = ("hom", N)
     if key in M._cache:
         return M._cache[key]
     h = M.handle
@@ -600,84 +613,16 @@ def hom(M, N):
                       src=M, dst=N)
         M._cache[key] = out
         return out
-    nM, nN = M.n, N.n
-    relN = N.rel()
-    tau = relN.n
-    blocks = []  # list of (rows, slack owner count)
-    # condition rows; unknown layout u[(j, i)] = j*nN + i, then slacks
-    cond_blocks = []
-    for g in h.gen_names:
-        A, B = M.actions[g], N.actions[g]
-        for j in range(nM):
-            rows = []
-            for i in range(nN):
-                line = [base.zero()] * (nM * nN)
-                for k in range(nM):
-                    a = A.rows[k][j]
-                    if a.num:
-                        line[k * nN + i] = line[k * nN + i] + a
-                for i2 in range(nN):
-                    b = B.rows[i][i2]
-                    if b.num:
-                        line[j * nN + i2] = line[j * nN + i2] - b
-                rows.append(line)
-            cond_blocks.append(rows)
-    if base.local:
-        for j, e in enumerate(M.exps):
-            if e is None:
-                continue
-            s_e = base.t_power(e)
-            rows = []
-            for i in range(nN):
-                line = [base.zero()] * (nM * nN)
-                line[j * nN + i] = s_e
-                rows.append(line)
-            cond_blocks.append(rows)
-    nb = len(cond_blocks)
-    total_slack = nb * tau
-    big = []
-    for bi, rows in enumerate(cond_blocks):
-        for i, line in enumerate(rows):
-            pad = [base.zero()] * total_slack
-            for c in range(tau):
-                pad[bi * tau + c] = -relN.rows[i % nN][c]
-            big.append(line + pad)
-    if big:
-        K = kernel(Mat(base, big))
-        sols = Mat.from_cols(base, nM * nN,
-                             [K.col(j)[:nM * nN] for j in range(K.n)])
-    else:
-        sols = Mat.identity(base, nM * nN)
-    # ambient N^{nM}: relations block-diagonal, action of g block-diag B_g
-    amb_n = nM * nN
-    amb_rel_cols = []
-    for j in range(nM):
-        for c in range(tau):
-            col = [base.zero()] * amb_n
-            for i in range(nN):
-                if relN.rows[i][c].num:
-                    col[j * nN + i] = relN.rows[i][c]
-            amb_rel_cols.append(col)
-    amb_rel = Mat.from_cols(base, amb_n, amb_rel_cols)
-    amb_actions = {}
-    for g in h.gen_names:
-        B = N.actions[g]
-        A = Mat.zeros(base, amb_n, amb_n)
-        for j in range(nM):
-            off = j * nN
-            for i in range(nN):
-                for i2 in range(nN):
-                    if B.rows[i][i2].num:
-                        A.rows[off + i][off + i2] = B.rows[i][i2]
-        amb_actions[g] = A
-    U = hstack(base, [sols, amb_rel], m=amb_n)
+    amb_n, amb_rel, amb_actions = _block_ambient(N, M.n)
+    A, span = _linearity_conditions(M, N)
+    U = hstack(base, [preimage(A, span), amb_rel], m=amb_n)
     Hmod, sq = subquotient_module(h, amb_actions, amb_n, U, amb_rel)
     maps = []
     for j in range(Hmod.n):
         ej = [base.zero()] * Hmod.n
         ej[j] = base.one()
         w = sq.lift(ej)
-        maps.append(ModMap(M, N, _unvec(base, w, nN, nM)))
+        maps.append(ModMap(M, N, _unvec(base, w, N.n, M.n)))
     out = HomPres(module=Hmod, maps=maps, sq=sq, src=M, dst=N)
     M._cache[key] = out
     return out
@@ -798,11 +743,7 @@ def resolution(M, length_):
         F_prev = res.frees[i]
         if i == 0:
             # kernel of the cover, modulo relations of M
-            A = hstack(base, [res.cover.mat, M.rel()], m=M.n)
-            K = kernel(A)
-            cols = [K.col(j)[:F_prev.n] for j in range(K.n)]
-            cols = [c for c in cols if any(x.num for x in c)]
-            Kc = Mat.from_cols(base, F_prev.n, cols)
+            Kc = preimage(res.cover.mat, M.rel())
         else:
             Kc = kernel(res.diffs[i - 1])
         gens = _min_gens_of_submodule(h, F_prev.n, Kc, F_prev.actions)
@@ -838,11 +779,7 @@ def syzygy(M, j):
     if F_prev.n == 0:
         return zero_module(h)
     if j == 1:
-        A = hstack(base, [res.cover.mat, M.rel()], m=M.n)
-        K = kernel(A)
-        cols = [K.col(jj)[:F_prev.n] for jj in range(K.n)]
-        cols = [c for c in cols if any(x.num for x in c)]
-        Kc = Mat.from_cols(base, F_prev.n, cols)
+        Kc = preimage(res.cover.mat, M.rel())
     else:
         Kc = kernel(res.diffs[j - 2])
     S, _ = submodule(F_prev, Kc)

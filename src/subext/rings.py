@@ -22,10 +22,10 @@ D-linear algebra on spans.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .dcoeff import (Base, Mat, Subquotient, hstack, in_span, kernel, smith,
-                     solve, solve_matrix)
+from .dcoeff import (Base, Mat, Subquotient, block_diag, hstack, in_span,
+                     preimage, smith, solve_matrix, vstack)
 from .errors import (ReductionNotFound, StabilizationBudget, SubextError)
 
 # ---------------------------------------------------------------------------
@@ -560,13 +560,6 @@ class FracIdeal:
 
     # -- honest ideals --------------------------------------------------------
 
-    def is_in_ring(self):
-        bm = self.den.mult_matrix()
-        snf = smith(bm, want_u=True, want_v=True)
-        from .dcoeff import _solve_with
-        return all(_solve_with(bm, snf, list(g.coords)) is not None
-                   for g in self.gens)
-
     def as_ring_ideal(self):
         """Rewrite with den = 1 (requires the ideal to lie in R)."""
         if self.den == self.handle.one_elt():
@@ -605,9 +598,6 @@ class FracIdeal:
 
     # -- valuations (dim 1) ---------------------------------------------------
 
-    def nzd_generators(self):
-        return [g for g in self.gens if not g.is_zero() and g.is_nzd()]
-
     def min_valuation_gen(self):
         if self.handle.dim != 1:
             raise SubextError("valuations need a dimension-1 family")
@@ -635,35 +625,13 @@ def colon(J1, J2, ambient="frac"):
     base = h.base
     n = h.nR
     if ambient == "ring":
-        I1 = J1.as_ring_ideal()
-        I2 = J2.as_ring_ideal()
-        S1 = I1.span_basis()
-        blocks = []
-        slack = S1.n
-        gens2 = [g for g in I2.gens if not g.is_zero()]
-        rows = []
-        for g in gens2:
-            G = g.mult_matrix()
-            rows.append((G, S1))
-        total_slack = len(rows) * slack
-        big = []
-        for bi, (G, S) in enumerate(rows):
-            for i in range(n):
-                line = list(G.rows[i])
-                pad = [base.zero()] * total_slack
-                for j in range(S.n):
-                    pad[bi * slack + j] = -S.rows[i][j]
-                big.append(line + pad)
-        if not big:
-            return FracIdeal.unit_ideal(h)
-        K = kernel(Mat(base, big))
-        gens = []
-        for j in range(K.n):
-            col = K.col(j)[:n]
-            if any(c.num for c in col):
-                gens.append(RingElement(h, col))
-        if not gens:
-            gens = [h.zero_elt()]
+        # {x in R : x g in I1 for every generator g of I2}
+        S1 = J1.as_ring_ideal().span_basis()
+        gens2 = [g for g in J2.as_ring_ideal().gens if not g.is_zero()]
+        # the leading empty block keeps the width when I2 = 0
+        blocks = [Mat.zeros(base, 0, n)] + [g.mult_matrix() for g in gens2]
+        K = preimage(vstack(base, blocks), block_diag(base, [S1] * len(gens2)))
+        gens = [RingElement(h, K.col(j)) for j in range(K.n)] or [h.zero_elt()]
         return FracIdeal(h, gens).reduce_gens()
     if h.dim != 1:
         raise SubextError("Q(R)-colon needs a dimension-1 family")
@@ -675,29 +643,11 @@ def colon(J1, J2, ambient="frac"):
         raise SubextError("colon by the zero ideal")
     c = min(nz, key=lambda g: g.valuation())
     BA = A.span_basis()
-    cm = c.mult_matrix()
-    ScA = cm @ BA
-    gens2 = nz
-    big = []
-    slack = ScA.n
-    total_slack = len(gens2) * slack
-    for bi, g in enumerate(gens2):
-        GB = g.mult_matrix() @ BA
-        for i in range(n):
-            line = list(GB.rows[i])
-            pad = [base.zero()] * total_slack
-            for j in range(slack):
-                pad[bi * slack + j] = -ScA.rows[i][j]
-            big.append(line + pad)
-    K = kernel(Mat(base, big))
-    gens = []
-    for j in range(K.n):
-        u = K.col(j)[:BA.n]
-        y = BA @ u
-        if any(c2.num for c2 in y):
-            gens.append(RingElement(h, y))
-    if not gens:
-        gens = [h.zero_elt()]
+    ScA = c.mult_matrix() @ BA
+    K = preimage(vstack(base, [g.mult_matrix() @ BA for g in nz]),
+                 block_diag(base, [ScA] * len(nz)))
+    gens = ([RingElement(h, BA @ K.col(j)) for j in range(K.n)]
+            or [h.zero_elt()])
     return FracIdeal(h, gens, b1 * c).reduce_gens()
 
 

@@ -16,16 +16,16 @@ import time
 from dataclasses import dataclass
 
 from .dcoeff import Mat
-from .errors import (BudgetExceeded, CertificateError, InfiniteLengthError,
-                     StabilizationBudget, SubextError, UnknownScenarioError)
+from .errors import (BudgetExceeded, CertificateError, StabilizationBudget,
+                     UnknownScenarioError)
 from .ext import (ExtClass, SES, classify, enumerate_classes, ext,
                   group_order, is_split, middle, split_sequence)
 from .modules import (ModMap, _free_cover_matrix, canonical_module,
                       colon_in_module, direct_sum, dualize_omega,
-                      from_fractional_ideal, from_quotient_ideal, hom,
-                      is_isomorphic, is_mcm, length, loewy_length, mu,
+                      from_fractional_ideal, from_quotient_ideal,
+                      is_isomorphic, is_mcm, loewy_length, mu,
                       quotient_module, regular_module, residue_field,
-                      resolution, submodule, syzygy, transpose)
+                      resolution, syzygy, transpose)
 from .rings import (FracIdeal, RingSpec, blow_up, build_ring, m_ideal,
                     principal_reduction, ring_invariants, trace_ideal)
 from .subfun import (check_closure_axioms, default_pairs, ext1_additive,
@@ -34,7 +34,7 @@ from .subfun import (check_closure_axioms, default_pairs, ext1_additive,
                      ideal_times_ext, is_additive_on, member_coords)
 from .ulrich import (blowup_sequence_comparison, is_ulrich,
                      mcm_approximation_of_k, restrict_to_base,
-                     restrict_to_blowup, ulrich_samples)
+                     restrict_to_blowup)
 
 DEFAULT_BUDGET = 2 ** 20
 

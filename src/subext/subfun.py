@@ -13,15 +13,16 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .dcoeff import Mat, Subquotient, hstack
+from .dcoeff import Mat, Subquotient, block_diag, hstack, preimage
 from .errors import (BudgetExceeded, CertificateError, InfiniteLengthError,
                      StabilizationBudget, SubextError)
-from .ext import (SES, _block_ambient, _coord_values, _delta_matrix, classify,
-                  enumerate_classes, ext, hom_induced, middle, pullback_seq,
-                  pushout_seq, split_sequence)
-from .modules import (ModMap, direct_sum, from_fractional_ideal,
-                      from_quotient_ideal, hom, is_mcm, length, mu, nu,
-                      regular_module, residue_field, resolution)
+from .ext import (SES, _coord_values, _delta_matrix, enumerate_classes, ext,
+                  hom_induced, middle, pullback_seq, pushout_seq,
+                  split_sequence)
+from .modules import (ModMap, _block_ambient, _image_length, direct_sum,
+                      from_fractional_ideal, from_quotient_ideal, hom, is_mcm,
+                      length, mu, nu, regular_module, residue_field,
+                      resolution, submodule)
 from .rings import m_ideal
 
 
@@ -64,16 +65,7 @@ def _tensor_image_length(f, C):
         VB = hstack(base, [_delta_matrix(B, rmxT), relB], m=ambB)
     else:
         VB = relB
-    # block-diagonal f per presentation slot
-    cols = []
-    for j in range(b0):
-        for a in range(A.n):
-            col = [base.zero()] * ambB
-            for i in range(B.n):
-                if f.mat.rows[i][a].num:
-                    col[j * B.n + i] = f.mat.rows[i][a]
-            cols.append(col)
-    F = Mat.from_cols(base, ambB, cols)
+    F = block_diag(base, [f.mat] * b0)  # f on each presentation slot
     sq = Subquotient(base, ambB, hstack(base, [F, VB], m=ambB), VB)
     out = sq.length()
     if out is None:
@@ -168,19 +160,6 @@ def is_additive_on(fn, ses):
 # ---------------------------------------------------------------------------
 
 
-def _image_len(module, mat):
-    base = module.handle.base
-    if module.n == 0 or mat.n == 0 or mat.m == 0:
-        return 0
-    rel = module.rel()
-    sq = Subquotient(base, module.n,
-                     hstack(base, [mat, rel], m=module.n), rel)
-    out = sq.length()
-    if out is None:
-        raise InfiniteLengthError("image has infinite length")
-    return out
-
-
 def exactness_on(fn, ses):
     """Whether the half-exact functor behind fn stays exact on ses,
     decided directly (not via lengths of the middle)."""
@@ -188,7 +167,7 @@ def exactness_on(fn, ses):
         C = residue_field(ses.B.handle) if fn.kind == "mu" else fn.payload
         hp_B, hp_A = hom(ses.B, C), hom(ses.A, C)
         mat = hom_induced(ses.i, C, hp_B, hp_A)
-        return _image_len(hp_A.module, mat) == length(hp_A.module)
+        return _image_length(hp_A.module, mat) == length(hp_A.module)
     if fn.kind == "hom_from":
         C = fn.payload
         hp_B, hp_C = hom(C, ses.B), hom(C, ses.C)
@@ -201,7 +180,7 @@ def exactness_on(fn, ses):
             cols.append(hp_C.coords_of(ModMap(C, ses.C,
                                               ses.p.mat @ phim.mat)))
         mat = Mat.from_cols(base, hp_C.module.n, cols)
-        return _image_len(hp_C.module, mat) == length(hp_C.module)
+        return _image_length(hp_C.module, mat) == length(hp_C.module)
     if fn.kind in ("colength", "tensor"):
         if fn.kind == "colength":
             C = from_quotient_ideal(ses.B.handle, fn.payload)
@@ -431,13 +410,11 @@ def check_closure_axioms(handle, predicate, pairs, scalars=None, maps=None,
 def _composed_deflation(ses):
     """Given 0 -> A -> B -> C -> 0, stack the split epi A + B -> B on top of
     p and return the kernel sequence 0 -> ker -> A + B -> C -> 0."""
-    from .ext import _preimage_cols
-    from .modules import submodule
     A, B, C = ses.A, ses.B, ses.C
     base = A.handle.base
     S, injs, projs = direct_sum([A, B])
     comp = ModMap(S, C, ses.p.mat @ projs[1].mat)
-    K = _preimage_cols(comp.mat, C.rel())
+    K = preimage(comp.mat, C.rel())
     Kmod, incl = submodule(S, K)
     out = SES(A=Kmod, B=S, C=C, i=incl, p=comp)
     out.certify()

@@ -15,9 +15,9 @@ from .errors import (CertificateError, InfiniteLengthError, ReductionNotFound,
 from .ext import SES, _has_section, classify, ext, hom_induced
 from .modules import (CoeffModule, ModMap, canonical_module, colon_in_module,
                       direct_sum, from_fractional_ideal, hom, is_mcm,
-                      length, mu, nu, quotient_module, regular_module,
-                      residue_field, submodule, validate_module, zero_module)
-from .rings import (FracIdeal, blow_up, m_ideal, principal_reduction)
+                      length, nu, quotient_module, regular_module, submodule,
+                      validate_module)
+from .rings import blow_up, m_ideal, principal_reduction
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ from subext.cli import main
 from subext.errors import SubextError, UnknownScenarioError, WorkspaceSyntaxError
 from subext.modules import length, mu
 from subext.rings import ring_invariants
-from subext.scenarios import list_scenarios, render_report, run_scenario
+from subext.scenarios import (ScenarioResult, list_scenarios, render_report,
+                              run_scenario)
 from subext.workspace import default_workspace, parse_element, parse_workspace
 
 
@@ -219,3 +220,36 @@ def test_cli_unknown_module_label():
     out = CliRunner().invoke(main, ["compute", "ext", "nope", "R23"])
     assert out.exit_code != 0
     assert "unknown module" in out.output
+
+
+@pytest.mark.parametrize("command", [
+    ["ring-info", "r"], ["mod-invariants", "k"], ["ext", "k", "k"],
+    ["ext-sub", "k", "k"], ["ext-ul", "k", "k"], ["verify-ses", "k", "k"]])
+def test_cli_workspace_syntax_error_is_clean(tmp_path, command):
+    path = tmp_path / "ws.txt"
+    path.write_text("ring r { family=dvr p=5 }\nmodule k { ring=r kind=\n")
+    out = CliRunner().invoke(
+        main, ["compute", *command, "--workspace", str(path)])
+    assert out.exit_code == 1
+    assert out.output.startswith("Error: ")
+    assert not isinstance(out.exception, WorkspaceSyntaxError)
+
+
+def test_cli_verify_all_fail_outranks_budget(monkeypatch):
+    statuses = {name: "pass" for name in list_scenarios()}
+    first, second = list_scenarios()[:2]
+    statuses[first], statuses[second] = "fail", "budget"
+
+    def fake_run(name, seed=0, budget=0, out=None):
+        return ScenarioResult(name=name, description="", rings="",
+                              instances=[], status=statuses[name],
+                              aggregate_pass=statuses[name] == "pass",
+                              seed=seed, budget=budget, budget_used=0,
+                              wall_time_s=0.0)
+
+    monkeypatch.setattr("subext.cli.run_scenario", fake_run)
+    assert CliRunner().invoke(main, ["verify", "all"]).exit_code == 1
+    statuses[first] = "pass"
+    assert CliRunner().invoke(main, ["verify", "all"]).exit_code == 3
+    statuses[second] = "pass"
+    assert CliRunner().invoke(main, ["verify", "all"]).exit_code == 0

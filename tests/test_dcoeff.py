@@ -1,11 +1,13 @@
+import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from subext.dcoeff import (
-    Base, Mat, Scalar, Subquotient, cokernel_invariants, hstack, in_span,
-    kernel, pgcd, pinv_series, pmod_tk, pmul, smith, solve, solve_matrix,
+    Base, Mat, Scalar, Subquotient, block_diag, cokernel_invariants, hstack,
+    in_span, kernel, pgcd, pinv_series, pmod_tk, pmul, preimage, smith, solve,
+    solve_matrix, vstack,
 )
 from subext.errors import ExactDivisionError, NotInSpanError
 
@@ -182,6 +184,60 @@ def test_cokernel_invariants():
     # one free generator left
     B = Mat(L2, [[L2.t_power(2)], [L2.zero()]])
     assert cokernel_invariants(B) == (1, (2,))
+
+
+@st.composite
+def preimage_systems(draw):
+    """(p, n, [(A_b, S_b, columns of S_b)]) over F_p, 0..3 rows per block."""
+    p = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 4))
+    entry = st.integers(0, p - 1)
+    blocks = []
+    for _ in range(draw(st.integers(1, 3))):
+        m, k = draw(st.integers(0, 3)), draw(st.integers(0, 2))
+        blocks.append(([[draw(entry) for _ in range(n)] for _ in range(m)],
+                       [[draw(entry) for _ in range(k)] for _ in range(m)],
+                       k))
+    return p, n, blocks
+
+
+def _int_mat(base, rows, n):
+    out = Mat.zeros(base, len(rows), n)
+    for i, row in enumerate(rows):
+        out.rows[i] = [base.from_int(c) for c in row]
+    return out
+
+
+def _int_span(p, cols, n):
+    """All F_p-combinations of integer column vectors of length n."""
+    out = {(0,) * n}
+    for c in cols:
+        out = {tuple((v[i] + a * c[i]) % p for i in range(n))
+               for v in out for a in range(p)}
+    return out
+
+
+@given(preimage_systems())
+@settings(max_examples=80, deadline=None)
+@example((2, 3, [([], [], 0)]))
+def test_preimage_matches_brute_force(system):
+    p, n, blocks = system
+    base = Base(p, local=False)
+    A = vstack(base, [_int_mat(base, rows, n) for rows, _, _ in blocks])
+    span = block_diag(base, [_int_mat(base, rows, k) for _, rows, k in blocks])
+    got = preimage(A, span)
+    assert got.m == n and all(any(x.num for x in c) for c in got.cols())
+    want = set()
+    for x in itertools.product(range(p), repeat=n):
+        for rows, srows, k in blocks:
+            ax = tuple(sum(a * b for a, b in zip(r, x)) % p for r in rows)
+            scols = [[r[j] for r in srows] for j in range(k)]
+            if ax not in _int_span(p, scols, len(rows)):
+                break
+        else:
+            want.add(x)
+    cols = [[c.num[0] if c.num else 0 for c in col] for col in got.cols()]
+    assert _int_span(p, cols, n) == want
 
 
 # ---------------------------------------------------------------------------
