@@ -55,13 +55,18 @@ def cmd_verify(scenario, seed, budget, out):
     on pass, 1 on any fail, else 3 on budget exhaustion."""
     names = list_scenarios() if scenario == "all" else [scenario]
     statuses = set()
+    reports = []
     for name in names:
         try:
-            result = run_scenario(name, seed=seed, budget=budget, out=out)
+            result = run_scenario(name, seed=seed, budget=budget)
         except SubextError as exc:
             raise click.ClickException(str(exc))
-        click.echo(render_report(result), nl=False)
+        reports.append(render_report(result))
+        click.echo(reports[-1], nl=False)
         statuses.add(result.status)
+    if out is not None:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write("".join(reports))
     # a failure outranks budget exhaustion, as in a scenario's own status
     sys.exit(1 if "fail" in statuses else 3 if "budget" in statuses else 0)
 
@@ -196,21 +201,26 @@ def cmd_ext_ul(m_name, n_name, ideal_name, budget, workspace_path):
 def cmd_verify_ses(m_name, n_name, coords, workspace_path):
     """Build the extension with the given class coordinates, certify it,
     and report its middle's invariants."""
-    from .ext import ExtClass, classify, split_sequence
+    from .ext import ExtClass, classify
     try:
         ws = _load_workspace(workspace_path)
         M, N = ws.module(m_name), ws.module(n_name)
         pres = ext_op(M, N, 1)
         base = M.handle.base
         if coords:
-            digits = [int(c) for c in coords.split(",")]
+            try:
+                digits = [int(c) for c in coords.split(",")]
+            except ValueError:
+                raise SubextError(
+                    f"--coords needs comma-separated integers, got {coords!r}"
+                ) from None
             if len(digits) != pres.module.n:
                 raise SubextError(
                     f"expected {pres.module.n} coordinates")
             cls = ExtClass(pres, [base.from_int(d) for d in digits])
         else:
             cls = pres.zero_class()
-        ses = (split_sequence(N, M) if cls.is_zero() else middle(cls))
+        ses = middle(cls)
         ses.certify()
         round_trip = classify(ses, pres) == cls
         _emit({"M": m_name, "N": n_name, "class": repr(cls.coords),

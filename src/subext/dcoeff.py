@@ -339,19 +339,25 @@ class Mat:
                             orow[j] = orow[j] + a * b
         return out
 
+    def with_rows(self, rows):
+        """A matrix of this width with the given rows (possibly none)."""
+        out = Mat(self.base, rows)
+        out.n = self.n
+        return out
+
     def __add__(self, other):
-        return Mat(self.base, [[a + b for a, b in zip(r1, r2)]
-                               for r1, r2 in zip(self.rows, other.rows)])
+        return self.with_rows([[a + b for a, b in zip(r1, r2)]
+                              for r1, r2 in zip(self.rows, other.rows)])
 
     def __sub__(self, other):
-        return Mat(self.base, [[a - b for a, b in zip(r1, r2)]
-                               for r1, r2 in zip(self.rows, other.rows)])
+        return self.with_rows([[a - b for a, b in zip(r1, r2)]
+                              for r1, r2 in zip(self.rows, other.rows)])
 
     def __neg__(self):
-        return Mat(self.base, [[-a for a in r] for r in self.rows])
+        return self.with_rows([[-a for a in r] for r in self.rows])
 
     def scale(self, s):
-        return Mat(self.base, [[a * s for a in r] for r in self.rows])
+        return self.with_rows([[a * s for a in r] for r in self.rows])
 
     def transpose(self):
         return Mat(self.base, [[self.rows[i][j] for i in range(self.m)]
@@ -686,6 +692,17 @@ class Subquotient:
                     acc = acc + row[j] * scaled[j]
             w[i] = acc
         return w
+
+    def basis(self):
+        """Ambient lifts of the canonical basis, as the columns of an n x k
+        matrix (with k = 0 it keeps its n rows)."""
+        units = Mat.identity(self.base, len(self.exps)).cols()
+        return Mat.from_cols(self.base, self.n, [self.lift(e) for e in units])
+
+    def project_cols(self, M):
+        """Canonical coordinates of each column of M, as columns."""
+        return Mat.from_cols(self.base, len(self.exps),
+                             [self.project(M.col(j)) for j in range(M.n)])
 
     # -- invariants ---------------------------------------------------------
 

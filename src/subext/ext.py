@@ -182,8 +182,9 @@ class ExtClass:
 
 def ext(M, N, j):
     """Ext^j_R(M, N) as an ExtPresentation (j >= 1); Hom for j = 0."""
-    if j == 0:
-        raise SubextError("use hom() for degree zero")
+    if j < 1:
+        raise SubextError(f"Ext degree must be at least 1, got {j} "
+                          "(use hom() for degree zero)")
     key = ("ext", j, N)
     if key in M._cache:
         return M._cache[key]
@@ -310,28 +311,16 @@ def _has_section(p):
 
 def pushout_seq(ses, f):
     """Pushout of 0 -> A -> B -> C -> 0 along f : A -> N."""
-    A, B, C = ses.A, ses.B, ses.C
+    B, C = ses.B, ses.C
     N = f.dst
     h = B.handle
     base = h.base
     S, injs, projs = direct_sum([N, B])
-    cols = []
-    for a in range(A.n):
-        v = [base.zero()] * A.n
-        v[a] = base.one()
-        w1 = injs[0].mat @ [-x for x in (f.mat @ v)]
-        w2 = injs[1].mat @ (ses.i.mat @ v)
-        cols.append([x + y for x, y in zip(w1, w2)])
-    W = Mat.from_cols(base, S.n, cols)
+    W = injs[1].mat @ ses.i.mat - injs[0].mat @ f.mat
     V = hstack(base, [W, S.rel()], m=S.n)
     E, sq = subquotient_module(h, S.actions, S.n, Mat.identity(base, S.n), V)
-    icols = [sq.project(injs[0].mat.col(a)) for a in range(N.n)]
-    imap = ModMap(N, E, Mat.from_cols(base, E.n, icols))
-    lifts = Mat.from_cols(base, S.n,
-                          [sq.lift([base.one() if t == jj else base.zero()
-                                    for t in range(E.n)])
-                           for jj in range(E.n)])
-    pmap = ModMap(E, C, ses.p.mat @ projs[1].mat @ lifts)
+    imap = ModMap(N, E, sq.project_cols(injs[0].mat))
+    pmap = ModMap(E, C, ses.p.mat @ projs[1].mat @ sq.basis())
     return SES(A=N, B=E, C=C, i=imap, p=pmap)
 
 
@@ -343,23 +332,12 @@ def pullback_seq(ses, g):
     base = h.base
     S, injs, projs = direct_sum([B, M])
     # {(b, m) : p(b) = g(m) mod rel_C}
-    relC = C.rel()
-    cond = Mat.zeros(base, C.n, S.n)
-    pm = ses.p.mat @ projs[0].mat
-    gm = g.mat @ projs[1].mat
-    for i in range(C.n):
-        for jj in range(S.n):
-            cond.rows[i][jj] = pm.rows[i][jj] - gm.rows[i][jj]
-    K = preimage(cond, relC)
+    cond = ses.p.mat @ projs[0].mat - g.mat @ projs[1].mat
+    K = preimage(cond, C.rel())
     U = hstack(base, [K, S.rel()], m=S.n)
     E, sq = subquotient_module(h, S.actions, S.n, U, S.rel())
-    icols = [sq.project(injs[0].mat @ ses.i.mat.col(a)) for a in range(A.n)]
-    imap = ModMap(A, E, Mat.from_cols(base, E.n, icols))
-    lifts = Mat.from_cols(base, S.n,
-                          [sq.lift([base.one() if t == jj else base.zero()
-                                    for t in range(E.n)])
-                           for jj in range(E.n)])
-    pmap = ModMap(E, M, projs[1].mat @ lifts)
+    imap = ModMap(A, E, sq.project_cols(injs[0].mat @ ses.i.mat))
+    pmap = ModMap(E, M, projs[1].mat @ sq.basis())
     return SES(A=A, B=E, C=M, i=imap, p=pmap)
 
 
@@ -496,31 +474,19 @@ def ext_induced(f, N, j, pres_src=None, pres_dst=None):
     # precompose: x in N^{beta_j(M)} -> x o f_j in N^{beta_j(M')}
     rmat = _rmatrix_of(M.handle, fj, fj.n // M.handle.nR)
     comp = _delta_matrix(N, rmat)  # beta_j(M) slots -> beta_j(M') slots
-    cols = []
-    for c in range(pres_src.module.n):
-        ec = [base.one() if t == c else base.zero()
-              for t in range(pres_src.module.n)]
-        vec = pres_src.sq.lift(ec)
-        img = comp @ vec
-        cols.append(pres_dst.sq.project(img))
-    return Mat.from_cols(base, pres_dst.module.n, cols)
+    return pres_dst.sq.project_cols(comp @ pres_src.sq.basis())
 
 
 def hom_induced(f, N, hp_src=None, hp_dst=None):
     """Matrix of Hom(f, N) : Hom(M, N) -> Hom(M', N) for f : M' -> M."""
     Mp, M = f.src, f.dst
-    base = M.handle.base
     if hp_src is None:
         hp_src = hom(M, N)
     if hp_dst is None:
         hp_dst = hom(Mp, N)
-    cols = []
-    for c in range(hp_src.module.n):
-        ec = [base.one() if t == c else base.zero()
-              for t in range(hp_src.module.n)]
-        phi = hp_src.map_from_coords(ec)
-        cols.append(hp_dst.coords_of(ModMap(Mp, N, phi.mat @ f.mat)))
-    return Mat.from_cols(base, hp_dst.module.n, cols)
+    cols = [hp_dst.coords_of(ModMap(Mp, N, phi.mat @ f.mat))
+            for phi in hp_src.maps]
+    return Mat.from_cols(M.handle.base, hp_dst.module.n, cols)
 
 
 def connecting_map(ses, N, hp_A=None, pres_C=None):
@@ -531,13 +497,8 @@ def connecting_map(ses, N, hp_A=None, pres_C=None):
         hp_A = hom(ses.A, N)
     if pres_C is None:
         pres_C = ext(ses.C, N, 1)
-    cols = []
-    for c in range(hp_A.module.n):
-        ec = [base.one() if t == c else base.zero()
-              for t in range(hp_A.module.n)]
-        phi = hp_A.map_from_coords(ec)
-        cls = classify(pushout_seq(ses, phi), pres_C)
-        cols.append(list(cls.coords))
+    cols = [list(classify(pushout_seq(ses, phi), pres_C).coords)
+            for phi in hp_A.maps]
     return Mat.from_cols(base, pres_C.module.n, cols)
 
 

@@ -109,7 +109,7 @@ def normalize_rows(exps, mat):
             rows.append(list(row))
         else:
             rows.append([a.reduce_mod(e) for a in row])
-    return Mat(mat.base, rows)
+    return mat.with_rows(rows)
 
 
 class ModMap:
@@ -221,19 +221,10 @@ def residue_field(handle):
 
 def subquotient_module(handle, ambient_actions, n, U_gens, V_gens):
     """Module U/V in ambient D^n with the given actions; returns (M, sq)."""
-    base = handle.base
-    sq = Subquotient(base, n, U_gens, V_gens)
-    k = len(sq.exps)
-    new_actions = {}
-    for g in handle.gen_names:
-        A = ambient_actions[g]
-        cols = []
-        for j in range(k):
-            ej = [base.zero()] * k
-            ej[j] = base.one()
-            w = sq.lift(ej)
-            cols.append(sq.project(A @ w))
-        new_actions[g] = Mat.from_cols(base, k, cols)
+    sq = Subquotient(handle.base, n, U_gens, V_gens)
+    B = sq.basis()
+    new_actions = {g: sq.project_cols(ambient_actions[g] @ B)
+                   for g in handle.gen_names}
     return CoeffModule(handle, sq.exps, new_actions), sq
 
 
@@ -244,44 +235,21 @@ def submodule(M, gens_mat):
     """
     base = M.handle.base
     # close under the R-action: multiply by all ring basis monomials
-    cols = []
-    for j in range(gens_mat.n):
-        v = gens_mat.col(j)
-        for b in range(M.handle.nR):
-            cols.append(M.basis_action(b) @ v)
-    closed = Mat.from_cols(base, M.n, cols)
+    closed = _free_cover_matrix(M.handle, M.basis_action, gens_mat)
     rel = M.rel()
     U = hstack(base, [closed, rel], m=M.n)
     K, sq = subquotient_module(M.handle, M.actions, M.n, U, rel)
-    incl_cols = []
-    for j in range(K.n):
-        ej = [base.zero()] * K.n
-        ej[j] = base.one()
-        incl_cols.append(sq.lift(ej))
-    incl = ModMap(K, M, Mat.from_cols(base, M.n, incl_cols))
-    return K, incl
+    return K, ModMap(K, M, sq.basis())
 
 
 def quotient_module(M, gens_mat):
     """M / (R-span of the columns); returns (Q, proj: M -> Q)."""
     base = M.handle.base
-    rel = M.rel()
-    cols = []
-    for j in range(gens_mat.n):
-        v = gens_mat.col(j)
-        for b in range(M.handle.nR):
-            cols.append(M.basis_action(b) @ v)
-    closed = Mat.from_cols(base, M.n, cols)
-    V = hstack(base, [closed, rel], m=M.n)
-    Q, sq = subquotient_module(M.handle, M.actions, M.n,
-                               Mat.identity(base, M.n), V)
-    proj_cols = []
-    for i in range(M.n):
-        ei = [base.zero()] * M.n
-        ei[i] = base.one()
-        proj_cols.append(sq.project(ei))
-    proj = ModMap(M, Q, Mat.from_cols(base, Q.n, proj_cols))
-    return Q, proj
+    closed = _free_cover_matrix(M.handle, M.basis_action, gens_mat)
+    V = hstack(base, [closed, M.rel()], m=M.n)
+    identity = Mat.identity(base, M.n)
+    Q, sq = subquotient_module(M.handle, M.actions, M.n, identity, V)
+    return Q, ModMap(M, Q, sq.project_cols(identity))
 
 
 def from_quotient_ideal(handle, J):
@@ -617,12 +585,7 @@ def hom(M, N):
     A, span = _linearity_conditions(M, N)
     U = hstack(base, [preimage(A, span), amb_rel], m=amb_n)
     Hmod, sq = subquotient_module(h, amb_actions, amb_n, U, amb_rel)
-    maps = []
-    for j in range(Hmod.n):
-        ej = [base.zero()] * Hmod.n
-        ej[j] = base.one()
-        w = sq.lift(ej)
-        maps.append(ModMap(M, N, _unvec(base, w, N.n, M.n)))
+    maps = [ModMap(M, N, _unvec(base, w, N.n, M.n)) for w in sq.basis().cols()]
     out = HomPres(module=Hmod, maps=maps, sq=sq, src=M, dst=N)
     M._cache[key] = out
     return out
@@ -664,13 +627,7 @@ def _min_gens_of_submodule(handle, amb_free_n, K_cols, module_actions):
         return K_cols
     mcols = [module_actions[g] @ K_cols for g in handle.gen_names]
     V = hstack(base, mcols, m=amb_free_n)
-    sq = Subquotient(base, amb_free_n, K_cols, V)
-    gens = []
-    for j in range(len(sq.exps)):
-        ej = [base.zero()] * len(sq.exps)
-        ej[j] = base.one()
-        gens.append(sq.lift(ej))
-    return Mat.from_cols(base, amb_free_n, gens)
+    return Subquotient(base, amb_free_n, K_cols, V).basis()
 
 
 def _free_cover_matrix(handle, target_basis_action, gens_cols):
@@ -724,12 +681,7 @@ def resolution(M, length_):
         # step 0: minimal generators of M
         V = hstack(base, [M.actions[g] for g in h.gen_names] + [M.rel()],
                    m=M.n)
-        sqmu = Subquotient(base, M.n, Mat.identity(base, M.n), V)
-        gens = Mat.from_cols(
-            base, M.n,
-            [sqmu.lift([base.one() if i == j else base.zero()
-                        for i in range(len(sqmu.exps))])
-             for j in range(len(sqmu.exps))])
+        gens = Subquotient(base, M.n, Mat.identity(base, M.n), V).basis()
         cover_mat = _free_cover_matrix(h, M.basis_action, gens)
         F0 = free_module(h, gens.n)
         cover = ModMap(F0, M, cover_mat)
@@ -842,11 +794,7 @@ def is_isomorphic(M, N, budget=2 ** 20):
     p = base.p
     if p ** kappa > budget:
         raise BudgetExceeded(f"{p ** kappa} hom classes exceed budget {budget}")
-    lifts = []
-    for j in range(kappa):
-        ej = [base.one() if i == j else base.zero() for i in range(kappa)]
-        coords = hb.reduce_vec(sqm.lift(ej))
-        lifts.append(H.map_from_coords(coords))
+    lifts = [H.map_from_coords(hb.reduce_vec(w)) for w in sqm.basis().cols()]
     import itertools as it
     for combo in it.product(range(p), repeat=kappa):
         if not any(combo):

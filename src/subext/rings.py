@@ -440,6 +440,9 @@ def _artin_handle(spec):
 def build_ring(spec):
     if not _is_prime(spec.p) or spec.p > 257:
         raise SubextError(f"p must be a prime <= 257, got {spec.p}")
+    if any(g < 1 for g in spec.semigroup_gens):
+        raise SubextError("semigroup generators must be positive, got "
+                          f"{list(spec.semigroup_gens)}")
     if spec.family == "artin_monomial":
         return _artin_handle(spec)
     if spec.family == "dvr":

@@ -19,7 +19,7 @@ from .dcoeff import Mat
 from .errors import (BudgetExceeded, CertificateError, StabilizationBudget,
                      UnknownScenarioError)
 from .ext import (ExtClass, SES, classify, enumerate_classes, ext,
-                  group_order, is_split, middle, split_sequence)
+                  group_order, is_split, middle)
 from .modules import (ModMap, _free_cover_matrix, canonical_module,
                       colon_in_module, direct_sum, dualize_omega,
                       from_fractional_ideal, from_quotient_ideal,
@@ -141,18 +141,12 @@ def _Bmod(handle, I=None):
     return from_fractional_ideal(handle, B)
 
 
-def _middle_of(pres, cls):
-    if cls.is_zero():
-        return split_sequence(pres.N, pres.M)
-    return middle(cls)
-
-
 def _additive_set(pres, fn, budget, tally):
     out = set()
     classes = enumerate_classes(pres, budget)
     tally.add(len(classes))
     for cls in classes:
-        if is_additive_on(fn, _middle_of(pres, cls)):
+        if is_additive_on(fn, middle(cls)):
             out.add(cls.coords)
     return out
 
@@ -196,15 +190,8 @@ def _phi0_cols(pres):
     The class c is mu-additive exactly when that rank is zero, and the rank
     is linear in the constant digits of the coordinates of c.
     """
-    base = pres.N.handle.base
-    n = pres.module.n
-    cols = []
-    for i in range(n):
-        u = [base.zero()] * n
-        u[i] = base.one()
-        amb = pres.sq.lift(u)
-        cols.append([(s.num[0] if s.num else 0) for s in amb])
-    return cols
+    return [[(s.num[0] if s.num else 0) for s in amb]
+            for amb in pres.sq.basis().cols()]
 
 
 def _scn_dvr_mu(seed, budget, tally):
@@ -244,7 +231,7 @@ def _scn_dvr_mu(seed, budget, tally):
                 if p ** lam <= 64 and rng.random() < 0.2:
                     mem = ideal_times_ext(pres, m)
                     for cls in enumerate_classes(pres, budget):
-                        ses = _middle_of(pres, cls)
+                        ses = middle(cls)
                         slow_add = mu(ses.B) == mu(M) + mu(N)
                         fast = all((c.num[0] if c.num else 0) == 0
                                    for c in cls.coords)
@@ -627,7 +614,7 @@ def _scn_loewy(seed, budget, tally):
             classes = enumerate_classes(pres, budget)
             tally.add(len(classes))
             for cls in classes:
-                ses = _middle_of(pres, cls)
+                ses = middle(cls)
                 if is_additive_on(fmu, ses) and is_additive_on(fL, ses):
                     both.add(cls.coords)
             instances.append(_inst(
@@ -663,7 +650,7 @@ def _scn_jane(seed, budget, tally):
                     viol = 0
                     for coords in _sorted_coords(members):
                         cls = ExtClass(pres, list(coords))
-                        if not is_additive_on(fn, _middle_of(pres, cls)):
+                        if not is_additive_on(fn, middle(cls)):
                             viol += 1
                     return ({"members": len(members),
                              "violations": viol}, viol == 0)
@@ -765,7 +752,7 @@ def _scn_trset(seed, budget, tally):
                     viol = 0
                     for coords in _sorted_coords(members):
                         cls = ExtClass(pres, list(coords))
-                        ses = _middle_of(pres, cls)
+                        ses = middle(cls)
                         if not is_ulrich(I, ses.B):
                             viol += 1
                     return ({"members": len(members),
@@ -939,7 +926,7 @@ def _scn_ulfaith(seed, budget, tally):
         pres = ext(M, N, 1)
         for cls in enumerate_classes(pres, budget):
             checked += 1
-            if not is_ulrich(mD, _middle_of(pres, cls).B):
+            if not is_ulrich(mD, middle(cls).B):
                 bad += 1
         tally.add(checked)
     instances.append(_inst(
@@ -955,7 +942,7 @@ def _scn_ulfaith(seed, budget, tally):
         classes = enumerate_classes(pres, budget)
         tally.add(len(classes))
         for cls in classes:
-            ses = _middle_of(pres, cls)
+            ses = middle(cls)
             if not is_ulrich(m, ses.B):
                 found = {"pair": f"({mname}, {nname})",
                          "class": repr(cls.coords),
@@ -1088,7 +1075,7 @@ def _halfexact_pool(budget, tally):
             continue
         tally.add(len(classes))
         for cls in classes:
-            pool.append((handle, _middle_of(pres, cls)))
+            pool.append((handle, middle(cls)))
     return pool
 
 
@@ -1134,7 +1121,7 @@ def _scn_tony_et(seed, budget, tally):
             tally.add(len(classes))
             subbad = 0
             for cls in classes:
-                ses = _middle_of(pres, cls)
+                ses = middle(cls)
                 if fn(ses.B) > fn(ses.A) + fn(ses.C):
                     subbad += 1
             res = ext1_additive(pres, fn, budget)
@@ -1247,7 +1234,7 @@ def list_scenarios():
     return sorted(SCENARIOS)
 
 
-def run_scenario(name, seed=0, budget=DEFAULT_BUDGET, out=None):
+def run_scenario(name, seed=0, budget=DEFAULT_BUDGET):
     if name not in SCENARIOS:
         raise UnknownScenarioError(
             f"unknown scenario {name!r}; known names: {', '.join(list_scenarios())}")
@@ -1268,7 +1255,4 @@ def run_scenario(name, seed=0, budget=DEFAULT_BUDGET, out=None):
         aggregate_pass=all(i["status"] == "pass" for i in instances),
         seed=seed, budget=budget, budget_used=tally.used,
         wall_time_s=round(wall, 3))
-    if out is not None:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(render_report(result))
     return result

@@ -17,12 +17,11 @@ from .dcoeff import Mat, Subquotient, block_diag, hstack, preimage
 from .errors import (BudgetExceeded, CertificateError, InfiniteLengthError,
                      StabilizationBudget, SubextError)
 from .ext import (SES, _coord_values, _delta_matrix, enumerate_classes, ext,
-                  hom_induced, middle, pullback_seq, pushout_seq,
-                  split_sequence)
-from .modules import (ModMap, _block_ambient, _image_length, direct_sum,
-                      from_fractional_ideal, from_quotient_ideal, hom, is_mcm,
-                      length, mu, nu, regular_module, residue_field,
-                      resolution, submodule)
+                  hom_induced, middle, pullback_seq, pushout_seq)
+from .modules import (ModMap, _block_ambient, _free_cover_matrix,
+                      _image_length, direct_sum, from_fractional_ideal,
+                      from_quotient_ideal, hom, is_mcm, length, mu, nu,
+                      regular_module, residue_field, resolution, submodule)
 from .rings import m_ideal
 
 
@@ -31,19 +30,24 @@ from .rings import m_ideal
 # ---------------------------------------------------------------------------
 
 
+def _tensor_relations(X, res):
+    """(n, V) with X (x)_R C = D^n / <V>, for res a minimal presentation of
+    C: the relations of X^{beta_0} and the image of X^{beta_1}."""
+    b0, b1 = res.betti[0], res.betti[1]
+    amb_n, amb_rel, _ = _block_ambient(X, b0)
+    if not b1:
+        return amb_n, amb_rel
+    rmxT = [[res.rmx[0][r][c] for r in range(b0)] for c in range(b1)]
+    return amb_n, hstack(X.handle.base, [_delta_matrix(X, rmxT), amb_rel],
+                         m=amb_n)
+
+
 def tensor_length(X, C):
     """lambda(X (x)_R C), via a minimal presentation of C."""
     if X.is_zero() or C.is_zero():
         return 0
     base = X.handle.base
-    res = resolution(C, 1)
-    b0, b1 = res.betti[0], res.betti[1]
-    amb_n, amb_rel, _ = _block_ambient(X, b0)
-    if b1:
-        rmxT = [[res.rmx[0][r][c] for r in range(b0)] for c in range(b1)]
-        V = hstack(base, [_delta_matrix(X, rmxT), amb_rel], m=amb_n)
-    else:
-        V = amb_rel
+    amb_n, V = _tensor_relations(X, resolution(C, 1))
     sq = Subquotient(base, amb_n, Mat.identity(base, amb_n), V)
     out = sq.length()
     if out is None:
@@ -56,15 +60,10 @@ def _tensor_image_length(f, C):
     A, B = f.src, f.dst
     base = A.handle.base
     res = resolution(C, 1)
-    b0, b1 = res.betti[0], res.betti[1]
+    b0 = res.betti[0]
     if b0 == 0 or A.is_zero() or B.is_zero():
         return 0
-    ambB, relB, _ = _block_ambient(B, b0)
-    if b1:
-        rmxT = [[res.rmx[0][r][c] for r in range(b0)] for c in range(b1)]
-        VB = hstack(base, [_delta_matrix(B, rmxT), relB], m=ambB)
-    else:
-        VB = relB
+    ambB, VB = _tensor_relations(B, res)
     F = block_diag(base, [f.mat] * b0)  # f on each presentation slot
     sq = Subquotient(base, ambB, hstack(base, [F, VB], m=ambB), VB)
     out = sq.length()
@@ -171,15 +170,9 @@ def exactness_on(fn, ses):
     if fn.kind == "hom_from":
         C = fn.payload
         hp_B, hp_C = hom(C, ses.B), hom(C, ses.C)
-        base = C.handle.base
-        cols = []
-        for c in range(hp_B.module.n):
-            ec = [base.one() if t == c else base.zero()
-                  for t in range(hp_B.module.n)]
-            phim = hp_B.map_from_coords(ec)
-            cols.append(hp_C.coords_of(ModMap(C, ses.C,
-                                              ses.p.mat @ phim.mat)))
-        mat = Mat.from_cols(base, hp_C.module.n, cols)
+        cols = [hp_C.coords_of(ModMap(C, ses.C, ses.p.mat @ phi.mat))
+                for phi in hp_B.maps]
+        mat = Mat.from_cols(C.handle.base, hp_C.module.n, cols)
         return _image_length(hp_C.module, mat) == length(hp_C.module)
     if fn.kind in ("colength", "tensor"):
         if fn.kind == "colength":
@@ -221,13 +214,9 @@ def submodule_members(module, cols, budget=2 ** 20):
     base = module.handle.base
     if module.n == 0:
         return {()}
-    closed = []
-    for j in range(cols.n):
-        v = cols.col(j)
-        for b in range(module.handle.nR):
-            closed.append(module.basis_action(b) @ v)
+    closed = _free_cover_matrix(module.handle, module.basis_action, cols)
     rel = module.rel()
-    U = hstack(base, [Mat.from_cols(base, module.n, closed), rel], m=module.n)
+    U = hstack(base, [closed, rel], m=module.n)
     sq = Subquotient(base, module.n, U, rel)
     exps = sq.exps
     if base.local and any(e is None for e in exps):
@@ -235,10 +224,7 @@ def submodule_members(module, cols, budget=2 ** 20):
     count = base.p ** (sum(e for e in exps) if base.local else len(exps))
     if count > budget:
         raise BudgetExceeded(f"{count} elements exceed budget {budget}")
-    basis = []
-    for j in range(len(exps)):
-        ej = [base.one() if t == j else base.zero() for t in range(len(exps))]
-        basis.append(sq.lift(ej))
+    basis = sq.basis().cols()
     import itertools
     out = set()
     ranges = [_coord_values(base, e if e is not None else 1) for e in exps]
@@ -278,11 +264,7 @@ def ext1_subfunctor(pres, predicate, budget=2 ** 20):
     total = 0
     for cls in enumerate_classes(pres, budget):
         total += 1
-        if cls.is_zero():
-            ok = predicate(split_sequence(pres.N, pres.M))
-        else:
-            ok = predicate(middle(cls))
-        if ok:
+        if predicate(middle(cls)):
             members.append(cls)
     if not members:
         return SubfunResult(members=[], total=total, span_length=0,
@@ -354,7 +336,7 @@ def check_closure_axioms(handle, predicate, pairs, scalars=None, maps=None,
             continue
         membership = {}
         for cls in classes:
-            ses = split_sequence(N, M) if cls.is_zero() else middle(cls)
+            ses = middle(cls)
             membership[cls.coords] = (cls, ses, predicate(ses))
         mem = [v for v in membership.values() if v[2]]
         note(membership[pres.zero_class().coords][2],

@@ -125,16 +125,20 @@ def _build_ring(name, opts, lineno):
             f"family must be artin|dvr|semigroup, got {family!r}", lineno, 1)
     if "p" not in opts:
         raise WorkspaceSyntaxError("missing p=PRIME", lineno, 1)
-    p = int(opts["p"])
+    try:
+        p = int(opts["p"])
+        gens = tuple(int(g) for g in _as_list(opts.get("gens", "")) or ())
+    except ValueError as exc:
+        raise WorkspaceSyntaxError(
+            f"p and gens need integers ({exc})", lineno, 1) from None
     if family == "dvr":
         spec = RingSpec(family="dvr", p=p, label=name)
     elif family == "semigroup":
-        gens = _as_list(opts.get("gens", ""))
         if not gens:
             raise WorkspaceSyntaxError(
                 "semigroup ring needs gens=[..]", lineno, 1)
-        spec = RingSpec(family="semigroup", p=p,
-                        semigroup_gens=tuple(int(g) for g in gens), label=name)
+        spec = RingSpec(family="semigroup", p=p, semigroup_gens=gens,
+                        label=name)
     else:
         variables = tuple(_as_list(opts.get("vars", "")) or ())
         monos = _as_list(opts.get("ideal", ""))

@@ -253,3 +253,43 @@ def test_cli_verify_all_fail_outranks_budget(monkeypatch):
     assert CliRunner().invoke(main, ["verify", "all"]).exit_code == 3
     statuses[second] = "pass"
     assert CliRunner().invoke(main, ["verify", "all"]).exit_code == 0
+
+
+def test_cli_verify_all_out_keeps_every_report(tmp_path, monkeypatch):
+    def fake_run(name, seed=0, budget=0):
+        return ScenarioResult(name=name, description="", rings="",
+                              instances=[], status="pass",
+                              aggregate_pass=True, seed=seed, budget=budget,
+                              budget_used=0, wall_time_s=0.0)
+
+    monkeypatch.setattr("subext.cli.run_scenario", fake_run)
+    path = tmp_path / "all.json"
+    out = CliRunner().invoke(main, ["verify", "all", "--out", str(path)])
+    assert out.exit_code == 0
+    assert path.read_text() == out.output
+    for name in list_scenarios():
+        assert f'"scenario": "{name}"' in out.output
+
+
+@pytest.mark.parametrize("workspace, command, message", [
+    ("ring r { family=dvr p=abc }", ["ring-info", "r"],
+     "line 2, column 1: p and gens need integers"),
+    ("ring r { family=semigroup p=2 gens=[2,x] }", ["ring-info", "r"],
+     "line 2, column 1: p and gens need integers"),
+    ("ring r { family=semigroup p=2 gens=[0,3] }", ["ring-info", "r"],
+     "line 2, column 1: semigroup generators must be positive"),
+    (None, ["ext", "k23", "R23", "--deg", "-1"],
+     "Ext degree must be at least 1"),
+    (None, ["verify-ses", "k23", "R23", "--coords", "x"],
+     "--coords needs comma-separated integers"),
+], ids=["p-not-int", "gens-not-int", "gens-zero", "deg-negative",
+        "coords-not-int"])
+def test_cli_bad_input_is_clean(tmp_path, workspace, command, message):
+    if workspace is not None:
+        path = tmp_path / "ws.txt"
+        path.write_text("ring ok { family=dvr p=2 }\n" + workspace + "\n")
+        command = [*command, "--workspace", str(path)]
+    out = CliRunner().invoke(main, ["compute", *command])
+    assert out.exit_code == 1
+    assert out.output.startswith("Error: ") and message in out.output
+    assert isinstance(out.exception, SystemExit)

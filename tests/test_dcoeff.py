@@ -294,6 +294,14 @@ def test_subquotient_random_roundtrip():
                 diff = [a - b for a, b in zip(w, w2)]
                 # difference must lie in V + (torsion kill): project to zero
                 assert all(x.is_zero() for x in sq.project(diff))
+            # the canonical basis lifts into U and projects back to e_i
+            B = sq.basis()
+            k = len(sq.exps)
+            assert (B.m, B.n) == (n, k)
+            assert sq.project_cols(B) == Mat.identity(base, k)
+            assert all(sq.contains(B.col(j)) for j in range(k))
+            assert sq.project_cols(Ug) == Mat.from_cols(
+                base, k, [sq.project(Ug.col(j)) for j in range(Ug.n)])
 
 
 def test_in_span_and_hstack():

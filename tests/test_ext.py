@@ -12,7 +12,7 @@ from subext.ext import (
 from subext.modules import (
     ModMap, canonical_module, direct_sum, from_fractional_ideal,
     from_quotient_ideal, is_isomorphic, length, regular_module,
-    residue_field, resolution, mu,
+    residue_field, resolution, mu, zero_module,
 )
 from subext.rings import FracIdeal, RingSpec, build_ring, m_ideal
 
@@ -125,13 +125,17 @@ def test_middle_classify_round_trip_23():
 
 def test_middle_of_zero_is_split():
     R = dvr(3)
-    M, N = cyclic(R, 2), cyclic(R, 1)
-    pres = ext(M, N, 1)
-    z = pres.zero_class()
-    ses = middle(z)
-    assert is_split(ses, pres)
-    S = direct_sum([N, M])[0]
-    assert is_isomorphic(ses.B, S)
+    Z = zero_module(R)
+    # a zero end: maps into the zero module keep their width
+    for M, N in [(cyclic(R, 2), cyclic(R, 1)), (Z, cyclic(R, 1)),
+                 (cyclic(R, 2), Z)]:
+        pres = ext(M, N, 1)
+        z = pres.zero_class()
+        ses = middle(z)
+        ses.certify()
+        assert is_split(ses, pres)
+        S = direct_sum([N, M])[0]
+        assert is_isomorphic(ses.B, S)
 
 
 def test_nonsplit_class_detected():
@@ -240,6 +244,11 @@ def test_pushout_pullback_certify():
     g = ModMap(cyclic(R, 2), C, Mat(base, [[base.one()]]))
     pb = pullback_seq(ses, g)
     pb.certify()
+    # pulling 0 -> B -> B -> 0 -> 0 back along B -> 0 gives B + B
+    Z = zero_module(R)
+    pb = pullback_seq(split_sequence(B, Z), ModMap.zero(B, Z))
+    pb.certify()
+    assert pb.B.exps == (2, 2)
 
 
 def test_chain_lift_identity():
