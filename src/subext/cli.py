@@ -52,7 +52,8 @@ def cmd_list_scenarios():
               help="Also write the report to this file.")
 def cmd_verify(scenario, seed, budget, out):
     """Run one scenario (or 'all') and print its report; exit status 0
-    on pass, 1 on any fail, else 3 on budget exhaustion."""
+    on pass, 1 on any fail, else 3 on budget exhaustion.  Under 'all' a
+    scenario that raises an error counts as a fail and the rest still run."""
     names = list_scenarios() if scenario == "all" else [scenario]
     statuses = set()
     reports = []
@@ -60,7 +61,11 @@ def cmd_verify(scenario, seed, budget, out):
         try:
             result = run_scenario(name, seed=seed, budget=budget)
         except SubextError as exc:
-            raise click.ClickException(str(exc))
+            if scenario != "all":
+                raise click.ClickException(str(exc))
+            click.echo(f"Error: {name}: {exc}", err=True)
+            statuses.add("fail")
+            continue
         reports.append(render_report(result))
         click.echo(reports[-1], nl=False)
         statuses.add(result.status)

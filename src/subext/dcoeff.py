@@ -360,8 +360,10 @@ class Mat:
         return self.with_rows([[a * s for a in r] for r in self.rows])
 
     def transpose(self):
-        return Mat(self.base, [[self.rows[i][j] for i in range(self.m)]
-                               for j in range(self.n)])
+        out = Mat(self.base, [[self.rows[i][j] for i in range(self.m)]
+                              for j in range(self.n)])
+        out.n = self.m  # a transpose with no rows keeps its width
+        return out
 
     def is_zero(self):
         return all(a.is_zero() for r in self.rows for a in r)
@@ -383,7 +385,9 @@ def hstack(base, mats, m=None):
     for mat in mats:
         for i in range(mat.m):
             rows[i].extend(mat.rows[i])
-    return Mat(base, rows)
+    out = Mat(base, rows)
+    out.n = sum(x.n for x in mats)  # blocks with no rows keep their width
+    return out
 
 
 def vstack(base, mats):

@@ -74,9 +74,9 @@ def split_sequence(A, C):
 
 def direct_sum_seq(s1, s2):
     """Componentwise direct sum of two short exact sequences."""
-    A, ai, ap = direct_sum([s1.A, s2.A])
+    A, _, ap = direct_sum([s1.A, s2.A])
     B, bi, bp = direct_sum([s1.B, s2.B])
-    C, ci, cp = direct_sum([s1.C, s2.C])
+    C, ci, _ = direct_sum([s1.C, s2.C])
     i = ModMap(A, B, bi[0].mat @ s1.i.mat @ ap[0].mat
                + bi[1].mat @ s2.i.mat @ ap[1].mat)
     p = ModMap(B, C, ci[0].mat @ s1.p.mat @ bp[0].mat
@@ -384,20 +384,28 @@ def _coord_values(base, e):
     return vals
 
 
+def coordinate_tuples(base, exps, budget):
+    """Every coordinate tuple of a finite module with invariant factors
+    exps, lexicographically."""
+    if base.local and any(e is None for e in exps):
+        raise InfiniteLengthError("module has a free summand")
+    total = base.p ** (sum(exps) if base.local else len(exps))
+    if total > budget:
+        raise BudgetExceeded(f"{total} elements exceed budget {budget}")
+    return itertools.product(*[_coord_values(base, e if e is not None else 1)
+                               for e in exps])
+
+
 def enumerate_classes(pres, budget=2 ** 20):
     """All elements of the Ext group, coordinate-lexicographically."""
-    exps = pres.module.exps
-    base = pres.N.handle.base
-    if any(e is None for e in exps) and base.local:
-        raise InfiniteLengthError("Ext group has a free summand")
-    total = base.p ** (pres.module.length() if base.local else len(exps))
-    if total > budget:
-        raise BudgetExceeded(f"{total} classes exceed budget {budget}")
-    ranges = [_coord_values(base, e if e is not None else 1) for e in exps]
-    out = []
-    for combo in itertools.product(*ranges):
-        out.append(ExtClass(pres, list(combo)))
-    return out
+    return [ExtClass(pres, list(combo)) for combo in
+            coordinate_tuples(pres.N.handle.base, pres.module.exps, budget)]
+
+
+def sweep(pres, f, budget=2 ** 20):
+    """[(cls, f(middle(cls))) for every class of the degree-1 Ext group]:
+    each middle is built once and kept only if f returns it."""
+    return [(cls, f(middle(cls))) for cls in enumerate_classes(pres, budget)]
 
 
 def group_order(pres):

@@ -443,7 +443,7 @@ def loewy_length(M):
     base = M.handle.base
     if M.is_zero():
         return 0
-    T, incl = torsion_part(M)
+    _, incl = torsion_part(M)
     cur = incl.mat  # columns spanning the torsion part inside M
     rel = M.rel()
     c = 0
@@ -451,11 +451,8 @@ def loewy_length(M):
         sq = Subquotient(base, M.n, hstack(base, [cur, rel], m=M.n), rel)
         if not sq.exps:
             return c
-        cols = []
-        for g in M.handle.gen_names:
-            A = M.actions[g] @ cur
-            cols.append(A)
-        cur = hstack(base, cols, m=M.n)
+        cur = hstack(base, [M.actions[g] @ cur for g in M.handle.gen_names],
+                     m=M.n)
         c += 1
         if c > 10000:
             raise SubextError("loewy length did not terminate")
@@ -726,7 +723,6 @@ def syzygy(M, j):
         return M
     res = resolution(M, j)
     h = M.handle
-    base = h.base
     F_prev = res.frees[j - 1]
     if F_prev.n == 0:
         return zero_module(h)
@@ -746,7 +742,6 @@ def transpose(M):
     base = h.base
     if b1 == 0:
         return zero_module(h)
-    F = free_module(h, b0)
     Fdual_target = free_module(h, b1)
     # dual map R^{b0} -> R^{b1}: entry (j, i) = rmx[i][j]
     rmx = res.rmx[0]

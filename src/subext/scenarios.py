@@ -19,7 +19,7 @@ from .dcoeff import Mat
 from .errors import (BudgetExceeded, CertificateError, StabilizationBudget,
                      UnknownScenarioError)
 from .ext import (ExtClass, SES, classify, enumerate_classes, ext,
-                  group_order, is_split, middle)
+                  group_order, is_split, middle, sweep)
 from .modules import (ModMap, _free_cover_matrix, canonical_module,
                       colon_in_module, direct_sum, dualize_omega,
                       from_fractional_ideal, from_quotient_ideal,
@@ -28,10 +28,11 @@ from .modules import (ModMap, _free_cover_matrix, canonical_module,
                       resolution, syzygy, transpose)
 from .rings import (FracIdeal, RingSpec, blow_up, build_ring, m_ideal,
                     principal_reduction, ring_invariants, trace_ideal)
-from .subfun import (check_closure_axioms, default_pairs, ext1_additive,
-                     ext1_ulrich, fn_colength, fn_mu, fn_tensor, fn_tor_mult,
-                     fn_hom_from, fn_hom_to, half_exact_agreement,
-                     ideal_times_ext, is_additive_on, member_coords)
+from .subfun import (additive, check_closure_axioms, default_pairs,
+                     ext1_additive, ext1_subfunctor, ext1_ulrich, fn_colength,
+                     fn_mu, fn_tensor, fn_tor_mult, fn_hom_from, fn_hom_to,
+                     half_exact_agreement, ideal_times_ext, is_additive_on,
+                     member_coords, subfunctor_result)
 from .ulrich import (blowup_sequence_comparison, is_ulrich,
                      mcm_approximation_of_k, restrict_to_base,
                      restrict_to_blowup)
@@ -142,13 +143,9 @@ def _Bmod(handle, I=None):
 
 
 def _additive_set(pres, fn, budget, tally):
-    out = set()
-    classes = enumerate_classes(pres, budget)
-    tally.add(len(classes))
-    for cls in classes:
-        if is_additive_on(fn, middle(cls)):
-            out.add(cls.coords)
-    return out
+    rows = sweep(pres, additive(fn, pres), budget)
+    tally.add(len(rows))
+    return {cls.coords for cls, ok in rows if ok}
 
 
 def _full_set(pres, budget, tally):
@@ -218,11 +215,11 @@ def _scn_dvr_mu(seed, budget, tally):
                 cols = _phi0_cols(pres)
                 nrows = len(cols[0]) if cols else 0
                 for v in itertools.product(range(p), repeat=n):
-                    additive = all(
+                    by_rank = all(
                         sum(c[r] * x for c, x in zip(cols, v)) % p == 0
                         for r in range(nrows))
                     in_m_ext = all(x == 0 for x in v)
-                    if additive != in_m_ext:
+                    if by_rank != in_m_ext:
                         mismatches += p ** (lam - n)
                 covered += p ** lam
                 pairs += 1
@@ -230,9 +227,8 @@ def _scn_dvr_mu(seed, budget, tally):
                 # exhaustive slow-route cross-check on small groups
                 if p ** lam <= 64 and rng.random() < 0.2:
                     mem = ideal_times_ext(pres, m)
-                    for cls in enumerate_classes(pres, budget):
-                        ses = middle(cls)
-                        slow_add = mu(ses.B) == mu(M) + mu(N)
+                    for cls, slow_add in sweep(pres, additive(fn_mu(), pres),
+                                               budget):
                         fast = all((c.num[0] if c.num else 0) == 0
                                    for c in cls.coords)
                         if slow_add != fast or (cls.coords in mem) != fast:
@@ -523,7 +519,7 @@ def _scn_mintype(seed, budget, tally):
     ses = SES(A=F, B=S, C=C, i=imap, p=p)
     ses.certify()
     tally.add(1)
-    additive = mu(S) == mu(F) + mu(C)
+    mu_additive = mu(S) == mu(F) + mu(C)
     instances = [
         _inst({"ring": h.label},
               {"mu_dual_syzygy": mu(dual), "type": r},
@@ -533,7 +529,7 @@ def _scn_mintype(seed, budget, tally):
               {"mu_A": mu(F), "mu_B": mu(S), "mu_C": mu(C),
                "coker_matches_dual": mu(C) == mu(dual)},
               "the approximation sequence is mu-additive",
-              additive and mu(C) == mu(dual)),
+              mu_additive and mu(C) == mu(dual)),
     ]
     return "<3,4,5>/F_2", instances
 
@@ -610,13 +606,10 @@ def _scn_loewy(seed, budget, tally):
             Cq = _cyclic(D, c)
             fmu, fL = fn_mu(), fn_tensor(Cq, label=f"len_tensor(R/m^{c})")
             pres = ext(L, F, 1)
-            both = set()
-            classes = enumerate_classes(pres, budget)
-            tally.add(len(classes))
-            for cls in classes:
-                ses = middle(cls)
-                if is_additive_on(fmu, ses) and is_additive_on(fL, ses):
-                    both.add(cls.coords)
+            add_mu, add_L = additive(fmu, pres), additive(fL, pres)
+            rows = sweep(pres, lambda ses: add_mu(ses) and add_L(ses), budget)
+            tally.add(len(rows))
+            both = {cls.coords for cls, ok in rows if ok}
             instances.append(_inst(
                 {"p": p, "L": name, "loewy_length": c},
                 {"both_additive_order": len(both),
@@ -681,8 +674,9 @@ def _scn_uladd(seed, budget, tally):
         for mname, nname, M, N in _ulrich_pairs(handle):
             def thunk(M=M, N=N):
                 pres = ext(M, N, 1)
-                ul = ext1_ulrich(pres, m, budget)
-                ad = ext1_additive(pres, fn_colength(m), budget)
+                ul, ad = ext1_subfunctor(
+                    pres, [lambda ses: is_ulrich(m, ses.B),
+                           additive(fn_colength(m), pres)], budget)
                 tally.add(ul.total + ad.total)
                 same = member_coords(ul) == member_coords(ad)
                 return ({"ulrich_members": len(ul.members),
@@ -923,12 +917,10 @@ def _scn_ulfaith(seed, budget, tally):
     bad = 0
     checked = 0
     for M, N in [(F, F), (F2, F), (F, F2)]:
-        pres = ext(M, N, 1)
-        for cls in enumerate_classes(pres, budget):
-            checked += 1
-            if not is_ulrich(mD, middle(cls).B):
-                bad += 1
-        tally.add(checked)
+        rows = sweep(ext(M, N, 1), lambda ses: is_ulrich(mD, ses.B), budget)
+        tally.add(len(rows))
+        checked += len(rows)
+        bad += sum(not ok for _, ok in rows)
     instances.append(_inst(
         {"ring": "F_2-DVR", "pairs": 3},
         {"sequences_checked": checked, "non_ulrich_middles": bad},
@@ -938,16 +930,14 @@ def _scn_ulfaith(seed, budget, tally):
     m = m_ideal(R)
     found = None
     for mname, nname, M, N in _ulrich_pairs(R):
-        pres = ext(M, N, 1)
-        classes = enumerate_classes(pres, budget)
-        tally.add(len(classes))
-        for cls in classes:
-            ses = middle(cls)
-            if not is_ulrich(m, ses.B):
-                found = {"pair": f"({mname}, {nname})",
-                         "class": repr(cls.coords),
-                         "mu_middle": mu(ses.B)}
-                break
+        # mu of each non-Ulrich middle, None for an Ulrich one
+        rows = sweep(ext(M, N, 1),
+                     lambda ses: None if is_ulrich(m, ses.B) else mu(ses.B),
+                     budget)
+        tally.add(len(rows))
+        found = next(({"pair": f"({mname}, {nname})",
+                       "class": repr(cls.coords), "mu_middle": v}
+                      for cls, v in rows if v is not None), None)
         if found:
             break
     instances.append(_inst(
@@ -1068,14 +1058,12 @@ def _halfexact_pool(budget, tally):
              (R23, Mm23, Mm23),
              (A, kA, FA), (A, kA, kA)]
     for handle, M, N in pairs:
-        pres = ext(M, N, 1)
         try:
-            classes = enumerate_classes(pres, min(budget, 2 ** 7))
+            rows = sweep(ext(M, N, 1), lambda ses: ses, min(budget, 2 ** 7))
         except BudgetExceeded:
             continue
-        tally.add(len(classes))
-        for cls in classes:
-            pool.append((handle, middle(cls)))
+        tally.add(len(rows))
+        pool.extend((handle, ses) for _, ses in rows)
     return pool
 
 
@@ -1117,15 +1105,13 @@ def _scn_tony_et(seed, budget, tally):
     for mname, nname, M, N in _ulrich_pairs(handle)[:2]:
         def thunk(M=M, N=N):
             pres = ext(M, N, 1)
-            classes = enumerate_classes(pres, budget)
-            tally.add(len(classes))
-            subbad = 0
-            for cls in classes:
-                ses = middle(cls)
-                if fn(ses.B) > fn(ses.A) + fn(ses.C):
-                    subbad += 1
-            res = ext1_additive(pres, fn, budget)
-            return ({"classes": len(classes),
+            ends = fn(M) + fn(N)
+            rows = sweep(pres, lambda ses: fn(ses.B), budget)
+            tally.add(len(rows))
+            subbad = sum(v > ends for _, v in rows)
+            res = subfunctor_result(
+                pres, [cls for cls, v in rows if v == ends], len(rows), budget)
+            return ({"classes": len(rows),
                      "subadditivity_violations": subbad,
                      "additive_members": len(res.members),
                      "certified_submodule": res.certified},

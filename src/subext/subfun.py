@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from .dcoeff import Mat, Subquotient, block_diag, hstack, preimage
 from .errors import (BudgetExceeded, CertificateError, InfiniteLengthError,
                      StabilizationBudget, SubextError)
-from .ext import (SES, _coord_values, _delta_matrix, enumerate_classes, ext,
-                  hom_induced, middle, pullback_seq, pushout_seq)
+from .ext import (SES, _delta_matrix, coordinate_tuples, ext, hom_induced,
+                  pullback_seq, pushout_seq, sweep)
 from .modules import (ModMap, _block_ambient, _free_cover_matrix,
                       _image_length, direct_sum, from_fractional_ideal,
                       from_quotient_ideal, hom, is_mcm, length, mu, nu,
@@ -218,79 +218,60 @@ def submodule_members(module, cols, budget=2 ** 20):
     rel = module.rel()
     U = hstack(base, [closed, rel], m=module.n)
     sq = Subquotient(base, module.n, U, rel)
-    exps = sq.exps
-    if base.local and any(e is None for e in exps):
-        raise InfiniteLengthError("submodule has a free summand")
-    count = base.p ** (sum(e for e in exps) if base.local else len(exps))
-    if count > budget:
-        raise BudgetExceeded(f"{count} elements exceed budget {budget}")
-    basis = sq.basis().cols()
-    import itertools
-    out = set()
-    ranges = [_coord_values(base, e if e is not None else 1) for e in exps]
-    for combo in itertools.product(*ranges):
-        vec = [base.zero()] * module.n
-        for c, b in zip(combo, basis):
-            if c.num:
-                vec = [x + c * y for x, y in zip(vec, b)]
-        out.add(tuple(module.reduce_vec(vec)))
-    if not out:
-        out.add(tuple([base.zero()] * module.n))
-    return out
+    basis = sq.basis()
+    return {tuple(module.reduce_vec(basis @ list(v)))
+            for v in coordinate_tuples(base, sq.exps, budget)}
 
 
-def _certify_submodule(pres, members, budget=2 ** 20):
-    """Certify that the member classes form exactly a submodule of Ext^1 by
-    comparing their count against the order of the span of their coords."""
+def subfunctor_result(pres, members, total, budget=2 ** 20):
+    """The member classes out of `total`, certified when they are exactly
+    the elements of the submodule of Ext^1 their coordinates span."""
     base = pres.N.handle.base
     module = pres.module
-    cols = Mat.from_cols(base, module.n,
-                         [list(c.coords) for c in members])
-    span = submodule_members(module, cols, budget)
+    cols = Mat.from_cols(base, module.n, [list(c.coords) for c in members])
+    span = submodule_members(module, cols, budget) if members else set()
     span_len = 0
-    p = base.p
-    n = len(span)
-    while p ** span_len < n:
+    while base.p ** span_len < len(span):
         span_len += 1
     certified = (len(members) == len(span)
                  and all(c.coords in span for c in members))
-    return span_len, certified
-
-
-def ext1_subfunctor(pres, predicate, budget=2 ** 20):
-    """Member classes {c : predicate(middle(c))} of Ext^1, with a
-    submodule-closure certificate."""
-    members = []
-    total = 0
-    for cls in enumerate_classes(pres, budget):
-        total += 1
-        if predicate(middle(cls)):
-            members.append(cls)
-    if not members:
-        return SubfunResult(members=[], total=total, span_length=0,
-                            certified=True)
-    span_len, certified = _certify_submodule(pres, members, budget)
     return SubfunResult(members=members, total=total, span_length=span_len,
                         certified=certified)
 
 
+def ext1_subfunctor(pres, predicates, budget=2 ** 20):
+    """For each predicate on sequences, the member classes
+    {c : predicate(middle(c))} of Ext^1 with a submodule-closure
+    certificate; one sweep builds each middle once for all predicates."""
+    rows = sweep(pres, lambda ses: [pred(ses) for pred in predicates], budget)
+    return [subfunctor_result(pres, [cls for cls, hits in rows if hits[k]],
+                              len(rows), budget)
+            for k in range(len(predicates))]
+
+
+def additive(fn, pres):
+    """The predicate "fn is additive on the sequence" for sequences
+    0 -> N -> B -> M -> 0 with the ends of pres; fn(M) + fn(N) is
+    computed once."""
+    ends = fn(pres.M) + fn(pres.N)
+    return lambda ses: fn(ses.B) == ends
+
+
 def ext1_additive(pres, fn, budget=2 ** 20):
     """Classes on whose sequence the numerical function fn is additive."""
-    return ext1_subfunctor(pres, lambda ses: is_additive_on(fn, ses), budget)
+    return ext1_subfunctor(pres, [additive(fn, pres)], budget)[0]
 
 
 def ext1_ulrich(pres, I, budget=2 ** 20):
     """Classes whose middle term is I-Ulrich."""
     from .ulrich import is_ulrich
-    return ext1_subfunctor(pres, lambda ses: is_ulrich(I, ses.B), budget)
+    return ext1_subfunctor(pres, [lambda ses: is_ulrich(I, ses.B)], budget)[0]
 
 
 def ideal_times_ext(pres, J, budget=2 ** 20):
     """The coordinate set of the submodule J . Ext^1 inside the Ext group."""
     base = pres.N.handle.base
     module = pres.module
-    if module.n == 0:
-        return {()}
     gens = J.as_ring_ideal().gens
     cols = hstack(base, [module.element_action(g) for g in gens], m=module.n)
     return submodule_members(module, cols, budget)
@@ -331,13 +312,10 @@ def check_closure_axioms(handle, predicate, pairs, scalars=None, maps=None,
     for (M, N) in pairs:
         pres = ext(M, N, 1)
         try:
-            classes = enumerate_classes(pres, budget)
+            rows = sweep(pres, lambda ses: (ses, predicate(ses)), budget)
         except BudgetExceeded:
             continue
-        membership = {}
-        for cls in classes:
-            ses = middle(cls)
-            membership[cls.coords] = (cls, ses, predicate(ses))
+        membership = {cls.coords: (cls, ses, ok) for cls, (ses, ok) in rows}
         mem = [v for v in membership.values() if v[2]]
         note(membership[pres.zero_class().coords][2],
              "split sequence rejected")
@@ -393,8 +371,7 @@ def _composed_deflation(ses):
     """Given 0 -> A -> B -> C -> 0, stack the split epi A + B -> B on top of
     p and return the kernel sequence 0 -> ker -> A + B -> C -> 0."""
     A, B, C = ses.A, ses.B, ses.C
-    base = A.handle.base
-    S, injs, projs = direct_sum([A, B])
+    S, _, projs = direct_sum([A, B])
     comp = ModMap(S, C, ses.p.mat @ projs[1].mat)
     K = preimage(comp.mat, C.rel())
     Kmod, incl = submodule(S, K)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from .dcoeff import Mat, Subquotient, hstack, solve_matrix
 from .errors import (CertificateError, InfiniteLengthError, ReductionNotFound,
                      StabilizationBudget, SubextError)
-from .ext import SES, _has_section, classify, ext, hom_induced
+from .ext import SES, _has_section, classify, ext, hom_induced, sweep
 from .modules import (CoeffModule, ModMap, canonical_module, colon_in_module,
                       direct_sum, from_fractional_ideal, hom, is_mcm,
                       length, nu, quotient_module, regular_module, submodule,
@@ -152,7 +152,6 @@ def restrict_to_blowup(M, bh, red):
     Fails with SubextError if M is not stable under the blow-up algebra.
     """
     h = M.handle
-    base = h.base
     a = red.num.valuation()
     b = red.den.valuation()
     if red.num != h.t_elt(a) or red.den != h.t_elt(b):
@@ -210,11 +209,7 @@ def blowup_sequence_comparison(Mb, Nb, rh, bh, pres_R):
 
     Mb, Nb are bh-modules; pres_R is Ext^1 over rh of their restrictions.
     """
-    from .ext import enumerate_classes, middle
-    pres_B = ext(Mb, Nb, 1)
-    pairs = []
-    for cb in enumerate_classes(pres_B):
-        ses_b = middle(cb)
+    def r_class(ses_b):
         A = restrict_to_base(ses_b.A, rh, bh)
         B = restrict_to_base(ses_b.B, rh, bh)
         C = restrict_to_base(ses_b.C, rh, bh)
@@ -222,8 +217,8 @@ def blowup_sequence_comparison(Mb, Nb, rh, bh, pres_R):
                     i=ModMap(A, B, ses_b.i.mat),
                     p=ModMap(B, C, ses_b.p.mat))
         ses_r.certify()
-        pairs.append((cb, classify(ses_r, pres_R)))
-    return pairs
+        return classify(ses_r, pres_R)
+    return sweep(ext(Mb, Nb, 1), r_class)
 
 
 # ---------------------------------------------------------------------------
@@ -245,15 +240,10 @@ def in_add(M, X):
     r = len(H.maps)
     if r == 0:
         return False
-    S, injs, projs = direct_sum([X] * r)
-    base = M.handle.base
-    mat = Mat.zeros(base, M.n, S.n)
-    for idx, phim in enumerate(H.maps):
-        part = phim.mat @ projs[idx].mat
-        for i in range(M.n):
-            for j in range(S.n):
-                if part.rows[i][j].num:
-                    mat.rows[i][j] = mat.rows[i][j] + part.rows[i][j]
+    S, _, projs = direct_sum([X] * r)
+    # not an hstack: direct_sum permutes the coordinates of the summands
+    mat = sum((phim.mat @ pr.mat for phim, pr in zip(H.maps, projs)),
+              Mat.zeros(M.handle.base, M.n, S.n))
     Phi = ModMap(S, M, mat)
     from .modules import is_surjective
     if not is_surjective(Phi):
@@ -269,7 +259,6 @@ def mcm_approximation_of_k(handle):
     the residue field whenever the ring is not regular.
     """
     h = handle
-    base = h.base
     F = regular_module(h)
     m = m_ideal(h)
     Mm, incl = submodule(F, m.span_basis())

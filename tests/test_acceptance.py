@@ -99,7 +99,7 @@ def test_criterion_13_closure_axioms_with_negative_control():
 
 def test_criterion_14_half_exact_functors():
     halfexact = _run("halfexact")
-    sequences = halfexact.budget_used
+    sequences = halfexact.instances[0]["inputs"]["sequences"]
     ok = (halfexact.status == "pass" and sequences >= 100
           and _run("tony-et").status == "pass")
     print(f"criterion 14: {'PASS' if ok else 'FAIL'} "

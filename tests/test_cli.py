@@ -271,6 +271,30 @@ def test_cli_verify_all_out_keeps_every_report(tmp_path, monkeypatch):
         assert f'"scenario": "{name}"' in out.output
 
 
+def test_cli_verify_all_reports_past_an_error(tmp_path, monkeypatch):
+    broken = list_scenarios()[1]
+
+    def fake_run(name, seed=0, budget=0):
+        if name == broken:
+            raise SubextError("scenario exploded")
+        return ScenarioResult(name=name, description="", rings="",
+                              instances=[], status="pass",
+                              aggregate_pass=True, seed=seed, budget=budget,
+                              budget_used=0, wall_time_s=0.0)
+
+    monkeypatch.setattr("subext.cli.run_scenario", fake_run)
+    path = tmp_path / "all.json"
+    out = CliRunner().invoke(main, ["verify", "all", "--out", str(path)])
+    assert out.exit_code == 1
+    assert out.stderr == f"Error: {broken}: scenario exploded\n"
+    assert path.read_text() == out.stdout
+    for name in list_scenarios():
+        assert (f'"scenario": "{name}"' in out.stdout) == (name != broken)
+    # a single named scenario still stops with the error
+    single = CliRunner().invoke(main, ["verify", broken])
+    assert single.exit_code == 1 and single.stdout == ""
+
+
 @pytest.mark.parametrize("workspace, command, message", [
     ("ring r { family=dvr p=abc }", ["ring-info", "r"],
      "line 2, column 1: p and gens need integers"),

@@ -310,3 +310,8 @@ def test_in_span_and_hstack():
     assert not in_span(A, [L2.one(), L2.zero()])
     H = hstack(L2, [A, Mat.identity(L2, 2)])
     assert H.n == 3 and in_span(H, [L2.one(), L2.zero()])
+    # blocks with no rows keep their widths, and so does a transpose
+    assert hstack(L2, [Mat.zeros(L2, 0, 3), Mat.zeros(L2, 0, 2)], m=0).n == 5
+    assert hstack(L2, [A, A]).m == 2
+    T = Mat.zeros(L2, 2, 0).transpose()
+    assert (T.m, T.n) == (0, 2)

@@ -44,7 +44,7 @@ REPORT_SHA256 = {
     "trset":
         "e15571bbbadadefbc14ef31a3c383dbc0da90dee53c0a0e5ccfa2df67c4b9fb9",
     "ulfaith":
-        "fb1947edefe02d7ce002cdf22ee21f97ea6463de0c381a9838a8fd229f6993ef",
+        "49cc8292e1c4c07754ca1afbe2694fa9fd53eecc749fdd1120df835af088803d",
     "weakly-mfull":
         "c7752de46d1389ed9d00bf28b19a59fed21d0348e501256c9da88c21ebc04e39",
 }

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from subext.dcoeff import Mat
 from subext.errors import CertificateError
@@ -10,10 +11,11 @@ from subext.modules import (
 )
 from subext.rings import FracIdeal, RingSpec, build_ring, m_ideal
 from subext.subfun import (
-    check_closure_axioms, default_pairs, ext1_additive, ext1_subfunctor,
-    ext1_ulrich, fn_colength, fn_hom_from, fn_hom_to, fn_mu, fn_tensor,
-    fn_tor_mult, half_exact_agreement, ideal_times_ext, is_additive_on,
-    member_coords, submodule_members, tensor_length, tor_multiplicity,
+    additive, check_closure_axioms, default_pairs, ext1_additive,
+    ext1_subfunctor, ext1_ulrich, fn_colength, fn_hom_from, fn_hom_to, fn_mu,
+    fn_tensor, fn_tor_mult, half_exact_agreement, ideal_times_ext,
+    is_additive_on, member_coords, submodule_members, tensor_length,
+    tor_multiplicity,
 )
 
 
@@ -199,3 +201,20 @@ def test_closure_axioms_negative_control():
     report = check_closure_axioms(
         R, lambda ses: is_mcm(ses.B), default_pairs(R))
     assert len(report.violations) >= 1
+
+
+@given(st.sampled_from([2, 3]), st.integers(0, 3), st.integers(0, 3))
+@settings(max_examples=40, deadline=None)
+def test_dvr_cyclic_sweep_laws(p, a, b):
+    """Over F_p[t]_(t): |Ext^1(R/t^a, R/t^b)| = p^min(a, b), and the
+    mu-additive classes, read from the ends once or from each sequence,
+    are the same certified submodule m.Ext^1 (the dvr-mu theorem)."""
+    D = dvr(p)
+    pres = ext(cyclic(D, a), cyclic(D, b), 1)
+    assert len(enumerate_classes(pres)) == p ** min(a, b)
+    by_ends, by_sequence = ext1_subfunctor(
+        pres, [additive(fn_mu(), pres),
+               lambda ses: is_additive_on(fn_mu(), ses)])
+    assert by_ends.certified and by_sequence.certified
+    assert (member_coords(by_ends) == member_coords(by_sequence)
+            == ideal_times_ext(pres, m_ideal(D)))
