@@ -558,25 +558,27 @@ def solve(A, b):
     return _solve_with(A, snf, b)
 
 
-def _solve_with(A, snf, b):
-    base = A.base
-    y = snf.U @ b
-    x1 = [base.zero()] * A.n
-    for i in range(A.m):
-        if i < snf.rank:
-            if y[i].is_zero():
-                x1[i] = y[i]
-                continue
-            t_e = base.t_power(snf.exps[i]) if base.local else base.one()
-            try:
-                x1[i] = y[i].div(t_e)
-            except ExactDivisionError:
-                return None
-            if not base.local and snf.exps[i] != 0:
-                return None
-        elif not y[i].is_zero():
+def _diag_solve(base, snf, y, n):
+    """The x of length n with diag(t^e for e in snf.exps) x = y, or None
+    when y has a nonzero entry past the rank or one that t^e does not
+    divide."""
+    x = [base.zero()] * n
+    for i, a in enumerate(y):
+        if not a.num:
+            continue
+        if i >= snf.rank:
             return None
-    return snf.V @ x1
+        t_e = base.t_power(snf.exps[i]) if base.local else base.one()
+        try:
+            x[i] = a.div(t_e)
+        except ExactDivisionError:
+            return None
+    return x
+
+
+def _solve_with(A, snf, b):
+    x = _diag_solve(A.base, snf, snf.U @ b, A.n)
+    return None if x is None else snf.V @ x
 
 
 def solve_matrix(A, B):
@@ -632,22 +634,9 @@ class Subquotient:
 
     # coordinates of an ambient vector w inside U (basis from smith of U_gens)
     def _coords_in_U(self, w):
-        base = self.base
-        y = self._snfU.U @ w
-        c = [base.zero()] * self.rankU
-        for i in range(len(y)):
-            if i < self.rankU:
-                if y[i].is_zero():
-                    continue
-                t_e = base.t_power(self._snfU.exps[i]) if base.local else base.one()
-                try:
-                    c[i] = y[i].div(t_e)
-                except ExactDivisionError:
-                    raise NotInSpanError("vector not in U")
-                if not base.local and self._snfU.exps[i] != 0:
-                    raise NotInSpanError("vector not in U")
-            elif not y[i].is_zero():
-                raise NotInSpanError("vector not in U")
+        c = _diag_solve(self.base, self._snfU, self._snfU.U @ w, self.rankU)
+        if c is None:
+            raise NotInSpanError("vector not in U")
         return c
 
     def _coord_matrix(self, M):
@@ -681,21 +670,12 @@ class Subquotient:
         for pos, i in enumerate(self.kept):
             z[i] = coords[pos]
         c = self._snfX.Uinv @ z
-        # w = P[:, :rankU] @ diag(t^e) @ c  with P = Uinv of the U-smith
-        scaled = []
+        # w = P @ (diag(t^e) c, zero-padded to n)  with P = Uinv of the U-smith
+        scaled = [base.zero()] * self.n
         for i in range(self.rankU):
             t_e = base.t_power(self._snfU.exps[i]) if base.local else base.one()
-            scaled.append(c[i] * t_e)
-        P = self._snfU.Uinv
-        w = [base.zero()] * self.n
-        for i in range(self.n):
-            acc = base.zero()
-            row = P.rows[i]
-            for j in range(self.rankU):
-                if row[j].num and scaled[j].num:
-                    acc = acc + row[j] * scaled[j]
-            w[i] = acc
-        return w
+            scaled[i] = c[i] * t_e
+        return self._snfU.Uinv @ scaled
 
     def basis(self):
         """Ambient lifts of the canonical basis, as the columns of an n x k

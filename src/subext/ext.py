@@ -38,30 +38,19 @@ class SES:
     p: ModMap
 
     def certify(self):
-        base = self.A.handle.base
         if not self.i.is_r_linear() or not self.p.is_r_linear():
             raise CertificateError("sequence maps are not R-linear")
         if not (self.p @ self.i).is_zero_map():
             raise CertificateError("p o i is not zero")
         # i injective: {x : i(x) in rel_B} must lie in rel_A
-        kerm = preimage(self.i.mat, self.B.rel())
-        sq = Subquotient(base, self.A.n,
-                         hstack(base, [kerm, self.A.rel()], m=self.A.n),
-                         self.A.rel())
-        if sq.exps:
+        if self.A.quotient([preimage(self.i.mat, self.B.rel())]).exps:
             raise CertificateError("i is not injective")
         # p surjective
-        V = hstack(base, [self.p.mat, self.C.rel()], m=self.C.n)
-        sq = Subquotient(base, self.C.n, Mat.identity(base, self.C.n), V)
-        if sq.exps:
+        if self.C.quotient(None, [self.p.mat]).exps:
             raise CertificateError("p is not surjective")
         # exact in the middle: ker p = im i
         Z = preimage(self.p.mat, self.C.rel())
-        relB = self.B.rel()
-        U = hstack(base, [Z, relB], m=self.B.n)
-        V = hstack(base, [self.i.mat, relB], m=self.B.n)
-        sq = Subquotient(base, self.B.n, U, V)
-        if sq.exps:
+        if self.B.quotient([Z], [self.i.mat]).exps:
             raise CertificateError("sequence is not exact in the middle")
         return True
 
@@ -196,7 +185,7 @@ def ext(M, N, j):
         Z = zero_module(h)
         pres = ExtPresentation(
             M=M, N=N, j=j, module=Z,
-            sq=Subquotient(base, 0, Mat.zeros(base, 0, 0), Mat.zeros(base, 0, 0)),
+            sq=Z.quotient(),
             beta=beta, res=res,
             delta_in=Mat.zeros(base, 0, 0), delta_out=Mat.zeros(base, 0, 0))
         M._cache[key] = pres
@@ -210,9 +199,9 @@ def ext(M, N, j):
     Z = preimage(delta_out, _block_ambient(N, res.betti[j + 1])[1])
     # delta_in: N^{beta_{j-1}} -> N^{beta_j}, the maps factoring through d_j
     delta_in = _delta_matrix(N, res.rmx[j - 1])
-    U = hstack(base, [Z, amb_rel], m=amb_n)
-    V = hstack(base, [delta_in, amb_rel], m=amb_n)
-    module, sq = subquotient_module(h, amb_actions, amb_n, U, V)
+    sq = Subquotient(base, amb_n, hstack(base, [Z, amb_rel], m=amb_n),
+                     hstack(base, [delta_in, amb_rel], m=amb_n))
+    module = subquotient_module(h, amb_actions, sq)
     pres = ExtPresentation(M=M, N=N, j=j, module=module, sq=sq, beta=beta,
                            res=res, delta_in=delta_in, delta_out=delta_out)
     M._cache[key] = pres
@@ -251,8 +240,7 @@ def classify(ses, pres=None):
     h = M.handle
     nR = h.nR
     # lift the cover F_0 -> M through p on generators, extend R-linearly
-    relM = M.rel()
-    A = hstack(base, [ses.p.mat, relM], m=M.n)
+    A = M.span(ses.p.mat)
     gcols = []
     for b in range(res.betti[0]):
         target = res.cover.mat.col(b * nR)
@@ -262,8 +250,7 @@ def classify(ses, pres=None):
         gcols.append(y[:B.n])
     G = _free_cover_matrix(h, B.basis_action, Mat.from_cols(base, B.n, gcols))
     # psi = G o d1 lands in ker p = im i; pull back through i
-    relB = B.rel()
-    Ai = hstack(base, [ses.i.mat, relB], m=B.n)
+    Ai = B.span(ses.i.mat)
     vec = []
     for b in range(pres.beta):
         psi_b = G @ res.diffs[0].col(b * nR)
@@ -313,12 +300,10 @@ def pushout_seq(ses, f):
     """Pushout of 0 -> A -> B -> C -> 0 along f : A -> N."""
     B, C = ses.B, ses.C
     N = f.dst
-    h = B.handle
-    base = h.base
     S, injs, projs = direct_sum([N, B])
     W = injs[1].mat @ ses.i.mat - injs[0].mat @ f.mat
-    V = hstack(base, [W, S.rel()], m=S.n)
-    E, sq = subquotient_module(h, S.actions, S.n, Mat.identity(base, S.n), V)
+    sq = S.quotient(None, [W])
+    E = subquotient_module(B.handle, S.actions, sq)
     imap = ModMap(N, E, sq.project_cols(injs[0].mat))
     pmap = ModMap(E, C, ses.p.mat @ projs[1].mat @ sq.basis())
     return SES(A=N, B=E, C=C, i=imap, p=pmap)
@@ -328,14 +313,11 @@ def pullback_seq(ses, g):
     """Pullback of 0 -> A -> B -> C -> 0 along g : M -> C."""
     A, B, C = ses.A, ses.B, ses.C
     M = g.src
-    h = B.handle
-    base = h.base
     S, injs, projs = direct_sum([B, M])
     # {(b, m) : p(b) = g(m) mod rel_C}
     cond = ses.p.mat @ projs[0].mat - g.mat @ projs[1].mat
-    K = preimage(cond, C.rel())
-    U = hstack(base, [K, S.rel()], m=S.n)
-    E, sq = subquotient_module(h, S.actions, S.n, U, S.rel())
+    sq = S.quotient([preimage(cond, C.rel())])
+    E = subquotient_module(B.handle, S.actions, sq)
     imap = ModMap(A, E, sq.project_cols(injs[0].mat @ ses.i.mat))
     pmap = ModMap(E, M, projs[1].mat @ sq.basis())
     return SES(A=A, B=E, C=M, i=imap, p=pmap)
@@ -432,8 +414,7 @@ def chain_lift(f, depth):
     res = resolution(M, depth)
     lifts = []
     # level 0: cover o f0 = f o cover'
-    relM = M.rel()
-    A = hstack(base, [res.cover.mat, relM], m=M.n)
+    A = M.span(res.cover.mat)
     cols = []
     for b in range(resp.betti[0]):
         tgt = f.mat @ resp.cover.mat.col(b * nR)
@@ -554,19 +535,12 @@ def six_term_check(ses, N):
 
 def tor1_length(M, J):
     """lambda(Tor_1^R(M, R/J)) for an ideal J, via a resolution of M."""
-    h = M.handle
-    base = h.base
     res = resolution(M, 2)
     F0, F1 = res.frees[0], res.frees[1]
     if F1.n == 0:
         return 0
     gens = J.as_ring_ideal().gens
-    JF0 = hstack(base, [F0.element_action(g) for g in gens], m=F0.n)
-    Z = preimage(res.diffs[0], JF0)
-    JF1 = hstack(base, [F1.element_action(g) for g in gens], m=F1.n)
-    V = hstack(base, [res.diffs[1], JF1], m=F1.n)
-    sq = Subquotient(base, F1.n, hstack(base, [Z, V], m=F1.n), V)
-    out = sq.length()
-    if out is None:
-        raise InfiniteLengthError("Tor_1 has a free summand")
-    return out
+    # F0 and F1 are free, so their spans carry no relation columns
+    Z = preimage(res.diffs[0], F0.span(*[F0.element_action(g) for g in gens]))
+    V = [res.diffs[1]] + [F1.element_action(g) for g in gens]
+    return F1.quotient_length([Z] + V, V, "Tor_1 has a free summand")

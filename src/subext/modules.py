@@ -4,7 +4,8 @@ A CoeffModule is D^f + D/t^a1 + ... + D/t^ak together with one commuting
 action matrix per ring generator.  Free coordinates come first, torsion
 coordinates follow with nondecreasing exponents.  All functors (Hom, syzygy,
 transpose, socle, ...) reduce to exact linear algebra over D through the
-Subquotient machinery.
+Subquotient machinery; a module's spans, quotients and lengths modulo its
+relations go through CoeffModule.span/quotient/quotient_length.
 """
 
 from __future__ import annotations
@@ -53,6 +54,26 @@ class CoeffModule:
                 col[i] = base.t_power(e)
                 cols.append(col)
         return Mat.from_cols(base, self.n, cols)
+
+    def span(self, *blocks):
+        """The columns of the blocks, then the relation columns."""
+        return hstack(self.handle.base, [*blocks, self.rel()], m=self.n)
+
+    def quotient(self, top=None, bottom=()):
+        """Subquotient (<top> + rel) / (<bottom> + rel) of the ambient D^n,
+        for lists of column blocks; top=None is the whole ambient."""
+        base = self.handle.base
+        U = Mat.identity(base, self.n) if top is None else self.span(*top)
+        return Subquotient(base, self.n, U, self.span(*bottom))
+
+    def quotient_length(self, top=None, bottom=(),
+                        what="quotient has infinite length"):
+        """F_p-length of quotient(top, bottom); InfiniteLengthError(what)
+        when it is infinite."""
+        out = self.quotient(top, bottom).length()
+        if out is None:
+            raise InfiniteLengthError(what)
+        return out
 
     def reduce_vec(self, vec):
         out = list(vec)
@@ -219,13 +240,12 @@ def residue_field(handle):
     return CoeffModule(handle, exps, {g: z for g in handle.gen_names})
 
 
-def subquotient_module(handle, ambient_actions, n, U_gens, V_gens):
-    """Module U/V in ambient D^n with the given actions; returns (M, sq)."""
-    sq = Subquotient(handle.base, n, U_gens, V_gens)
+def subquotient_module(handle, ambient_actions, sq):
+    """The module sq = U/V, with the actions induced from the ambient."""
     B = sq.basis()
     new_actions = {g: sq.project_cols(ambient_actions[g] @ B)
                    for g in handle.gen_names}
-    return CoeffModule(handle, sq.exps, new_actions), sq
+    return CoeffModule(handle, sq.exps, new_actions)
 
 
 def submodule(M, gens_mat):
@@ -233,23 +253,19 @@ def submodule(M, gens_mat):
 
     The span must be R-stable; returns (K, incl: K -> M).
     """
-    base = M.handle.base
     # close under the R-action: multiply by all ring basis monomials
     closed = _free_cover_matrix(M.handle, M.basis_action, gens_mat)
-    rel = M.rel()
-    U = hstack(base, [closed, rel], m=M.n)
-    K, sq = subquotient_module(M.handle, M.actions, M.n, U, rel)
+    sq = M.quotient([closed])
+    K = subquotient_module(M.handle, M.actions, sq)
     return K, ModMap(K, M, sq.basis())
 
 
 def quotient_module(M, gens_mat):
     """M / (R-span of the columns); returns (Q, proj: M -> Q)."""
-    base = M.handle.base
     closed = _free_cover_matrix(M.handle, M.basis_action, gens_mat)
-    V = hstack(base, [closed, M.rel()], m=M.n)
-    identity = Mat.identity(base, M.n)
-    Q, sq = subquotient_module(M.handle, M.actions, M.n, identity, V)
-    return Q, ModMap(M, Q, sq.project_cols(identity))
+    sq = M.quotient(None, [closed])
+    Q = subquotient_module(M.handle, M.actions, sq)
+    return Q, ModMap(M, Q, sq.project_cols(Mat.identity(M.handle.base, M.n)))
 
 
 def from_quotient_ideal(handle, J):
@@ -359,10 +375,8 @@ def mu(M):
     """Minimal number of generators (dim_k M/mM)."""
     if M.is_zero():
         return 0
-    base = M.handle.base
-    V = hstack(base, [M.actions[g] for g in M.handle.gen_names] + [M.rel()],
-               m=M.n)
-    return len(Subquotient(base, M.n, Mat.identity(base, M.n), V).exps)
+    return len(M.quotient(None, [M.actions[g]
+                                 for g in M.handle.gen_names]).exps)
 
 
 def length(M):
@@ -373,29 +387,15 @@ def nu(J, M):
     """nu_J(M) = lambda(M / JM) for an ideal J <= R."""
     if M.is_zero():
         return 0
-    base = M.handle.base
-    gens = [g for g in J.as_ring_ideal().gens]
-    cols = [M.element_action(g) for g in gens]
-    V = hstack(base, cols + [M.rel()], m=M.n)
-    sq = Subquotient(base, M.n, Mat.identity(base, M.n), V)
-    out = sq.length()
-    if out is None:
-        raise InfiniteLengthError("J M has infinite colength")
-    return out
+    cols = [M.element_action(g) for g in J.as_ring_ideal().gens]
+    return M.quotient_length(None, cols, "J M has infinite colength")
 
 
 def _image_length(module, mat):
     """Length of the image of a coordinate matrix inside the module."""
-    base = module.handle.base
     if module.n == 0 or mat.n == 0 or mat.m == 0:
         return 0
-    rel = module.rel()
-    sq = Subquotient(base, module.n,
-                     hstack(base, [mat, rel], m=module.n), rel)
-    out = sq.length()
-    if out is None:
-        raise InfiniteLengthError("image has infinite length")
-    return out
+    return module.quotient_length([mat], what="image has infinite length")
 
 
 def tensor_length_with_quotient(J, M):
@@ -445,11 +445,9 @@ def loewy_length(M):
         return 0
     _, incl = torsion_part(M)
     cur = incl.mat  # columns spanning the torsion part inside M
-    rel = M.rel()
     c = 0
     while True:
-        sq = Subquotient(base, M.n, hstack(base, [cur, rel], m=M.n), rel)
-        if not sq.exps:
+        if not M.quotient([cur]).exps:
             return c
         cur = hstack(base, [M.actions[g] @ cur for g in M.handle.gen_names],
                      m=M.n)
@@ -461,7 +459,7 @@ def loewy_length(M):
 def colon_in_module(M, W_cols, elems):
     """{x in M : g*x in <W_cols> + rel for all g in elems}; returns (K, incl)."""
     base = M.handle.base
-    span = hstack(base, [W_cols, M.rel()], m=M.n)
+    span = M.span(W_cols)
     # the leading empty block keeps the width when elems is empty
     blocks = [Mat.zeros(base, 0, M.n)] + [
         M.element_action(g) if isinstance(g, RingElement) else M.actions[g]
@@ -572,16 +570,15 @@ def hom(M, N):
     base = h.base
     if M.is_zero() or N.is_zero():
         Z = zero_module(h)
-        out = HomPres(module=Z, maps=[],
-                      sq=Subquotient(base, 0, Mat.zeros(base, 0, 0),
-                                     Mat.zeros(base, 0, 0)),
-                      src=M, dst=N)
+        out = HomPres(module=Z, maps=[], sq=Z.quotient(), src=M, dst=N)
         M._cache[key] = out
         return out
     amb_n, amb_rel, amb_actions = _block_ambient(N, M.n)
     A, span = _linearity_conditions(M, N)
-    U = hstack(base, [preimage(A, span), amb_rel], m=amb_n)
-    Hmod, sq = subquotient_module(h, amb_actions, amb_n, U, amb_rel)
+    sq = Subquotient(base, amb_n,
+                     hstack(base, [preimage(A, span), amb_rel], m=amb_n),
+                     amb_rel)
+    Hmod = subquotient_module(h, amb_actions, sq)
     maps = [ModMap(M, N, _unvec(base, w, N.n, M.n)) for w in sq.basis().cols()]
     out = HomPres(module=Hmod, maps=maps, sq=sq, src=M, dst=N)
     M._cache[key] = out
@@ -617,14 +614,12 @@ class Resolution:
     frees: list
 
 
-def _min_gens_of_submodule(handle, amb_free_n, K_cols, module_actions):
-    """Minimal generator columns of an R-submodule of a free ambient."""
-    base = handle.base
+def _min_gens_of_submodule(F, K_cols):
+    """Minimal generator columns of an R-submodule of a free module F."""
     if K_cols.n == 0:
         return K_cols
-    mcols = [module_actions[g] @ K_cols for g in handle.gen_names]
-    V = hstack(base, mcols, m=amb_free_n)
-    return Subquotient(base, amb_free_n, K_cols, V).basis()
+    return F.quotient([K_cols], [F.actions[g] @ K_cols
+                                 for g in F.handle.gen_names]).basis()
 
 
 def _free_cover_matrix(handle, target_basis_action, gens_cols):
@@ -676,9 +671,7 @@ def resolution(M, length_):
         return res
     if cached is None:
         # step 0: minimal generators of M
-        V = hstack(base, [M.actions[g] for g in h.gen_names] + [M.rel()],
-                   m=M.n)
-        gens = Subquotient(base, M.n, Mat.identity(base, M.n), V).basis()
+        gens = M.quotient(None, [M.actions[g] for g in h.gen_names]).basis()
         cover_mat = _free_cover_matrix(h, M.basis_action, gens)
         F0 = free_module(h, gens.n)
         cover = ModMap(F0, M, cover_mat)
@@ -695,7 +688,7 @@ def resolution(M, length_):
             Kc = preimage(res.cover.mat, M.rel())
         else:
             Kc = kernel(res.diffs[i - 1])
-        gens = _min_gens_of_submodule(h, F_prev.n, Kc, F_prev.actions)
+        gens = _min_gens_of_submodule(F_prev, Kc)
         d = _free_cover_matrix(h, F_prev.basis_action, gens)
         res.betti.append(gens.n)
         res.frees.append(free_module(h, gens.n))
@@ -709,8 +702,7 @@ def assert_minimal(res):
     h = res.frees[0].handle
     for idx, d in enumerate(res.diffs):
         F = res.frees[idx]
-        base = h.base
-        mcols = hstack(base, [F.actions[g] for g in h.gen_names], m=F.n)
+        mcols = F.span(*[F.actions[g] for g in h.gen_names])
         for j in range(d.n):
             if not solve_like(mcols, d.col(j)):
                 raise SubextError("resolution differential is not minimal")
@@ -766,10 +758,7 @@ def transpose(M):
 
 
 def is_surjective(phi):
-    base = phi.dst.handle.base
-    V = hstack(base, [phi.mat, phi.dst.rel()], m=phi.dst.n)
-    sq = Subquotient(base, phi.dst.n, Mat.identity(base, phi.dst.n), V)
-    return not sq.exps
+    return not phi.dst.quotient(None, [phi.mat]).exps
 
 
 def is_isomorphic(M, N, budget=2 ** 20):
@@ -782,9 +771,7 @@ def is_isomorphic(M, N, budget=2 ** 20):
     H = hom(M, N)
     hb = H.module
     base = M.handle.base
-    mv = hstack(base, [hb.actions[g] for g in hb.handle.gen_names] + [hb.rel()],
-                m=hb.n)
-    sqm = Subquotient(base, hb.n, Mat.identity(base, hb.n), mv)
+    sqm = hb.quotient(None, [hb.actions[g] for g in hb.handle.gen_names])
     kappa = len(sqm.exps)
     p = base.p
     if p ** kappa > budget:

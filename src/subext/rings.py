@@ -469,6 +469,7 @@ class FracIdeal:
         self.gens = [g for g in gens]
         self._span_basis = None
         self._pow_cache = {}
+        self._reductions = {}       # budget -> principal_reduction result
 
     @staticmethod
     def unit_ideal(handle):
@@ -514,9 +515,9 @@ class FracIdeal:
         # (1/b2) I2 <= (1/b1) I1  iff  b1*I2 <= b2*I1
         lhs = [self.den * g for g in other.gens]
         sp = other.den.mult_matrix() @ self.span_basis()
-        snf = smith(sp, want_u=True, want_v=True)
-        from .dcoeff import _solve_with
-        return all(_solve_with(sp, snf, list(x.coords)) is not None for x in lhs)
+        rhs = Mat.from_cols(self.handle.base, self.handle.nR,
+                            [list(x.coords) for x in lhs])
+        return solve_matrix(sp, rhs) is not None
 
     def __eq__(self, other):
         return (isinstance(other, FracIdeal) and self.contains_ideal(other)
@@ -661,9 +662,10 @@ def trace_ideal(J):
     return (inv * J).as_ring_ideal().reduce_gens()
 
 
-@dataclass
+@dataclass(frozen=True)
 class Reduction:
-    """Principal reduction x = num/den of a fractional ideal; J^{n+1} = x J^n."""
+    """Principal reduction x = num/den of a fractional ideal; J^{n+1} = x J^n.
+    Frozen: principal_reduction hands one memoized instance to every caller."""
     num: object
     den: object
     n: int
@@ -676,11 +678,14 @@ def principal_reduction(J, budget=16):
     """Minimal-valuation generator x of J with J^{n+1} = x J^n."""
     if J.handle.dim != 1:
         raise SubextError("principal reductions need a dimension-1 family")
+    if budget in J._reductions:
+        return J._reductions[budget]
     num = J.min_valuation_gen()
     xid = FracIdeal(J.handle, [num], J.den)
     for n in range(budget + 1):
         if J.power(n + 1) == (J.power(n) * xid):
-            return Reduction(num, J.den, n), n
+            J._reductions[budget] = (Reduction(num, J.den, n), n)
+            return J._reductions[budget]
     raise ReductionNotFound(
         f"no principal reduction by {num!r}/({J.den!r}) within budget {budget}")
 
@@ -828,8 +833,7 @@ def ring_invariants(handle, budget=16):
         length = FracIdeal(handle, [handle.zero_elt()]).quotient_length()
         mult = length
         socle = colon(FracIdeal(handle, [handle.zero_elt()]), m, ambient="ring")
-        cm_type = len(Subquotient(handle.base, handle.nR, socle.span_basis(),
-                                  Mat.zeros(handle.base, handle.nR, 0)).exps)
+        cm_type = socle.span_basis().n
         reg = length == 1
         return RingInvariants(
             dim=0, depth=0, emb_dim=emb_dim, mult=mult, cm_type=cm_type,

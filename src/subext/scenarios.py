@@ -347,10 +347,8 @@ def _scn_reg_depth1(seed, budget, tally):
 
 def _span_contained(module, A, B):
     """span(A) subset of span(B) + rel inside the ambient of module."""
-    from .dcoeff import hstack, solve_matrix
-    base = module.handle.base
-    big = hstack(base, [B, module.rel()], m=module.n)
-    return solve_matrix(big, A) is not None
+    from .dcoeff import solve_matrix
+    return solve_matrix(module.span(B), A) is not None
 
 
 def _same_span(module, A, B):

@@ -215,9 +215,7 @@ def submodule_members(module, cols, budget=2 ** 20):
     if module.n == 0:
         return {()}
     closed = _free_cover_matrix(module.handle, module.basis_action, cols)
-    rel = module.rel()
-    U = hstack(base, [closed, rel], m=module.n)
-    sq = Subquotient(base, module.n, U, rel)
+    sq = module.quotient([closed])
     basis = sq.basis()
     return {tuple(module.reduce_vec(basis @ list(v)))
             for v in coordinate_tuples(base, sq.exps, budget)}

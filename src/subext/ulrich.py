@@ -9,8 +9,8 @@ IM = xM for a principal reduction x of I.
 
 from __future__ import annotations
 
-from .dcoeff import Mat, Subquotient, hstack, solve_matrix
-from .errors import (CertificateError, InfiniteLengthError, ReductionNotFound,
+from .dcoeff import Mat, solve_matrix
+from .errors import (CertificateError, ReductionNotFound,
                      StabilizationBudget, SubextError)
 from .ext import SES, _has_section, classify, ext, hom_induced, sweep
 from .modules import (CoeffModule, ModMap, canonical_module, colon_in_module,
@@ -27,17 +27,11 @@ from .rings import blow_up, m_ideal, principal_reduction
 
 def _power_colength(M, I, n):
     """lambda(I^n M / I^{n+1} M)."""
-    base = M.handle.base
     gens_n = I.power(n).as_ring_ideal().gens if n else [M.handle.one_elt()]
     gens_n1 = I.power(n + 1).as_ring_ideal().gens
-    rel = M.rel()
-    U = hstack(base, [M.element_action(g) for g in gens_n] + [rel], m=M.n)
-    V = hstack(base, [M.element_action(g) for g in gens_n1] + [rel], m=M.n)
-    sq = Subquotient(base, M.n, U, V)
-    out = sq.length()
-    if out is None:
-        raise InfiniteLengthError("Hilbert function value is infinite")
-    return out
+    return M.quotient_length([M.element_action(g) for g in gens_n],
+                             [M.element_action(g) for g in gens_n1],
+                             "Hilbert function value is infinite")
 
 
 def multiplicity_hilbert(M, I, window=3, nmax=24):
@@ -54,18 +48,13 @@ def multiplicity_hilbert(M, I, window=3, nmax=24):
 def multiplicity_reduction(M, I):
     """e_I(M) = lambda(M/xM) - lambda(0 :_M x) for a principal reduction x."""
     h = M.handle
-    base = h.base
     red, _ = principal_reduction(I)
     if red.den != h.one_elt():
         raise ReductionNotFound("reduction has a non-trivial denominator")
     x = red.num
-    rel = M.rel()
-    V = hstack(base, [M.element_action(x), rel], m=M.n)
-    sq = Subquotient(base, M.n, Mat.identity(base, M.n), V)
-    co = sq.length()
-    if co is None:
-        raise InfiniteLengthError("M/xM is infinite; x is not a parameter on M")
-    K, _ = colon_in_module(M, Mat.zeros(base, M.n, 0), [x])
+    co = M.quotient_length(None, [M.element_action(x)],
+                           "M/xM is infinite; x is not a parameter on M")
+    K, _ = colon_in_module(M, Mat.zeros(h.base, M.n, 0), [x])
     return co - length(K)
 
 
@@ -103,7 +92,6 @@ def is_ulrich(I, M):
     by_phi = phi(I, M) == 0
     # cross-check: IM = xM (needs a principal reduction, dimension 1 only)
     h = M.handle
-    base = h.base
     if h.dim == 0:
         return by_phi
     try:
@@ -112,12 +100,8 @@ def is_ulrich(I, M):
         return by_phi
     if red.den != h.one_elt():
         return by_phi
-    rel = M.rel()
-    IM = hstack(base, [M.element_action(g)
-                       for g in I.as_ring_ideal().gens] + [rel], m=M.n)
-    xM = hstack(base, [M.element_action(red.num), rel], m=M.n)
-    sq = Subquotient(base, M.n, IM, xM)
-    by_span = not sq.exps
+    IM = [M.element_action(g) for g in I.as_ring_ideal().gens]
+    by_span = not M.quotient(IM, [M.element_action(red.num)]).exps
     if by_phi != by_span:
         raise CertificateError(
             f"Ulrich tests disagree: phi gives {by_phi}, IM = xM gives {by_span}")

@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from subext.dcoeff import Mat
+from subext.errors import InfiniteLengthError
 from subext.modules import (
     ModMap, annihilator, canonical_module, colon_in_module, direct_sum,
     dualize_omega, free_module, from_fractional_ideal, from_quotient_ideal,
@@ -98,6 +100,44 @@ def test_submodule_and_quotient_lengths():
     Q, proj = quotient_module(M, gens)
     assert length(Q) == 2
     assert (proj @ incl).is_zero_map()
+
+
+# ---------------------------------------------------------------------------
+# spans, quotients and lengths modulo relations
+# ---------------------------------------------------------------------------
+
+@st.composite
+def cyclic_sums_with_blocks(draw):
+    """(M, X, Y): M a sum of R/t^a (a <= 3) over F_p[t]_(t), p in {2, 3},
+    and two random column blocks X, Y in its ambient (possibly empty)."""
+    p = draw(st.sampled_from([2, 3]))
+    R = dvr(p)
+    exps = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    M = direct_sum([cyclic(R, a) for a in exps])[0]
+
+    def block():
+        k = draw(st.integers(0, 2))
+        cols = [[R.base.poly(draw(st.lists(st.integers(0, p - 1),
+                                           min_size=3, max_size=3)))
+                 for _ in range(M.n)] for _ in range(k)]
+        return Mat.from_cols(R.base, M.n, cols)
+
+    return M, block(), block()
+
+
+@given(cyclic_sums_with_blocks())
+@settings(max_examples=60, deadline=None)
+def test_quotient_length_laws(data):
+    M, X, Y = data
+    # lambda(<X, Y>) = lambda(<X, Y> / <Y>) + lambda(<Y>), all modulo rel
+    assert (M.quotient_length([X, Y])
+            == M.quotient_length([X, Y], [Y]) + M.quotient_length([Y]))
+    assert M.quotient_length() == M.length()
+    assert M.quotient([X], [X]).exps == ()
+    # a free summand makes the whole ambient infinite, reported as `what`
+    F = direct_sum([M, regular_module(M.handle)])[0]
+    with pytest.raises(InfiniteLengthError, match="^free summand seen$"):
+        F.quotient_length(None, [], "free summand seen")
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,43 @@
+"""The benchmark's tracer finds every entry point it names.
+
+`perfbench/tracer.py` wraps each name in its FUNCTIONS and METHODS tables
+at run time.  Deleting or renaming one of those names in the engine, or
+binding two table entries to one function object, breaks a traced run; this
+test makes the same lookups without patching anything.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_traced_names_resolve_to_distinct_attributes():
+    tracer = _load_tracer()
+    seen = {}
+    for layer, names in tracer.FUNCTIONS.items():
+        home = importlib.import_module("subext." + layer)
+        for name in names:
+            obj = getattr(home, name, None)
+            assert callable(obj), f"subext.{layer}.{name} is missing"
+            assert obj.__module__ == home.__name__, (
+                f"subext.{layer}.{name} is defined in {obj.__module__}")
+            other = seen.setdefault(id(obj), f"{layer}.{name}")
+            assert other == f"{layer}.{name}", (
+                f"{layer}.{name} is the same object as {other}")
+    for layer, classes in tracer.METHODS.items():
+        home = importlib.import_module("subext." + layer)
+        for cname, meths in classes.items():
+            cls = getattr(home, cname, None)
+            assert isinstance(cls, type), f"subext.{layer}.{cname} is missing"
+            for meth in meths:
+                assert callable(cls.__dict__.get(meth)), (
+                    f"{cname}.{meth} is not defined on subext.{layer}.{cname}")
