@@ -3,7 +3,8 @@
 D is either the finite field F_p or the localization F_p[t]_(t).  Scalars of
 the local base are stored as reduced fractions num/den of polynomials in t,
 with den constant-term normalized to 1; this representation is canonical, so
-equality and hashing are structural.
+equality and hashing are structural.  A reduced num over den = 1 is already
+normal and t^v divides out by a shift of num, so these paths skip the gcd.
 
 The linear algebra here is the workhorse for everything else: a local Smith
 normal form (diagonal entries are exact powers of t, exponents nondecreasing),
@@ -135,25 +136,30 @@ class Base:
         return Scalar(self, num, den)
 
     def from_int(self, c):
-        return Scalar(self, pconst(c, self.p), (1,))
+        return Scalar(self, pconst(c, self.p), (1,), _normalized=True)
 
     def zero(self):
-        return Scalar(self, (), (1,))
+        return Scalar(self, (), (1,), _normalized=True)
 
     def one(self):
-        return Scalar(self, (1,), (1,))
+        return Scalar(self, (1,), (1,), _normalized=True)
 
     def t_power(self, k):
         if not self.local:
             raise ValueError("t only exists over the local base")
-        return Scalar(self, pshift((1,), k), (1,))
+        return Scalar(self, pshift((1,), k), (1,), _normalized=True)
 
     def poly(self, coeffs):
-        return Scalar(self, _trim(tuple(c % self.p for c in coeffs)), (1,))
+        return Scalar(self, coeffs, (1,))
 
 
 class Scalar:
-    """Element of D, stored as a reduced fraction num/den with den[0] = 1."""
+    """Element of D, stored as a reduced fraction num/den with den[0] = 1.
+
+    A trimmed num with coefficients in [0, p) over den = (1,) is already
+    normal, so polynomial sums and products skip the gcd; dividing a reduced
+    fraction by t^v shifts num by v and keeps den, which stays reduced.
+    """
 
     __slots__ = ("base", "num", "den", "_hash")
 
@@ -162,18 +168,21 @@ class Scalar:
         if _normalized:
             self.num, self.den = num, den
         else:
-            self.num, self.den = self._norm(base, _trim(num), _trim(den))
+            self.num, self.den = self._norm(base, num, _trim(den))
         self._hash = None
 
     @staticmethod
     def _norm(base, num, den):
         p = base.p
         num = _trim(tuple(x % p for x in num))
-        den = _trim(tuple(x % p for x in den))
-        if not den:
-            raise ZeroDivisionError("zero denominator")
+        if den != (1,):
+            den = _trim(tuple(x % p for x in den))
+            if not den:
+                raise ZeroDivisionError("zero denominator")
         if not base.local and (len(num) > 1 or len(den) > 1):
             raise ValueError("non-constant polynomial over a field base")
+        if den == (1,):  # a reduced polynomial is already normal
+            return num, den
         if not num:
             if den[0] == 0:
                 raise ExactDivisionError("denominator must be a unit of D")
@@ -208,7 +217,8 @@ class Scalar:
     def __add__(self, other):
         p = self.base.p
         if self.den == other.den:
-            return Scalar(self.base, padd(self.num, other.num, p), self.den)
+            return Scalar(self.base, padd(self.num, other.num, p), self.den,
+                          _normalized=self.den == (1,))
         num = padd(pmul(self.num, other.den, p), pmul(other.num, self.den, p), p)
         return Scalar(self.base, num, pmul(self.den, other.den, p))
 
@@ -222,7 +232,10 @@ class Scalar:
         if not self.num or not other.num:
             return Scalar(self.base, (), (1,), _normalized=True)
         p = self.base.p
-        return Scalar(self.base, pmul(self.num, other.num, p), pmul(self.den, other.den, p))
+        num = pmul(self.num, other.num, p)
+        if self.den == other.den == (1,):
+            return Scalar(self.base, num, (1,), _normalized=True)
+        return Scalar(self.base, num, pmul(self.den, other.den, p))
 
     def inverse(self):
         if not self.is_unit():
@@ -235,14 +248,20 @@ class Scalar:
             raise ZeroDivisionError("division by zero scalar")
         if self.is_zero():
             return self
+        if other.den == (1,):
+            v = pord(other.num)
+            if other.num[v:] == (1,):  # other = t^v: shift num by v
+                if pord(self.num) < v:
+                    raise ExactDivisionError("denominator must be a unit of D")
+                return Scalar(self.base, self.num[v:], self.den, _normalized=True)
         return Scalar(self.base, pmul(self.num, other.den, self.base.p),
                       pmul(self.den, other.num, self.base.p))
 
     def reduce_mod(self, k):
         """Canonical polynomial representative modulo t^k (degree < k)."""
+        if self.den == (1,):  # zero included
+            return Scalar(self.base, pmod_tk(self.num, k), (1,), _normalized=True)
         p = self.base.p
-        if not self.num:
-            return self.base.zero()
         num = pmod_tk(pmul(self.num, pinv_series(self.den, k, p), p), k)
         return Scalar(self.base, num, (1,))
 
@@ -444,7 +463,7 @@ def smith(A, want_u=False, want_uinv=False, want_v=False, want_vinv=False):
     Vinv = Mat.identity(base, n) if want_vinv else None
     exps = []
     r = 0
-    while r < min(m, n) or (r < m and r < n):
+    while r < min(m, n):
         # find pivot of minimal valuation in W[r:, r:]
         best = None
         for i in range(r, m):
@@ -479,7 +498,8 @@ def smith(A, want_u=False, want_uinv=False, want_v=False, want_vinv=False):
                 Vinv.rows[r], Vinv.rows[pj] = Vinv.rows[pj], Vinv.rows[r]
         # normalize pivot to exact t^v: scale row r by the unit part inverse
         piv = W[r][r]
-        unit = Scalar(base, piv.num[v:], piv.den)  # piv = t^v * unit
+        tpow = base.t_power(v) if base.local else base.one()
+        unit = piv.div(tpow)  # piv = t^v * unit
         uinv = unit.inverse()
         if not (unit.num == (1,) and unit.den == (1,)):
             W[r] = [a * uinv if a.num else a for a in W[r]]
@@ -489,7 +509,6 @@ def smith(A, want_u=False, want_uinv=False, want_v=False, want_vinv=False):
                 for row in Uinv.rows:
                     if row[r].num:
                         row[r] = row[r] * unit
-        tpow = base.t_power(v) if base.local else base.one()
         # clear column r below/above using row ops
         nz_cols = [j for j in range(n) if W[r][j].num]
         for i in range(m):

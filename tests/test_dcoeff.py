@@ -6,8 +6,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from subext.dcoeff import (
     Base, Mat, Scalar, Subquotient, block_diag, cokernel_invariants, hstack,
-    in_span, kernel, pgcd, pinv_series, pmod_tk, pmul, preimage, smith, solve,
-    solve_matrix, vstack,
+    in_span, kernel, padd, pgcd, pinv_series, pmod_tk, pmul, pneg, preimage,
+    pshift, smith, solve, solve_matrix, vstack,
 )
 from subext.errors import ExactDivisionError, NotInSpanError
 
@@ -86,6 +86,104 @@ def test_scalar_ring_axioms_local(x, y, z):
     assert (a + b) * c == a * c + b * c
     assert (a * b) * c == a * (b * c)
     assert a + (-a) == L3.zero()
+
+
+# The fast paths (den = (1,), division by t^v) against the gcd route.  A
+# reference value is built from its raw num/den after scaling both by a
+# non-trivial unit, so that den != (1,) and the gcd route normalizes it.
+
+def _slow(base, num, den, unit):
+    p = base.p
+    if pmul(den, unit, p) == (1,):  # over F_p: c * den = 1, so c^2 * den = c
+        unit = pmul(unit, unit, p)
+    num, den = pmul(num, unit, p), pmul(den, unit, p)
+    assert den != (1,)
+    return Scalar(base, num, den)
+
+
+def _outcome(f):
+    try:
+        s = f()
+    except (ExactDivisionError, ZeroDivisionError) as exc:
+        return type(exc)
+    return s.num, s.den
+
+
+@st.composite
+def fraction_cases(draw):
+    base = draw(st.sampled_from([L2, L3, F5]))
+    p, deg = base.p, (3 if base.local else 0)
+
+    def raw_poly(max_len, unit_first=False):
+        # raw coefficients, some outside [0, p), so that reduction mod p matters
+        c = draw(st.lists(st.integers(-p, 3 * p), max_size=max_len))
+        if unit_first:
+            c = [draw(st.integers(1, p - 1)) + p * draw(st.integers(0, 2))] + c
+        return tuple(c)
+
+    def raw_fraction():
+        den = raw_poly(deg, unit_first=True) if draw(st.booleans()) else (1,)
+        return raw_poly(deg + 1), den
+
+    if base.local:  # a non-constant unit
+        unit = ((draw(st.integers(1, p - 1)),) + (0,) * draw(st.integers(0, 1))
+                + (draw(st.integers(1, p - 1)),))
+    else:
+        unit = (draw(st.integers(2, p - 1)),)
+    return (base, raw_fraction(), raw_fraction(), unit,
+            draw(st.integers(0, 3)), draw(st.integers(0, 4)))
+
+
+@given(fraction_cases())
+@settings(max_examples=300, deadline=None)
+@example((L3, ((5,), (1,)), ((0, 1), (1,)), (1, 1), 2, 1))
+@example((L3, ((0, 4, 3), (1,)), ((2, 1), (1,)), (1, 1), 1, 0))
+def test_scalar_fast_paths_match_gcd_route(case):
+    base, (an, ad), (bn, bd), unit, v, k = case
+    p = base.p
+    a, b = Scalar(base, an, ad), Scalar(base, bn, bd)
+    assert (a.num, a.den) == _outcome(lambda: _slow(base, an, ad, unit))
+    assert (b.num, b.den) == _outcome(lambda: _slow(base, bn, bd, unit))
+    cross = (pmul(a.num, b.den, p), pmul(b.num, a.den, p), pmul(a.den, b.den, p))
+    assert _outcome(lambda: a + b) == _outcome(
+        lambda: _slow(base, padd(cross[0], cross[1], p), cross[2], unit))
+    assert _outcome(lambda: a - b) == _outcome(
+        lambda: _slow(base, padd(cross[0], pneg(cross[1], p), p), cross[2], unit))
+    assert _outcome(lambda: a * b) == _outcome(lambda: _slow(
+        base, pmul(a.num, b.num, p), pmul(a.den, b.den, p), unit))
+    assert _outcome(lambda: -a) == _outcome(
+        lambda: _slow(base, pneg(a.num, p), a.den, unit))
+    tv = base.t_power(v) if base.local else base.one()
+    assert _outcome(lambda: a.div(tv)) == _outcome(lambda: (
+        a if a.is_zero() else _slow(base, a.num, pshift(a.den, tv.val()), unit)))
+    if not b.is_zero():
+        assert _outcome(lambda: a.div(b)) == _outcome(lambda: (
+            a if a.is_zero() else
+            _slow(base, pmul(a.num, b.den, p), pmul(a.den, b.num, p), unit)))
+    assert _outcome(lambda: a.reduce_mod(k)) == _outcome(lambda: _slow(
+        base, pmod_tk(pmul(a.num, pinv_series(a.den, k, p), p), k), (1,), unit))
+    if a.is_unit():
+        assert _outcome(a.inverse) == _outcome(
+            lambda: _slow(base, a.den, a.num, unit))
+    else:
+        with pytest.raises(ExactDivisionError):
+            a.inverse()
+
+
+def test_scalar_checks_kept_by_the_fast_paths():
+    with pytest.raises(ValueError):
+        F5.scalar((1, 1))
+    with pytest.raises(ValueError):
+        F5.poly([1, 1])
+    with pytest.raises(ValueError):
+        F5.t_power(1)
+    for base, den in ((L3, ()), (L3, (3,)), (F5, (0,)), (F5, (5,))):
+        with pytest.raises(ZeroDivisionError):
+            base.scalar((1,), den)
+    with pytest.raises(ExactDivisionError):
+        L3.scalar((1,), (0, 1))
+    with pytest.raises(ExactDivisionError):
+        L3.t_power(1).div(L3.t_power(2))
 
 
 def test_pinv_series():

@@ -1,16 +1,21 @@
-"""The benchmark's tracer finds every entry point it names.
+"""The measurement tooling still runs against the engine.
 
 `perfbench/tracer.py` wraps each name in its FUNCTIONS and METHODS tables
 at run time.  Deleting or renaming one of those names in the engine, or
-binding two table entries to one function object, breaks a traced run; this
-test makes the same lookups without patching anything.
+binding two table entries to one function object, breaks a traced run; the
+first test makes the same lookups without patching anything.  The second
+runs the counter part of `scripts/bench_scalar.py` on a two-verdict slice.
 """
 
 import importlib
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def _load_tracer():
@@ -41,3 +46,17 @@ def test_traced_names_resolve_to_distinct_attributes():
             for meth in meths:
                 assert callable(cls.__dict__.get(meth)), (
                     f"{cname}.{meth} is not defined on subext.{layer}.{cname}")
+
+
+def test_bench_scalar_counters_on_a_slice(tmp_path):
+    out = tmp_path / "counters.json"
+    subprocess.run([sys.executable, str(ROOT / "scripts" / "bench_scalar.py"),
+                    "--counters-only", "--workloads", "dvr-sweep",
+                    "--limit", "2", "--out", str(out)],
+                   check=True, timeout=300, capture_output=True)
+    counts = json.loads(out.read_text())["counters"]["dvr-sweep"]["change"]
+    assert counts["verdicts"] == 2 and counts["failed_verdicts"] == 0
+    # every Scalar is built by __init__, and _norm runs at most once per
+    # build; only the fraction route calls pgcd, once per _norm at most
+    assert counts["Scalar.__init__"] > 0
+    assert counts["Scalar.__init__"] >= counts["Scalar._norm"] >= counts["pgcd"]
