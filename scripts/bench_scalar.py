@@ -1,33 +1,43 @@
 """Measure the scalar layer of two checkouts: end-to-end medians and counters.
 
-    python3 scripts/bench_scalar.py --parent ../subext-parent --runs 10
+    python3 scripts/bench_scalar.py --parent ../subext-parent --runs 10 \\
+        --out BENCH_tables.json
     python3 scripts/bench_scalar.py --counters-only --workloads dvr-sweep \\
         --limit 2 --out counters.json
 
 `--parent` is a second checkout of the commit to compare with (made with
 `git archive` or `git clone`); the checkout holding this script is the
-change.  Without `--parent` only the change is measured.  The first command
-wrote the `BENCH_scalar.json` at the root of the repository.
+change.  Without `--parent` only the change is measured.  Commands like the
+first one wrote `BENCH_scalar.json` and `BENCH_tables.json` at the root of
+the repository.
 
 Times: for each workload, `perfbench/run.py --trace 0` runs `--runs` times
 on each checkout, for the `run_seconds` of `BENCHMARK.json`, alternating:
 the parent goes first on even rounds and second on odd ones, so a slow
 phase of the machine hits both sides.  Each end-to-end metric is recorded
-per run and as the median of the runs, with each run's `failed` count,
-`correct` flag and digest; with `--parent`, also the change over parent
-ratio of the medians and the number of rounds in which the change read
-lower.
+per run and as the median and quartiles of the runs, with each run's
+`failed` count, `correct` flag and digest; with `--parent`, also the change
+over parent ratio of the medians and the number of rounds in which the
+change read lower.
 
 Counters: one `perfbench/worker.py` pass per checkout and workload at
-`--seed` under cProfile gives the call counts of `Scalar.__init__`,
-`Scalar._norm` and `pgcd`.  They are deterministic, unlike the times.
-`--limit N` makes the counter pass run only the first N verdicts.
+`--seed`, run in a child process under cProfile, gives the call counts of
+`Scalar.__init__`, `Scalar._norm`, `pgcd`, `pmul`, `smith` and
+`Subquotient.__init__`.  The child also counts the `smith` calls that track
+a transform matrix, and, on an engine whose `Base` has an operation table,
+the table's lookups and entries (the hit rate is 1 - entries/lookups).
+They are deterministic, unlike the times.  `--limit N` makes the counter
+pass run only the first N verdicts.
 """
 
 from __future__ import annotations
 
 import argparse
-import ast
+import contextlib
+import cProfile
+import dataclasses
+import importlib
+import io
 import json
 import os
 import platform
@@ -35,17 +45,21 @@ import pstats
 import statistics
 import subprocess
 import sys
-import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("dvr-sweep", "ulrich-sweep", "artin-yoneda", "registry")
 METRICS = ("wall_s", "verdict_p50_s", "verdict_tail_s", "setup_s",
            "peak_rss_mb")
-# counter name -> (class or None, function name) in src/subext/dcoeff.py
+# counter name -> (class or None, function name) in subext.dcoeff
 COUNTED = {"Scalar.__init__": ("Scalar", "__init__"),
            "Scalar._norm": ("Scalar", "_norm"),
-           "pgcd": (None, "pgcd")}
+           "pgcd": (None, "pgcd"),
+           "pmul": (None, "pmul"),
+           "smith": (None, "smith"),
+           "Subquotient.__init__": ("Subquotient", "__init__")}
+ENGINE = ("dcoeff", "rings", "modules", "ext", "subfun", "ulrich",
+          "scenarios", "workspace", "cli")
 CHILD_TIMEOUT_S = 900
 
 
@@ -73,47 +87,83 @@ def run_benchmark(root, workload, seed, seconds):
             "digest": digest}
 
 
-def _code_lines(root):
-    """First line of each counted function in the checkout's dcoeff.py, as
-    cProfile reports it: the line of the first decorator, if any."""
-    path = os.path.join(root, "src", "subext", "dcoeff.py")
-    with open(path) as f:
-        tree = ast.parse(f.read())
-    found = {}
-    for node in tree.body:
-        owner = node.name if isinstance(node, ast.ClassDef) else None
-        for fn in (node.body if owner else [node]):
-            if isinstance(fn, ast.FunctionDef):
-                found[(owner, fn.name)] = min(
-                    [fn.lineno] + [d.lineno for d in fn.decorator_list])
-    return path, found
-
-
 def count_calls(root, workload, seed, limit=None):
-    """Call counts of the COUNTED functions in one cProfile'd worker pass."""
-    with tempfile.TemporaryDirectory() as tmp:
-        prof = os.path.join(tmp, "worker.prof")
-        cmd = [sys.executable, "-m", "cProfile", "-o", prof,
-               os.path.join(root, "perfbench", "worker.py"),
-               "--workload", workload, "--seed", str(seed),
-               "--t0", repr(time.monotonic())]
-        if limit is not None:
-            cmd += ["--limit", str(limit)]
-        proc = subprocess.run(cmd, cwd=root, env=_env(root),
-                              capture_output=True, text=True,
-                              timeout=CHILD_TIMEOUT_S)
-        if proc.returncode != 0 or not os.path.exists(prof):
-            raise RuntimeError(f"{root}: cProfile pass failed:\n"
-                               f"{proc.stderr[-2000:]}")
-        pass_result = json.loads(proc.stdout.strip().splitlines()[-1])
-        stats = pstats.Stats(prof).stats
-    path, lines = _code_lines(root)
-    real = os.path.realpath(path)
-    calls = {(lineno, func): ncalls
-             for (fname, lineno, func), (_, ncalls, *_rest) in stats.items()
-             if os.path.realpath(fname) == real}
-    out = {name: calls.get((lines[key], key[1]), 0)
-           for name, key in COUNTED.items()}
+    """The counters of one worker pass of the checkout at root, from a
+    child process that runs counter_pass."""
+    cmd = [sys.executable, os.path.abspath(__file__), "--counter-pass",
+           "--workloads", workload, "--seed", str(seed)]
+    if limit is not None:
+        cmd += ["--limit", str(limit)]
+    proc = subprocess.run(cmd, cwd=root, env=_env(root), capture_output=True,
+                          text=True, timeout=CHILD_TIMEOUT_S)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{root}: counter pass failed:\n"
+                           f"{proc.stderr[-2000:]}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def counter_pass(root, workload, seed, limit):
+    """In this process: one cProfile'd `worker.py` pass of the engine on
+    sys.path, with table lookups/entries and transform-tracking `smith`
+    calls counted by wrappers installed before any Base exists."""
+    from subext import dcoeff
+    for name in ENGINE:
+        importlib.import_module("subext." + name)
+    codes = {name: getattr(getattr(dcoeff, owner) if owner else dcoeff,
+                           fn).__code__
+             for name, (owner, fn) in COUNTED.items()}
+    seen = {"lookups": 0, "entries": 0, "smith_transforms": 0}
+
+    class CountingTable(dict):
+        def get(self, key, default=None):
+            seen["lookups"] += 1
+            return dict.get(self, key, default)
+
+        def __setitem__(self, key, value):
+            seen["entries"] += 1
+            dict.__setitem__(self, key, value)
+
+    has_table = "_ops" in {f.name for f in dataclasses.fields(dcoeff.Base)}
+    if has_table:
+        base_init = dcoeff.Base.__init__
+
+        def counted_init(self, *args, **kwargs):
+            base_init(self, *args, **kwargs)
+            object.__setattr__(self, "_ops", CountingTable())
+        dcoeff.Base.__init__ = counted_init
+    smith = dcoeff.smith
+
+    def counted_smith(A, *args, **kwargs):
+        if any(args) or any(kwargs.values()):
+            seen["smith_transforms"] += 1
+        return smith(A, *args, **kwargs)
+    for name in ENGINE:
+        mod = sys.modules["subext." + name]
+        for attr, val in list(vars(mod).items()):
+            if val is smith:
+                setattr(mod, attr, counted_smith)
+
+    sys.path.insert(0, os.path.join(root, "perfbench"))
+    import worker
+    argv = ["--workload", workload, "--seed", str(seed),
+            "--t0", repr(time.monotonic())]
+    if limit is not None:
+        argv += ["--limit", str(limit)]
+    prof = cProfile.Profile()
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        prof.runcall(worker.main, argv)
+    pass_result = json.loads(printed.getvalue().strip().splitlines()[-1])
+    stats = pstats.Stats(prof).stats
+    out = {name: stats.get((c.co_filename, c.co_firstlineno, c.co_name),
+                           (0, 0))[1]
+           for name, c in codes.items()}
+    out["smith_with_transforms"] = seen["smith_transforms"]
+    if has_table:
+        out["table_lookups"] = seen["lookups"]
+        out["table_entries"] = seen["entries"]
+        out["table_hit_rate"] = (1 - seen["entries"] / seen["lookups"]
+                                 if seen["lookups"] else None)
     out["verdicts"] = len(pass_result["latencies"])
     out["failed_verdicts"] = len(pass_result["failures"])
     out["digest"] = pass_result["digest"]
@@ -121,8 +171,14 @@ def count_calls(root, workload, seed, limit=None):
 
 
 def _median_block(runs):
-    return {k: {"median": statistics.median(r["metrics"][k] for r in runs),
-                "runs": [r["metrics"][k] for r in runs]} for k in METRICS}
+    out = {}
+    for k in METRICS:
+        values = [r["metrics"][k] for r in runs]
+        q1, _, q3 = (statistics.quantiles(values, n=4) if len(values) > 1
+                     else values * 3)
+        out[k] = {"median": statistics.median(values), "q1": q1, "q3": q3,
+                  "runs": values}
+    return out
 
 
 def main(argv=None):
@@ -135,15 +191,23 @@ def main(argv=None):
     ap.add_argument("--limit", type=int,
                     help="verdicts in each counter pass (default: all)")
     ap.add_argument("--counters-only", action="store_true")
+    ap.add_argument("--counter-pass", action="store_true",
+                    help="internal: run one counter pass of the first "
+                         "workload in this process and print its counters")
+    ap.add_argument("--topic", default="scalar layer")
     ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_scalar.json"))
     args = ap.parse_args(argv)
+    if args.counter_pass:
+        print(json.dumps(counter_pass(os.getcwd(), args.workloads[0],
+                                      args.seed, args.limit)))
+        return 0
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         seconds = json.load(f)["run_seconds"]
 
     sides = {"change": ROOT}
     if args.parent:
         sides = {"parent": os.path.abspath(args.parent), "change": ROOT}
-    report = {"topic": "scalar fast path", "seed": args.seed,
+    report = {"topic": args.topic, "seed": args.seed,
               "host": {"cpus": os.cpu_count(),
                        "python": platform.python_version()},
               "counters": {}, "times": {}}

@@ -6,6 +6,14 @@ with den constant-term normalized to 1; this representation is canonical, so
 equality and hashing are structural.  A reduced num over den = 1 is already
 normal and t^v divides out by a shift of num, so these paths skip the gcd.
 
+Each Base keeps one operation table for +, -, * and div, keyed by the op and
+the (num, den) of both operands, holding the (num, den) of the result.  A hit
+is exact: results are canonical, so the stored pair is the one a fresh
+computation would give, and the table holds plain tuples only (no Scalar, so
+no reference back to the Base).  A failing div raises before anything is
+stored, so it raises again on every call.  The table is a field of the Base,
+excluded from its equality, hash and repr, and is freed with the ring.
+
 The linear algebra here is the workhorse for everything else: a local Smith
 normal form (diagonal entries are exact powers of t, exponents nondecreasing),
 kernels and preimages modulo relations, deterministic solves, cokernel
@@ -15,7 +23,7 @@ the canonical form D^f + D/t^a1 + ... + D/t^ak together with coordinate maps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ExactDivisionError, NotInSpanError
 
@@ -131,6 +139,9 @@ class Base:
 
     p: int
     local: bool = False
+    # (op, a.num, a.den, b.num, b.den) -> (num, den) of the result
+    _ops: dict = field(default_factory=dict, init=False, compare=False,
+                       hash=False, repr=False)
 
     def scalar(self, num, den=(1,)):
         return Scalar(self, num, den)
@@ -213,17 +224,26 @@ class Scalar:
         return pord(self.num)
 
     # -- arithmetic ---------------------------------------------------------
+    # +, -, * and div look the operands up in the base's operation table and
+    # compute the canonical result only on a miss (see the module docstring).
 
     def __add__(self, other):
-        p = self.base.p
-        if self.den == other.den:
-            return Scalar(self.base, padd(self.num, other.num, p), self.den,
-                          _normalized=self.den == (1,))
-        num = padd(pmul(self.num, other.den, p), pmul(other.num, self.den, p), p)
-        return Scalar(self.base, num, pmul(self.den, other.den, p))
+        ops = self.base._ops
+        key = ("+", self.num, self.den, other.num, other.den)
+        hit = ops.get(key)
+        if hit is None:
+            hit = ops[key] = _add_pair(self.base, self.num, self.den,
+                                       other.num, other.den)
+        return Scalar(self.base, hit[0], hit[1], _normalized=True)
 
     def __sub__(self, other):
-        return self + (-other)
+        ops = self.base._ops
+        key = ("-", self.num, self.den, other.num, other.den)
+        hit = ops.get(key)
+        if hit is None:
+            hit = ops[key] = _add_pair(self.base, self.num, self.den,
+                                       pneg(other.num, self.base.p), other.den)
+        return Scalar(self.base, hit[0], hit[1], _normalized=True)
 
     def __neg__(self):
         return Scalar(self.base, pneg(self.num, self.base.p), self.den, _normalized=True)
@@ -231,11 +251,13 @@ class Scalar:
     def __mul__(self, other):
         if not self.num or not other.num:
             return Scalar(self.base, (), (1,), _normalized=True)
-        p = self.base.p
-        num = pmul(self.num, other.num, p)
-        if self.den == other.den == (1,):
-            return Scalar(self.base, num, (1,), _normalized=True)
-        return Scalar(self.base, num, pmul(self.den, other.den, p))
+        ops = self.base._ops
+        key = ("*", self.num, self.den, other.num, other.den)
+        hit = ops.get(key)
+        if hit is None:
+            hit = ops[key] = _mul_pair(self.base, self.num, self.den,
+                                       other.num, other.den)
+        return Scalar(self.base, hit[0], hit[1], _normalized=True)
 
     def inverse(self):
         if not self.is_unit():
@@ -248,14 +270,13 @@ class Scalar:
             raise ZeroDivisionError("division by zero scalar")
         if self.is_zero():
             return self
-        if other.den == (1,):
-            v = pord(other.num)
-            if other.num[v:] == (1,):  # other = t^v: shift num by v
-                if pord(self.num) < v:
-                    raise ExactDivisionError("denominator must be a unit of D")
-                return Scalar(self.base, self.num[v:], self.den, _normalized=True)
-        return Scalar(self.base, pmul(self.num, other.den, self.base.p),
-                      pmul(self.den, other.num, self.base.p))
+        ops = self.base._ops
+        key = ("/", self.num, self.den, other.num, other.den)
+        hit = ops.get(key)
+        if hit is None:  # a failing division raises here and stores nothing
+            hit = ops[key] = _div_pair(self.base, self.num, self.den,
+                                       other.num, other.den)
+        return Scalar(self.base, hit[0], hit[1], _normalized=True)
 
     def reduce_mod(self, k):
         """Canonical polynomial representative modulo t^k (degree < k)."""
@@ -292,6 +313,38 @@ class Scalar:
         if self.den == (1,):
             return side(self.num)
         return f"({side(self.num)})/({side(self.den)})"
+
+
+def _add_pair(base, an, ad, bn, bd):
+    """Canonical (num, den) of an/ad + bn/bd."""
+    p = base.p
+    if ad == bd:
+        num = padd(an, bn, p)
+        return (num, ad) if ad == (1,) else Scalar._norm(base, num, ad)
+    return Scalar._norm(base, padd(pmul(an, bd, p), pmul(bn, ad, p), p),
+                        pmul(ad, bd, p))
+
+
+def _mul_pair(base, an, ad, bn, bd):
+    """Canonical (num, den) of (an/ad) * (bn/bd), both nonzero."""
+    p = base.p
+    num = pmul(an, bn, p)
+    if ad == bd == (1,):
+        return num, ad
+    return Scalar._norm(base, num, pmul(ad, bd, p))
+
+
+def _div_pair(base, an, ad, bn, bd):
+    """Canonical (num, den) of (an/ad) / (bn/bd), both nonzero; raises
+    ExactDivisionError when the quotient is not in D."""
+    if bd == (1,):
+        v = pord(bn)
+        if bn[v:] == (1,):  # bn = t^v: shift an by v
+            if pord(an) < v:
+                raise ExactDivisionError("denominator must be a unit of D")
+            return an[v:], ad
+    p = base.p
+    return Scalar._norm(base, pmul(an, bd, p), pmul(ad, bn, p))
 
 
 # ---------------------------------------------------------------------------
@@ -338,9 +391,10 @@ class Mat:
 
     def __matmul__(self, other):
         if isinstance(other, list):
-            out = [self.base.zero()] * self.m
+            z = self.base.zero()  # scalars are immutable: one zero serves all
+            out = [z] * self.m
             for i, row in enumerate(self.rows):
-                acc = self.base.zero()
+                acc = z
                 for j, a in enumerate(row):
                     if a.num and other[j].num:
                         acc = acc + a * other[j]
@@ -633,26 +687,41 @@ class Subquotient:
     """Canonical form of U/V with coordinate maps.
 
     U and V are given by generator matrices (columns) inside ambient D^n,
-    with V <= U required.  Canonical coordinates list free invariants first,
+    with V <= U required; U_gens=None means U = D^n, whose coordinates are
+    the ambient ones.  Canonical coordinates list free invariants first,
     then torsion invariants with nondecreasing exponents; ``exps`` holds None
     for each free invariant and the exponent for each torsion one.
+
+    Construction runs the Smith form of U_gens with U only (the V <= U
+    check, which raises NotInSpanError here) and a transform-free Smith form
+    of V's coordinates (``exps``).  The transforms that project, lift and
+    basis need are built by the same smith calls on first use.
     """
 
     def __init__(self, base, n, U_gens, V_gens):
         self.base = base
         self.n = n
-        self._snfU = smith(U_gens, want_u=True, want_uinv=True)
-        self.rankU = self._snfU.rank
-        X = self._coord_matrix(V_gens)
-        self._snfX = smith(X, want_u=True, want_uinv=True)
-        free_idx = list(range(self._snfX.rank, self.rankU))
-        tors_idx = [i for i in range(self._snfX.rank) if self._snfX.exps[i] > 0]
+        self._U_gens = U_gens
+        if U_gens is None:
+            self._snfU = None
+            self.rankU = n
+        else:
+            self._snfU = smith(U_gens, want_u=True)
+            self.rankU = self._snfU.rank
+        self._X = self._coord_matrix(V_gens)
+        exps_X = smith(self._X).exps
+        self._snfX = None   # smith of _X with U and Uinv, on first use
+        self._U_lift = None  # Uinv of the smith of U_gens, on first use
+        free_idx = list(range(len(exps_X), self.rankU))
+        tors_idx = [i for i, e in enumerate(exps_X) if e > 0]
         self.kept = free_idx + tors_idx
         self.exps = tuple([None] * len(free_idx)
-                          + [self._snfX.exps[i] for i in tors_idx])
+                          + [exps_X[i] for i in tors_idx])
 
     # coordinates of an ambient vector w inside U (basis from smith of U_gens)
     def _coords_in_U(self, w):
+        if self._snfU is None:
+            return list(w)
         c = _diag_solve(self.base, self._snfU, self._snfU.U @ w, self.rankU)
         if c is None:
             raise NotInSpanError("vector not in U")
@@ -661,6 +730,11 @@ class Subquotient:
     def _coord_matrix(self, M):
         cols = [self._coords_in_U(M.col(j)) for j in range(M.n)]
         return Mat.from_cols(self.base, self.rankU, cols)
+
+    def _transforms(self):
+        if self._snfX is None:
+            self._snfX = smith(self._X, want_u=True, want_uinv=True)
+        return self._snfX
 
     def contains(self, w):
         try:
@@ -671,8 +745,7 @@ class Subquotient:
 
     def project(self, w):
         """Canonical coordinates of the class of w (w must lie in U)."""
-        c = self._coords_in_U(w)
-        z = self._snfX.U @ c
+        z = self._transforms().U @ self._coords_in_U(w)
         out = []
         for pos, i in enumerate(self.kept):
             a = z[i]
@@ -688,13 +761,17 @@ class Subquotient:
         z = [base.zero()] * self.rankU
         for pos, i in enumerate(self.kept):
             z[i] = coords[pos]
-        c = self._snfX.Uinv @ z
+        c = self._transforms().Uinv @ z
+        if self._snfU is None:  # U = D^n: coordinates are ambient already
+            return c
         # w = P @ (diag(t^e) c, zero-padded to n)  with P = Uinv of the U-smith
         scaled = [base.zero()] * self.n
         for i in range(self.rankU):
             t_e = base.t_power(self._snfU.exps[i]) if base.local else base.one()
             scaled[i] = c[i] * t_e
-        return self._snfU.Uinv @ scaled
+        if self._U_lift is None:
+            self._U_lift = smith(self._U_gens, want_uinv=True).Uinv
+        return self._U_lift @ scaled
 
     def basis(self):
         """Ambient lifts of the canonical basis, as the columns of an n x k

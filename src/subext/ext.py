@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 
 from .dcoeff import (Mat, Subquotient, block_diag, hstack, preimage, solve,
-                     vstack)
+                     solve_matrix, vstack)
 from .errors import (BudgetExceeded, CertificateError, InfiniteLengthError,
                      SubextError)
 from .modules import (CoeffModule, ModMap, _block_ambient, _free_cover_matrix,
@@ -240,27 +240,29 @@ def classify(ses, pres=None):
     h = M.handle
     nR = h.nR
     # lift the cover F_0 -> M through p on generators, extend R-linearly
-    A = M.span(ses.p.mat)
-    gcols = []
-    for b in range(res.betti[0]):
-        target = res.cover.mat.col(b * nR)
-        y = solve(A, target)
-        if y is None:
-            raise CertificateError("cover does not lift through p")
-        gcols.append(y[:B.n])
-    G = _free_cover_matrix(h, B.basis_action, Mat.from_cols(base, B.n, gcols))
+    targets = [res.cover.mat.col(b * nR) for b in range(res.betti[0])]
+    Y = _solve_cols(M.span(ses.p.mat), targets, CertificateError(
+        "cover does not lift through p"))
+    G = _free_cover_matrix(h, B.basis_action,
+                           Mat.from_cols(base, B.n, [y[:B.n] for y in Y]))
     # psi = G o d1 lands in ker p = im i; pull back through i
-    Ai = B.span(ses.i.mat)
-    vec = []
-    for b in range(pres.beta):
-        psi_b = G @ res.diffs[0].col(b * nR)
-        y = solve(Ai, psi_b)
-        if y is None:
-            raise CertificateError("boundary does not pull back through i")
-        vec.extend(y[:N.n])
+    psis = [G @ res.diffs[0].col(b * nR) for b in range(pres.beta)]
+    Y = _solve_cols(B.span(ses.i.mat), psis, CertificateError(
+        "boundary does not pull back through i"))
     if pres.beta == 0:
         return pres.zero_class()
-    return pres.class_of_vec(vec)
+    return pres.class_of_vec([a for y in Y for a in y[:N.n]])
+
+
+def _solve_cols(A, targets, error):
+    """One solution of A y = b for each target b, from one Smith form of A;
+    raises error when a target has none."""
+    if not targets:
+        return []
+    Y = solve_matrix(A, Mat.from_cols(A.base, A.m, targets))
+    if Y is None:
+        raise error
+    return Y.cols()
 
 
 def is_split(ses, pres=None, cross_check=True):
@@ -414,16 +416,13 @@ def chain_lift(f, depth):
     res = resolution(M, depth)
     lifts = []
     # level 0: cover o f0 = f o cover'
-    A = M.span(res.cover.mat)
-    cols = []
-    for b in range(resp.betti[0]):
-        tgt = f.mat @ resp.cover.mat.col(b * nR)
-        y = solve(A, tgt)
-        if y is None:
-            raise SubextError("chain lift failed at level 0")
-        cols.append(y[:res.frees[0].n])
+    n0 = res.frees[0].n
+    Y = _solve_cols(M.span(res.cover.mat),
+                    [f.mat @ resp.cover.mat.col(b * nR)
+                     for b in range(resp.betti[0])],
+                    SubextError("chain lift failed at level 0"))
     f0 = _free_cover_matrix(h, res.frees[0].basis_action,
-                            Mat.from_cols(base, res.frees[0].n, cols))
+                            Mat.from_cols(base, n0, [y[:n0] for y in Y]))
     lifts.append(f0)
     for lev in range(1, depth + 1):
         if resp.betti[lev] == 0 or res.betti[lev] == 0:
@@ -433,16 +432,14 @@ def chain_lift(f, depth):
         prev = lifts[lev - 1]
         # the D-span of the columns of d_lev is exactly the kernel of the
         # previous map, so a plain solve suffices
-        Alev = res.diffs[lev - 1]
-        cols = []
-        for b in range(resp.betti[lev]):
-            tgt = prev @ resp.diffs[lev - 1].col(b * nR)
-            y = solve(Alev, tgt)
-            if y is None:
-                raise SubextError(f"chain lift failed at level {lev}")
-            cols.append(y[:res.frees[lev].n])
+        n_lev = res.frees[lev].n
+        Y = _solve_cols(res.diffs[lev - 1],
+                        [prev @ resp.diffs[lev - 1].col(b * nR)
+                         for b in range(resp.betti[lev])],
+                        SubextError(f"chain lift failed at level {lev}"))
         flev = _free_cover_matrix(h, res.frees[lev].basis_action,
-                                  Mat.from_cols(base, res.frees[lev].n, cols))
+                                  Mat.from_cols(base, n_lev,
+                                                [y[:n_lev] for y in Y]))
         lifts.append(flev)
     return lifts
 

@@ -63,7 +63,7 @@ class CoeffModule:
         """Subquotient (<top> + rel) / (<bottom> + rel) of the ambient D^n,
         for lists of column blocks; top=None is the whole ambient."""
         base = self.handle.base
-        U = Mat.identity(base, self.n) if top is None else self.span(*top)
+        U = None if top is None else self.span(*top)
         return Subquotient(base, self.n, U, self.span(*bottom))
 
     def quotient_length(self, top=None, bottom=(),

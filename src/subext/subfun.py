@@ -48,7 +48,7 @@ def tensor_length(X, C):
         return 0
     base = X.handle.base
     amb_n, V = _tensor_relations(X, resolution(C, 1))
-    sq = Subquotient(base, amb_n, Mat.identity(base, amb_n), V)
+    sq = Subquotient(base, amb_n, None, V)
     out = sq.length()
     if out is None:
         raise InfiniteLengthError("tensor product has infinite length")

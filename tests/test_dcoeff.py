@@ -186,6 +186,43 @@ def test_scalar_checks_kept_by_the_fast_paths():
         L3.t_power(1).div(L3.t_power(2))
 
 
+# Shared across examples, so their operation tables warm up over the run.
+WARM = {(b.p, b.local): Base(b.p, b.local) for b in (L2, L3, F5)}
+OPS = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
+       "*": lambda a, b: a * b, "div": lambda a, b: a.div(b)}
+
+
+@given(fraction_cases())
+@settings(max_examples=200, deadline=None)
+def test_operation_tables_match_a_fresh_base(case):
+    base, (an, ad), (bn, bd), _, v, _ = case
+    warm = WARM[(base.p, base.local)]
+    a, b = Scalar(warm, an, ad), Scalar(warm, bn, bd)
+    # the same numerators over den 1: a key without den would mix them up
+    operands = [a, b, Scalar(warm, a.num), Scalar(warm, b.num)]
+    for x, y in itertools.product(operands, repeat=2):
+        for op, f in OPS.items():
+            if op == "div" and y.is_zero():
+                continue
+            fresh = Base(base.p, base.local)
+            want = _outcome(lambda: f(Scalar(fresh, x.num, x.den),
+                                      Scalar(fresh, y.num, y.den)))
+            assert _outcome(lambda: f(x, y)) == want  # miss or hit
+            assert _outcome(lambda: f(x, y)) == want  # hit
+    if base.local and not a.is_zero():
+        # a failing div raises every time and stores nothing
+        tv = warm.t_power(a.val() + 1 + v)
+        size = len(warm._ops)
+        for _ in range(2):
+            with pytest.raises(ExactDivisionError):
+                a.div(tv)
+        assert len(warm._ops) == size
+    assert warm._ops
+    fresh = Base(base.p, base.local)
+    assert warm == fresh and hash(warm) == hash(fresh)
+    assert repr(warm) == repr(fresh)
+
+
 def test_pinv_series():
     a = (1, 1, 2)
     inv = pinv_series(a, 6, 3)
@@ -400,6 +437,58 @@ def test_subquotient_random_roundtrip():
             assert all(sq.contains(B.col(j)) for j in range(k))
             assert sq.project_cols(Ug) == Mat.from_cols(
                 base, k, [sq.project(Ug.col(j)) for j in range(Ug.n)])
+
+
+def _random_sub(base, rng, n, k):
+    """k random D-combinations of the columns of an n x n matrix."""
+    G = rand_mat(base, rng, n, n)
+    return Mat.from_cols(base, n, [G @ [rand_scalar(base, rng) for _ in range(n)]
+                                   for _ in range(k)])
+
+
+def _subquotient_outputs(sq, ws, order):
+    """exps, basis(), and project/lift of the ws, in the given call order."""
+    out = {}
+    for what in order:
+        if what == "exps":
+            out[what] = sq.exps
+        elif what == "project":
+            out[what] = [sq.project(w) for w in ws]
+        elif what == "lift":
+            out[what] = [sq.lift(sq.project(w)) for w in ws]
+        else:
+            out[what] = sq.basis()
+    return out
+
+
+@given(st.sampled_from([L2, L3]), st.integers(1, 3), st.integers(0, 3),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_subquotient_whole_ambient_and_call_order(base, n, k, seed):
+    rng = random.Random(seed)
+    V = _random_sub(base, rng, n, k)
+    ws = [[rand_scalar(base, rng) for _ in range(n)] for _ in range(3)]
+    orders = [("exps", "project", "lift", "basis"),
+              ("lift", "project", "basis", "exps"),
+              ("basis", "lift", "exps", "project")]
+    ref = _subquotient_outputs(Subquotient(base, n, Mat.identity(base, n), V),
+                               ws, orders[0])
+    for order in orders:
+        assert _subquotient_outputs(Subquotient(base, n, None, V),
+                                    ws, order) == ref
+    # a proper U: V inside t*U, vectors inside U, any call order
+    U = hstack(base, [_random_sub(base, rng, n, n), V], m=n)
+    tV = Mat.from_cols(base, n, [[x * base.t_power(1) for x in c]
+                                 for c in V.cols()])
+    inU = [U @ [rand_scalar(base, rng) for _ in range(U.n)] for _ in range(3)]
+    ref = _subquotient_outputs(Subquotient(base, n, U, tV), inU, orders[0])
+    for order in orders[1:]:
+        assert _subquotient_outputs(Subquotient(base, n, U, tV),
+                                    inU, order) == ref
+    # V not inside U still fails at construction
+    with pytest.raises(NotInSpanError):
+        Subquotient(base, n, Mat.identity(base, n).scale(base.t_power(1)),
+                    Mat.identity(base, n))
 
 
 def test_in_span_and_hstack():

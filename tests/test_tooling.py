@@ -4,7 +4,8 @@
 at run time.  Deleting or renaming one of those names in the engine, or
 binding two table entries to one function object, breaks a traced run; the
 first test makes the same lookups without patching anything.  The second
-runs the counter part of `scripts/bench_scalar.py` on a two-verdict slice.
+runs the counter part of `scripts/bench_scalar.py` on a two-verdict slice
+and checks how its counters relate.
 """
 
 import importlib
@@ -13,6 +14,8 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -60,3 +63,12 @@ def test_bench_scalar_counters_on_a_slice(tmp_path):
     # build; only the fraction route calls pgcd, once per _norm at most
     assert counts["Scalar.__init__"] > 0
     assert counts["Scalar.__init__"] >= counts["Scalar._norm"] >= counts["pgcd"]
+    assert counts["pmul"] > 0 and counts["Subquotient.__init__"] > 0
+    # each Subquotient runs at least one smith, and the transform-tracking
+    # calls are a subset of all calls
+    assert counts["smith"] >= counts["Subquotient.__init__"]
+    assert counts["smith"] >= counts["smith_with_transforms"] > 0
+    # every table entry follows a missed lookup
+    assert 0 < counts["table_entries"] <= counts["table_lookups"]
+    assert counts["table_hit_rate"] == pytest.approx(
+        1 - counts["table_entries"] / counts["table_lookups"])
