@@ -8,8 +8,8 @@
 `--parent` is a second checkout of the commit to compare with (made with
 `git archive` or `git clone`); the checkout holding this script is the
 change.  Without `--parent` only the change is measured.  Commands like the
-first one wrote `BENCH_scalar.json` and `BENCH_tables.json` at the root of
-the repository.
+first one wrote `BENCH_scalar.json`, `BENCH_tables.json` and
+`BENCH_shared.json` at the root of the repository.
 
 Times: for each workload, `perfbench/run.py --trace 0` runs `--runs` times
 on each checkout, for the `run_seconds` of `BENCHMARK.json`, alternating:

@@ -8,7 +8,7 @@ import sys
 
 import click
 
-from .errors import SubextError
+from .errors import SubextError, WorkspaceSyntaxError
 from .ext import ext as ext_op
 from .ext import group_order, middle
 from .modules import is_mcm, length, mu
@@ -16,7 +16,7 @@ from .rings import m_ideal, ring_invariants
 from .scenarios import (DEFAULT_BUDGET, list_scenarios, render_report,
                         run_scenario, SCENARIOS)
 from .subfun import ext1_additive, ext1_ulrich, fn_colength, fn_mu
-from .workspace import default_workspace, parse_workspace
+from .workspace import default_workspace, parse_scalar, parse_workspace
 
 
 def _load_workspace(path):
@@ -200,8 +200,9 @@ def cmd_ext_ul(m_name, n_name, ideal_name, budget, workspace_path):
 @click.argument("m_name")
 @click.argument("n_name")
 @click.option("--coords", default=None,
-              help="Comma-separated class coordinates as integers in the "
-                   "invariant basis of Ext^1 (default: the zero class).")
+              help="Comma-separated class coordinates in the invariant basis "
+                   "of Ext^1: integers, or polynomials in t such as 1+2t^2 "
+                   "over a local base (default: the zero class).")
 @_WORKSPACE_OPT
 def cmd_verify_ses(m_name, n_name, coords, workspace_path):
     """Build the extension with the given class coordinates, certify it,
@@ -214,15 +215,16 @@ def cmd_verify_ses(m_name, n_name, coords, workspace_path):
         base = M.handle.base
         if coords:
             try:
-                digits = [int(c) for c in coords.split(",")]
-            except ValueError:
+                values = [parse_scalar(base, c) for c in coords.split(",")]
+            except WorkspaceSyntaxError as exc:
                 raise SubextError(
-                    f"--coords needs comma-separated integers, got {coords!r}"
+                    f"--coords needs comma-separated integers or, over a "
+                    f"local base, polynomials in t; got {coords!r}: {exc}"
                 ) from None
-            if len(digits) != pres.module.n:
+            if len(values) != pres.module.n:
                 raise SubextError(
                     f"expected {pres.module.n} coordinates")
-            cls = ExtClass(pres, [base.from_int(d) for d in digits])
+            cls = ExtClass(pres, values)
         else:
             cls = pres.zero_class()
         ses = middle(cls)

@@ -7,12 +7,17 @@ equality and hashing are structural.  A reduced num over den = 1 is already
 normal and t^v divides out by a shift of num, so these paths skip the gcd.
 
 Each Base keeps one operation table for +, -, * and div, keyed by the op and
-the (num, den) of both operands, holding the (num, den) of the result.  A hit
-is exact: results are canonical, so the stored pair is the one a fresh
-computation would give, and the table holds plain tuples only (no Scalar, so
-no reference back to the Base).  A failing div raises before anything is
-stored, so it raises again on every call.  The table is a field of the Base,
-excluded from its equality, hash and repr, and is freed with the ring.
+the (num, den) of both operands, holding the result Scalar itself, built once
+on a miss; negation (0 - x), inverse (1 / x), reduction mod t^k and the
+constants zero, one, t^k and from_int share the same table.  A hit is exact:
+the representation is canonical, so the key determines the value, and the
+stored Scalar is the one a fresh computation would give.  The key is
+structural, so operands from an equal but distinct Base hit safely.  Scalars
+are immutable, so one shared object can serve every caller.  A failing div
+or inverse raises before anything is stored, so it raises again on every
+call.  The table is a field of the Base, excluded from its equality, hash
+and repr; its Scalars point back to the Base, and the cyclic garbage
+collector frees that cycle with the ring.
 
 The linear algebra here is the workhorse for everything else: a local Smith
 normal form (diagonal entries are exact powers of t, exponents nondecreasing),
@@ -139,26 +144,34 @@ class Base:
 
     p: int
     local: bool = False
-    # (op, a.num, a.den, b.num, b.den) -> (num, den) of the result
+    # operation key -> the shared result Scalar (see the module docstring)
     _ops: dict = field(default_factory=dict, init=False, compare=False,
                        hash=False, repr=False)
 
     def scalar(self, num, den=(1,)):
         return Scalar(self, num, den)
 
+    def _canonical(self, num):
+        """The shared Scalar num/1, for num trimmed with entries in [0, p)."""
+        key = ("=", num)
+        s = self._ops.get(key)
+        if s is None:
+            s = self._ops[key] = Scalar(self, num, (1,), _normalized=True)
+        return s
+
     def from_int(self, c):
-        return Scalar(self, pconst(c, self.p), (1,), _normalized=True)
+        return self._canonical(pconst(c, self.p))
 
     def zero(self):
-        return Scalar(self, (), (1,), _normalized=True)
+        return self._canonical(())
 
     def one(self):
-        return Scalar(self, (1,), (1,), _normalized=True)
+        return self._canonical((1,))
 
     def t_power(self, k):
         if not self.local:
             raise ValueError("t only exists over the local base")
-        return Scalar(self, pshift((1,), k), (1,), _normalized=True)
+        return self._canonical(pshift((1,), k))
 
     def poly(self, coeffs):
         return Scalar(self, coeffs, (1,))
@@ -170,17 +183,22 @@ class Scalar:
     A trimmed num with coefficients in [0, p) over den = (1,) is already
     normal, so polynomial sums and products skip the gcd; dividing a reduced
     fraction by t^v shifts num by v and keeps den, which stays reduced.
+    Scalars are immutable: one object serves every caller of an operation.
     """
 
     __slots__ = ("base", "num", "den", "_hash")
 
     def __init__(self, base, num, den=(1,), _normalized=False):
-        self.base = base
-        if _normalized:
-            self.num, self.den = num, den
-        else:
-            self.num, self.den = self._norm(base, num, _trim(den))
-        self._hash = None
+        if not _normalized:
+            num, den = self._norm(base, num, _trim(den))
+        init = object.__setattr__
+        init(self, "base", base)
+        init(self, "num", num)
+        init(self, "den", den)
+        init(self, "_hash", hash((num, den)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Scalar is immutable: cannot set {name!r}")
 
     @staticmethod
     def _norm(base, num, den):
@@ -224,45 +242,48 @@ class Scalar:
         return pord(self.num)
 
     # -- arithmetic ---------------------------------------------------------
-    # +, -, * and div look the operands up in the base's operation table and
-    # compute the canonical result only on a miss (see the module docstring).
+    # Each operation looks its operands up in the base's operation table and
+    # builds the canonical result only on a miss (see the module docstring).
 
     def __add__(self, other):
         ops = self.base._ops
         key = ("+", self.num, self.den, other.num, other.den)
-        hit = ops.get(key)
-        if hit is None:
-            hit = ops[key] = _add_pair(self.base, self.num, self.den,
-                                       other.num, other.den)
-        return Scalar(self.base, hit[0], hit[1], _normalized=True)
+        s = ops.get(key)
+        if s is None:
+            s = ops[key] = Scalar(self.base, *_add_pair(
+                self.base, self.num, self.den, other.num, other.den),
+                _normalized=True)
+        return s
 
     def __sub__(self, other):
         ops = self.base._ops
         key = ("-", self.num, self.den, other.num, other.den)
-        hit = ops.get(key)
-        if hit is None:
-            hit = ops[key] = _add_pair(self.base, self.num, self.den,
-                                       pneg(other.num, self.base.p), other.den)
-        return Scalar(self.base, hit[0], hit[1], _normalized=True)
+        s = ops.get(key)
+        if s is None:
+            s = ops[key] = Scalar(self.base, *_add_pair(
+                self.base, self.num, self.den, pneg(other.num, self.base.p),
+                other.den), _normalized=True)
+        return s
 
     def __neg__(self):
-        return Scalar(self.base, pneg(self.num, self.base.p), self.den, _normalized=True)
+        return self.base.zero() - self
 
     def __mul__(self, other):
         if not self.num or not other.num:
-            return Scalar(self.base, (), (1,), _normalized=True)
+            return self.base.zero()
         ops = self.base._ops
         key = ("*", self.num, self.den, other.num, other.den)
-        hit = ops.get(key)
-        if hit is None:
-            hit = ops[key] = _mul_pair(self.base, self.num, self.den,
-                                       other.num, other.den)
-        return Scalar(self.base, hit[0], hit[1], _normalized=True)
+        s = ops.get(key)
+        if s is None:
+            s = ops[key] = Scalar(self.base, *_mul_pair(
+                self.base, self.num, self.den, other.num, other.den),
+                _normalized=True)
+        return s
 
     def inverse(self):
-        if not self.is_unit():
+        if not self.is_unit():  # raises before anything is stored
             raise ExactDivisionError("not a unit of D")
-        return Scalar(self.base, self.den, self.num)
+        return self.base.one().div(self)
 
     def div(self, other):
         """Exact division in D; raises if the quotient is not in D."""
@@ -272,19 +293,27 @@ class Scalar:
             return self
         ops = self.base._ops
         key = ("/", self.num, self.den, other.num, other.den)
-        hit = ops.get(key)
-        if hit is None:  # a failing division raises here and stores nothing
-            hit = ops[key] = _div_pair(self.base, self.num, self.den,
-                                       other.num, other.den)
-        return Scalar(self.base, hit[0], hit[1], _normalized=True)
+        s = ops.get(key)
+        if s is None:  # a failing division raises here and stores nothing
+            s = ops[key] = Scalar(self.base, *_div_pair(
+                self.base, self.num, self.den, other.num, other.den),
+                _normalized=True)
+        return s
 
     def reduce_mod(self, k):
         """Canonical polynomial representative modulo t^k (degree < k)."""
         if self.den == (1,):  # zero included
-            return Scalar(self.base, pmod_tk(self.num, k), (1,), _normalized=True)
-        p = self.base.p
-        num = pmod_tk(pmul(self.num, pinv_series(self.den, k, p), p), k)
-        return Scalar(self.base, num, (1,))
+            if len(self.num) <= k:  # already its own residue
+                return self
+            return self.base._canonical(pmod_tk(self.num, k))
+        ops = self.base._ops
+        key = ("mod", self.num, self.den, k)
+        s = ops.get(key)
+        if s is None:
+            p = self.base.p
+            s = ops[key] = self.base._canonical(
+                pmod_tk(pmul(self.num, pinv_series(self.den, k, p), p), k))
+        return s
 
     # -- structure ----------------------------------------------------------
 
@@ -293,8 +322,6 @@ class Scalar:
                 and self.den == other.den)
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.num, self.den))
         return self._hash
 
     def __repr__(self):

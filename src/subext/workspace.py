@@ -66,6 +66,44 @@ def _as_list(value):
     return [_unquote(t) for t in inner.split(",")]
 
 
+_T_POWER = re.compile(r"t(?:\^(\d+))?")
+
+
+def _terms(text, err):
+    """(coefficient, monomial) of each term of a "+"-joined sum."""
+    for term in text.split("+"):
+        mt = re.fullmatch(r"(?:(\d+)\*?)?([A-Za-z^*\d]*)", term)
+        if mt is None or (not mt.group(1) and not mt.group(2)):
+            err(f"bad term {term!r}")
+        yield (int(mt.group(1)) if mt.group(1) else 1), mt.group(2)
+
+
+def parse_scalar(base, text):
+    """Parse a scalar of the coefficient base: an integer, or, over the local
+    base, a polynomial in t written with the terms of parse_element."""
+    def err(msg):
+        raise WorkspaceSyntaxError(msg)
+
+    text = text.replace(" ", "")
+    try:
+        return base.from_int(int(text))
+    except ValueError:
+        pass
+    coeffs = []
+    for coeff, mono in _terms(text, err):
+        k = 0
+        if mono not in ("", "1"):
+            fm = _T_POWER.fullmatch(mono)
+            if fm is None:
+                err(f"bad monomial {mono!r}")
+            if not base.local:
+                err("t only exists over the local base")
+            k = int(fm.group(1) or 1)
+        coeffs += [0] * (k + 1 - len(coeffs))
+        coeffs[k] += coeff
+    return base.poly(coeffs)
+
+
 def parse_element(handle, text, lineno=None, col=None):
     """Parse a ring element: integer-coefficient sum of monomials."""
     def err(msg):
@@ -77,16 +115,11 @@ def parse_element(handle, text, lineno=None, col=None):
     if text == "0":
         return handle.zero_elt()
     total = handle.zero_elt()
-    for term in text.split("+"):
-        mt = re.fullmatch(r"(?:(\d+)\*?)?([A-Za-z^*\d]*)", term)
-        if mt is None or (not mt.group(1) and not mt.group(2)):
-            err(f"bad term {term!r}")
-        coeff = int(mt.group(1)) if mt.group(1) else 1
-        mono = mt.group(2)
+    for coeff, mono in _terms(text, err):
         if mono in ("", "1"):
             elem = handle.one_elt()
         elif handle.dim == 1:
-            fm = re.fullmatch(r"t(?:\^(\d+))?", mono)
+            fm = _T_POWER.fullmatch(mono)
             if fm is None:
                 err(f"bad monomial {mono!r} for a dimension-1 ring")
             try:

@@ -204,6 +204,18 @@ def test_cli_verify_ses_round_trip():
     assert data["mu_additive"]
 
 
+def test_cli_verify_ses_polynomial_coords():
+    # Ext^1(D/t^3, D/t^2) = D/t^2 over F_2[t]_(t): 1+t is a unit class,
+    # and 3t^2+t reduces to t
+    for coords, want in (("1+t", "(1+t,)"), ("3*t^2+t", "(t,)")):
+        out = CliRunner().invoke(
+            main, ["compute", "verify-ses", "Q3", "Q2", "--coords", coords])
+        assert out.exit_code == 0, out.output
+        data = json.loads(out.output)
+        assert data["class"] == want
+        assert data["certified_exact"] and data["round_trip"]
+
+
 def test_cli_custom_workspace(tmp_path):
     path = tmp_path / "ws.txt"
     path.write_text(
@@ -306,8 +318,16 @@ def test_cli_verify_all_reports_past_an_error(tmp_path, monkeypatch):
      "Ext degree must be at least 1"),
     (None, ["verify-ses", "k23", "R23", "--coords", "x"],
      "--coords needs comma-separated integers"),
+    (None, ["verify-ses", "Q3", "Q2", "--coords", "1+t^"],
+     "bad monomial 't^'"),
+    (None, ["verify-ses", "Q3", "Q2", "--coords", "1++t"], "bad term ''"),
+    ("ring a { family=artin p=2 vars=[x] ideal=[x^2] }\n"
+     "module ka { ring=a kind=residue_field }",
+     ["verify-ses", "ka", "ka", "--coords", "t"],
+     "t only exists over the local base"),
 ], ids=["p-not-int", "gens-not-int", "gens-zero", "deg-negative",
-        "coords-not-int"])
+        "coords-not-int", "coords-bad-monomial", "coords-bad-term",
+        "coords-t-over-field"])
 def test_cli_bad_input_is_clean(tmp_path, workspace, command, message):
     if workspace is not None:
         path = tmp_path / "ws.txt"

@@ -195,8 +195,9 @@ OPS = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
 @given(fraction_cases())
 @settings(max_examples=200, deadline=None)
 def test_operation_tables_match_a_fresh_base(case):
-    base, (an, ad), (bn, bd), _, v, _ = case
-    warm = WARM[(base.p, base.local)]
+    base, (an, ad), (bn, bd), _, v, k = case
+    p = base.p
+    warm = WARM[(p, base.local)]
     a, b = Scalar(warm, an, ad), Scalar(warm, bn, bd)
     # the same numerators over den 1: a key without den would mix them up
     operands = [a, b, Scalar(warm, a.num), Scalar(warm, b.num)]
@@ -204,11 +205,32 @@ def test_operation_tables_match_a_fresh_base(case):
         for op, f in OPS.items():
             if op == "div" and y.is_zero():
                 continue
-            fresh = Base(base.p, base.local)
+            fresh = Base(p, base.local)
             want = _outcome(lambda: f(Scalar(fresh, x.num, x.den),
                                       Scalar(fresh, y.num, y.den)))
             assert _outcome(lambda: f(x, y)) == want  # miss or hit
             assert _outcome(lambda: f(x, y)) == want  # hit
+            if not isinstance(want, type):  # a hit shares the stored Scalar
+                first = f(x, y)
+                assert f(x, y) is first and first.base is warm
+    for x in operands:
+        fresh = Base(p, base.local)
+        assert -x == Scalar(fresh, pneg(x.num, p), x.den) and -x is -x
+        if x.is_unit():
+            assert x.inverse() == Scalar(fresh, x.den, x.num)
+            assert x.inverse() is x.inverse()
+        else:  # a non-unit raises every time and stores nothing
+            size = len(warm._ops)
+            for _ in range(2):
+                with pytest.raises(ExactDivisionError):
+                    x.inverse()
+            assert len(warm._ops) == size
+        r = x.reduce_mod(k)
+        assert r == Scalar(fresh, pmod_tk(
+            pmul(x.num, pinv_series(x.den, k, p), p), k))
+        assert x.reduce_mod(k) is r
+        # a value already reduced is its own residue
+        assert (r is x) == (x.den == (1,) and len(x.num) <= k)
     if base.local and not a.is_zero():
         # a failing div raises every time and stores nothing
         tv = warm.t_power(a.val() + 1 + v)
@@ -217,10 +239,24 @@ def test_operation_tables_match_a_fresh_base(case):
             with pytest.raises(ExactDivisionError):
                 a.div(tv)
         assert len(warm._ops) == size
+    # one constant object per base
+    fresh = Base(p, base.local)
+    assert warm.zero() is warm.zero() and warm.one() is warm.one()
+    assert warm.from_int(v) is warm.from_int(v) == fresh.from_int(v)
+    assert fresh.one() is not warm.one() and fresh.one() == warm.one()
+    if base.local:
+        assert warm.t_power(v) is warm.t_power(v) == fresh.t_power(v)
     assert warm._ops
-    fresh = Base(base.p, base.local)
     assert warm == fresh and hash(warm) == hash(fresh)
     assert repr(warm) == repr(fresh)
+
+
+def test_shared_scalars_are_immutable():
+    s = L3.t_power(1) + L3.one()
+    for name in ("num", "den", "base"):
+        with pytest.raises(AttributeError):
+            setattr(s, name, getattr(s, name))
+    assert s == L3.poly((1, 1)) and s is L3.t_power(1) + L3.one()
 
 
 def test_pinv_series():

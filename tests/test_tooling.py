@@ -72,3 +72,6 @@ def test_bench_scalar_counters_on_a_slice(tmp_path):
     assert 0 < counts["table_entries"] <= counts["table_lookups"]
     assert counts["table_hit_rate"] == pytest.approx(
         1 - counts["table_entries"] / counts["table_lookups"])
+    # a hit returns the stored Scalar, so constructions are a small
+    # fraction of the lookups
+    assert 10 * counts["Scalar.__init__"] < counts["table_lookups"]
