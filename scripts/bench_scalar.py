@@ -22,10 +22,11 @@ change read lower.
 
 Counters: one `perfbench/worker.py` pass per checkout and workload at
 `--seed`, run in a child process under cProfile, gives the call counts of
-`Scalar.__init__`, `Scalar._norm`, `pgcd`, `pmul`, `smith` and
-`Subquotient.__init__`.  The child also counts the `smith` calls that track
-a transform matrix, and, on an engine whose `Base` has an operation table,
-the table's lookups and entries (the hit rate is 1 - entries/lookups).
+`Scalar.__init__`, `Scalar._norm`, `pgcd`, `pmul`, `smith`,
+`Subquotient.__init__` and the transform replays `SNF.u`, `SNF.uinv` and
+`SNF.v` (null on an engine whose `SNF` has no such method).  On an engine
+whose `Base` has an operation table, the child also counts the table's
+lookups and entries (the hit rate is 1 - entries/lookups).
 They are deterministic, unlike the times.  `--limit N` makes the counter
 pass run only the first N verdicts.
 """
@@ -57,7 +58,10 @@ COUNTED = {"Scalar.__init__": ("Scalar", "__init__"),
            "pgcd": (None, "pgcd"),
            "pmul": (None, "pmul"),
            "smith": (None, "smith"),
-           "Subquotient.__init__": ("Subquotient", "__init__")}
+           "Subquotient.__init__": ("Subquotient", "__init__"),
+           "SNF.u": ("SNF", "u"),
+           "SNF.uinv": ("SNF", "uinv"),
+           "SNF.v": ("SNF", "v")}
 ENGINE = ("dcoeff", "rings", "modules", "ext", "subfun", "ulrich",
           "scenarios", "workspace", "cli")
 CHILD_TIMEOUT_S = 900
@@ -104,15 +108,17 @@ def count_calls(root, workload, seed, limit=None):
 
 def counter_pass(root, workload, seed, limit):
     """In this process: one cProfile'd `worker.py` pass of the engine on
-    sys.path, with table lookups/entries and transform-tracking `smith`
-    calls counted by wrappers installed before any Base exists."""
+    sys.path, with table lookups/entries counted by a table installed
+    before any Base exists.  A counted function the engine lacks reads
+    None."""
     from subext import dcoeff
     for name in ENGINE:
         importlib.import_module("subext." + name)
-    codes = {name: getattr(getattr(dcoeff, owner) if owner else dcoeff,
-                           fn).__code__
-             for name, (owner, fn) in COUNTED.items()}
-    seen = {"lookups": 0, "entries": 0, "smith_transforms": 0}
+    codes = {}
+    for name, (owner, fn) in COUNTED.items():
+        f = getattr(getattr(dcoeff, owner) if owner else dcoeff, fn, None)
+        codes[name] = getattr(f, "__code__", None)
+    seen = {"lookups": 0, "entries": 0}
 
     class CountingTable(dict):
         def get(self, key, default=None):
@@ -131,17 +137,6 @@ def counter_pass(root, workload, seed, limit):
             base_init(self, *args, **kwargs)
             object.__setattr__(self, "_ops", CountingTable())
         dcoeff.Base.__init__ = counted_init
-    smith = dcoeff.smith
-
-    def counted_smith(A, *args, **kwargs):
-        if any(args) or any(kwargs.values()):
-            seen["smith_transforms"] += 1
-        return smith(A, *args, **kwargs)
-    for name in ENGINE:
-        mod = sys.modules["subext." + name]
-        for attr, val in list(vars(mod).items()):
-            if val is smith:
-                setattr(mod, attr, counted_smith)
 
     sys.path.insert(0, os.path.join(root, "perfbench"))
     import worker
@@ -155,10 +150,9 @@ def counter_pass(root, workload, seed, limit):
         prof.runcall(worker.main, argv)
     pass_result = json.loads(printed.getvalue().strip().splitlines()[-1])
     stats = pstats.Stats(prof).stats
-    out = {name: stats.get((c.co_filename, c.co_firstlineno, c.co_name),
-                           (0, 0))[1]
+    out = {name: None if c is None else
+           stats.get((c.co_filename, c.co_firstlineno, c.co_name), (0, 0))[1]
            for name, c in codes.items()}
-    out["smith_with_transforms"] = seen["smith_transforms"]
     if has_table:
         out["table_lookups"] = seen["lookups"]
         out["table_entries"] = seen["entries"]

@@ -24,6 +24,9 @@ normal form (diagonal entries are exact powers of t, exponents nondecreasing),
 kernels and preimages modulo relations, deterministic solves, cokernel
 invariants, and a Subquotient helper that puts U/V (for V <= U <= D^n) into
 the canonical form D^f + D/t^a1 + ... + D/t^ak together with coordinate maps.
+Each matrix is eliminated once: smith records its row and column operations,
+and every transform a caller needs (U, U^-1 or V applied to a vector) is
+applied by replaying them, so no transform matrix is ever built.
 """
 
 from __future__ import annotations
@@ -169,7 +172,8 @@ class Base:
         return self._canonical((1,))
 
     def t_power(self, k):
-        if not self.local:
+        """t^k; over a field base only t^0 = 1 exists."""
+        if k and not self.local:
             raise ValueError("t only exists over the local base")
         return self._canonical(pshift((1,), k))
 
@@ -186,7 +190,7 @@ class Scalar:
     Scalars are immutable: one object serves every caller of an operation.
     """
 
-    __slots__ = ("base", "num", "den", "_hash")
+    __slots__ = ("base", "num", "den")
 
     def __init__(self, base, num, den=(1,), _normalized=False):
         if not _normalized:
@@ -195,7 +199,6 @@ class Scalar:
         init(self, "base", base)
         init(self, "num", num)
         init(self, "den", den)
-        init(self, "_hash", hash((num, den)))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Scalar is immutable: cannot set {name!r}")
@@ -322,7 +325,7 @@ class Scalar:
                 and self.den == other.den)
 
     def __hash__(self):
-        return self._hash
+        return hash((self.num, self.den))
 
     def __repr__(self):
         def side(c):
@@ -518,18 +521,89 @@ def block_diag(base, mats):
 
 @dataclass
 class SNF:
-    """U @ A @ V = diag(t^e for e in exps), padded by zeros; rank = len(exps)."""
+    """U @ A @ V = diag(t^e for e in exps), padded by zeros; rank = len(exps).
 
+    smith runs the elimination once and records it instead of building U
+    and V.  ``row_ops`` lists the row operations of A (m rows) in the order
+    they were made: ("swap", i, j, None) swaps rows i and j, ("scale", i,
+    None, s) multiplies row i by the unit s, and ("add", i, j, f) subtracts
+    f times row j from row i.  ``col_ops`` lists the column operations the
+    same way, as ("swap", i, j, None) and ("add", i, j, g).  U is the
+    product of the row operations and V that of the column operations, so
+    u, uinv and v apply U, U^-1 and V to a vector by replaying the lists.
+    """
+
+    base: Base
+    m: int
     exps: list
     rank: int
-    U: Mat = None
-    Uinv: Mat = None
-    V: Mat = None
-    Vinv: Mat = None
+    row_ops: list
+    col_ops: list
+
+    def u(self, w):
+        """U w, for w of length m."""
+        w = list(w)
+        for kind, i, j, s in self.row_ops:
+            if kind == "swap":
+                w[i], w[j] = w[j], w[i]
+            elif kind == "scale":
+                w[i] = w[i] * s
+            elif w[j].num:
+                w[i] = w[i] - s * w[j]
+        return w
+
+    def uinv(self, w):
+        """U^-1 w, for w of length m: the inverse operations in reverse."""
+        w = list(w)
+        for kind, i, j, s in reversed(self.row_ops):
+            if kind == "swap":
+                w[i], w[j] = w[j], w[i]
+            elif kind == "scale":
+                w[i] = w[i].div(s)
+            elif w[j].num:
+                w[i] = w[i] + s * w[j]
+        return w
+
+    def v(self, x):
+        """V x, for x of length n: the column operations in reverse."""
+        x = list(x)
+        for kind, i, j, g in reversed(self.col_ops):
+            if kind == "swap":
+                x[i], x[j] = x[j], x[i]
+            elif x[i].num:
+                x[j] = x[j] - g * x[i]
+        return x
+
+    def coords(self, w, n):
+        """The x of length n with diag(t^e) x = U w, or None when U w has a
+        nonzero entry past the rank or one that t^e does not divide; for w
+        in the column span of A, A = U^-1 diag(t^e) V^-1 gives w = image(x).
+        """
+        base = self.base
+        x = [base.zero()] * n
+        for i, a in enumerate(self.u(w)):
+            if not a.num:
+                continue
+            if i >= self.rank:
+                return None
+            try:
+                x[i] = a.div(base.t_power(self.exps[i]))
+            except ExactDivisionError:
+                return None
+        return x
+
+    def image(self, c):
+        """U^-1 applied to diag(t^e) c, zero-padded to length m; the columns
+        image(e_i), i < rank, are a basis of the column span of A."""
+        base = self.base
+        z = [base.zero()] * self.m
+        for i, e in enumerate(self.exps):
+            z[i] = c[i] * base.t_power(e)
+        return self.uinv(z)
 
 
-def smith(A, want_u=False, want_uinv=False, want_v=False, want_vinv=False):
-    """Local Smith normal form.
+def smith(A):
+    """Local Smith normal form, with its row and column operations recorded.
 
     Pivots are chosen by minimal t-valuation, ties broken by smallest row then
     smallest column index.  Diagonal entries are normalized to exact powers t^e
@@ -538,10 +612,7 @@ def smith(A, want_u=False, want_uinv=False, want_v=False, want_vinv=False):
     base = A.base
     W = [row[:] for row in A.rows]
     m, n = A.m, A.n
-    U = Mat.identity(base, m) if want_u else None
-    Uinv = Mat.identity(base, m) if want_uinv else None
-    V = Mat.identity(base, n) if want_v else None
-    Vinv = Mat.identity(base, n) if want_vinv else None
+    row_ops, col_ops = [], []
     exps = []
     r = 0
     while r < min(m, n):
@@ -564,32 +635,18 @@ def smith(A, want_u=False, want_uinv=False, want_v=False, want_vinv=False):
         v, pi, pj = best
         if pi != r:
             W[r], W[pi] = W[pi], W[r]
-            if U is not None:
-                U.rows[r], U.rows[pi] = U.rows[pi], U.rows[r]
-            if Uinv is not None:
-                for row in Uinv.rows:
-                    row[r], row[pi] = row[pi], row[r]
+            row_ops.append(("swap", r, pi, None))
         if pj != r:
             for row in W:
                 row[r], row[pj] = row[pj], row[r]
-            if V is not None:
-                for row in V.rows:
-                    row[r], row[pj] = row[pj], row[r]
-            if Vinv is not None:
-                Vinv.rows[r], Vinv.rows[pj] = Vinv.rows[pj], Vinv.rows[r]
+            col_ops.append(("swap", r, pj, None))
         # normalize pivot to exact t^v: scale row r by the unit part inverse
-        piv = W[r][r]
-        tpow = base.t_power(v) if base.local else base.one()
-        unit = piv.div(tpow)  # piv = t^v * unit
-        uinv = unit.inverse()
+        tpow = base.t_power(v)
+        unit = W[r][r].div(tpow)  # pivot = t^v * unit
         if not (unit.num == (1,) and unit.den == (1,)):
-            W[r] = [a * uinv if a.num else a for a in W[r]]
-            if U is not None:
-                U.rows[r] = [a * uinv if a.num else a for a in U.rows[r]]
-            if Uinv is not None:
-                for row in Uinv.rows:
-                    if row[r].num:
-                        row[r] = row[r] * unit
+            s = unit.inverse()
+            W[r] = [a * s if a.num else a for a in W[r]]
+            row_ops.append(("scale", r, None, s))
         # clear column r below/above using row ops
         nz_cols = [j for j in range(n) if W[r][j].num]
         for i in range(m):
@@ -599,44 +656,24 @@ def smith(A, want_u=False, want_uinv=False, want_v=False, want_vinv=False):
             Wi, Wr = W[i], W[r]
             for j in nz_cols:
                 Wi[j] = Wi[j] - f * Wr[j]
-            if U is not None:
-                Ur = U.rows[r]
-                Ui = U.rows[i]
-                for j in range(m):
-                    if Ur[j].num:
-                        Ui[j] = Ui[j] - f * Ur[j]
-            if Uinv is not None:
-                for row in Uinv.rows:
-                    if row[i].num:
-                        row[r] = row[r] + f * row[i]
-        # clear row r using column ops
+            row_ops.append(("add", i, r, f))
+        # clear row r using column ops (column r is now t^v e_r)
         for j in range(n):
-            if j == r or not W[r][j].num:
-                continue
-            g = W[r][j].div(tpow)
-            for i in range(m):
-                if W[i][r].num:
-                    W[i][j] = W[i][j] - g * W[i][r]
-            if V is not None:
-                for row in V.rows:
-                    if row[r].num:
-                        row[j] = row[j] - g * row[r]
-            if Vinv is not None:
-                Vr = Vinv.rows[r]
-                Vj = Vinv.rows[j]
-                for k in range(n):
-                    if Vj[k].num:
-                        Vr[k] = Vr[k] + g * Vj[k]
+            if j != r and W[r][j].num:
+                col_ops.append(("add", j, r, W[r][j].div(tpow)))
+                W[r][j] = base.zero()
         exps.append(v)
         r += 1
-    return SNF(exps=exps, rank=len(exps), U=U, Uinv=Uinv, V=V, Vinv=Vinv)
+    return SNF(base=base, m=m, exps=exps, rank=len(exps), row_ops=row_ops,
+               col_ops=col_ops)
 
 
 def kernel(A):
     """Free, saturated basis of {x : A x = 0}, as columns of a matrix."""
-    snf = smith(A, want_v=True)
-    cols = [snf.V.col(j) for j in range(snf.rank, A.n)]
-    return Mat.from_cols(A.base, A.n, cols)
+    snf = smith(A)
+    units = Mat.identity(A.base, A.n).rows
+    return Mat.from_cols(A.base, A.n,
+                         [snf.v(units[j]) for j in range(snf.rank, A.n)])
 
 
 def preimage(A, span):
@@ -654,42 +691,20 @@ def preimage(A, span):
 
 def solve(A, b):
     """One solution x of A x = b (deterministic), or None if insolvable."""
-    snf = smith(A, want_u=True, want_v=True)
-    return _solve_with(A, snf, b)
-
-
-def _diag_solve(base, snf, y, n):
-    """The x of length n with diag(t^e for e in snf.exps) x = y, or None
-    when y has a nonzero entry past the rank or one that t^e does not
-    divide."""
-    x = [base.zero()] * n
-    for i, a in enumerate(y):
-        if not a.num:
-            continue
-        if i >= snf.rank:
-            return None
-        t_e = base.t_power(snf.exps[i]) if base.local else base.one()
-        try:
-            x[i] = a.div(t_e)
-        except ExactDivisionError:
-            return None
-    return x
-
-
-def _solve_with(A, snf, b):
-    x = _diag_solve(A.base, snf, snf.U @ b, A.n)
-    return None if x is None else snf.V @ x
+    snf = smith(A)
+    x = snf.coords(b, A.n)
+    return None if x is None else snf.v(x)
 
 
 def solve_matrix(A, B):
     """Columnwise solve; returns X with A X = B, or None."""
-    snf = smith(A, want_u=True, want_v=True)
+    snf = smith(A)
     cols = []
     for j in range(B.n):
-        x = _solve_with(A, snf, B.col(j))
+        x = snf.coords(B.col(j), A.n)
         if x is None:
             return None
-        cols.append(x)
+        cols.append(snf.v(x))
     return Mat.from_cols(A.base, A.n, cols)
 
 
@@ -719,26 +734,25 @@ class Subquotient:
     then torsion invariants with nondecreasing exponents; ``exps`` holds None
     for each free invariant and the exponent for each torsion one.
 
-    Construction runs the Smith form of U_gens with U only (the V <= U
-    check, which raises NotInSpanError here) and a transform-free Smith form
-    of V's coordinates (``exps``).  The transforms that project, lift and
-    basis need are built by the same smith calls on first use.
+    Construction runs one Smith form of U_gens (the V <= U check, which
+    raises NotInSpanError here) and one of V's coordinates in U.  Both keep
+    their recorded operations: project, lift and basis replay them, and no
+    elimination runs again.
     """
 
     def __init__(self, base, n, U_gens, V_gens):
         self.base = base
         self.n = n
-        self._U_gens = U_gens
         if U_gens is None:
             self._snfU = None
             self.rankU = n
         else:
-            self._snfU = smith(U_gens, want_u=True)
+            self._snfU = smith(U_gens)
             self.rankU = self._snfU.rank
-        self._X = self._coord_matrix(V_gens)
-        exps_X = smith(self._X).exps
-        self._snfX = None   # smith of _X with U and Uinv, on first use
-        self._U_lift = None  # Uinv of the smith of U_gens, on first use
+        self._snfX = smith(Mat.from_cols(
+            base, self.rankU,
+            [self._coords_in_U(V_gens.col(j)) for j in range(V_gens.n)]))
+        exps_X = self._snfX.exps
         free_idx = list(range(len(exps_X), self.rankU))
         tors_idx = [i for i, e in enumerate(exps_X) if e > 0]
         self.kept = free_idx + tors_idx
@@ -749,19 +763,10 @@ class Subquotient:
     def _coords_in_U(self, w):
         if self._snfU is None:
             return list(w)
-        c = _diag_solve(self.base, self._snfU, self._snfU.U @ w, self.rankU)
+        c = self._snfU.coords(w, self.rankU)
         if c is None:
             raise NotInSpanError("vector not in U")
         return c
-
-    def _coord_matrix(self, M):
-        cols = [self._coords_in_U(M.col(j)) for j in range(M.n)]
-        return Mat.from_cols(self.base, self.rankU, cols)
-
-    def _transforms(self):
-        if self._snfX is None:
-            self._snfX = smith(self._X, want_u=True, want_uinv=True)
-        return self._snfX
 
     def contains(self, w):
         try:
@@ -772,7 +777,7 @@ class Subquotient:
 
     def project(self, w):
         """Canonical coordinates of the class of w (w must lie in U)."""
-        z = self._transforms().U @ self._coords_in_U(w)
+        z = self._snfX.u(self._coords_in_U(w))
         out = []
         for pos, i in enumerate(self.kept):
             a = z[i]
@@ -784,21 +789,13 @@ class Subquotient:
 
     def lift(self, coords):
         """Ambient representative of canonical coordinates."""
-        base = self.base
-        z = [base.zero()] * self.rankU
+        z = [self.base.zero()] * self.rankU
         for pos, i in enumerate(self.kept):
             z[i] = coords[pos]
-        c = self._transforms().Uinv @ z
+        c = self._snfX.uinv(z)
         if self._snfU is None:  # U = D^n: coordinates are ambient already
             return c
-        # w = P @ (diag(t^e) c, zero-padded to n)  with P = Uinv of the U-smith
-        scaled = [base.zero()] * self.n
-        for i in range(self.rankU):
-            t_e = base.t_power(self._snfU.exps[i]) if base.local else base.one()
-            scaled[i] = c[i] * t_e
-        if self._U_lift is None:
-            self._U_lift = smith(self._U_gens, want_uinv=True).Uinv
-        return self._U_lift @ scaled
+        return self._snfU.image(c)
 
     def basis(self):
         """Ambient lifts of the canonical basis, as the columns of an n x k

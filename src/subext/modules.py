@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dcoeff import (Mat, Subquotient, block_diag, hstack, kernel, preimage,
-                     vstack)
+from .dcoeff import (Mat, Subquotient, block_diag, hstack, in_span, kernel,
+                     preimage, vstack)
 from .errors import (BudgetExceeded, InfiniteLengthError, NotAModuleError,
                      SubextError)
 from .rings import FracIdeal, RingElement, canonical_ideal
@@ -193,10 +193,7 @@ class ModMap:
 
 
 def solve_like(A, b):
-    if A.n == 0:
-        return all(not x.num for x in b)
-    from .dcoeff import solve
-    return solve(A, b) is not None
+    return in_span(A, b)
 
 
 # ---------------------------------------------------------------------------

@@ -491,14 +491,11 @@ class FracIdeal:
 
     def span_basis(self):
         if self._span_basis is None:
-            A = self.span()
-            snf = smith(A, want_uinv=True)
+            snf = smith(self.span())
             base = self.handle.base
-            cols = []
-            for i in range(snf.rank):
-                t_e = base.t_power(snf.exps[i]) if base.local else base.one()
-                cols.append([x * t_e for x in snf.Uinv.col(i)])
-            self._span_basis = Mat.from_cols(base, self.handle.nR, cols)
+            units = Mat.identity(base, snf.rank).rows
+            self._span_basis = Mat.from_cols(base, self.handle.nR,
+                                             [snf.image(e) for e in units])
         return self._span_basis
 
     # -- membership / comparison --------------------------------------------

@@ -177,6 +177,7 @@ def test_scalar_checks_kept_by_the_fast_paths():
         F5.poly([1, 1])
     with pytest.raises(ValueError):
         F5.t_power(1)
+    assert F5.t_power(0) is F5.one()
     for base, den in ((L3, ()), (L3, (3,)), (F5, (0,)), (F5, (5,))):
         with pytest.raises(ZeroDivisionError):
             base.scalar((1,), den)
@@ -276,18 +277,38 @@ def test_pgcd_monic():
 # smith / kernel / solve
 # ---------------------------------------------------------------------------
 
+def _replayed(base, replay, k):
+    """The k x k matrix of a replayed transform: its images of e_1..e_k."""
+    return Mat.from_cols(base, k, [replay(e) for e in Mat.identity(base, k).cols()])
+
+
+def _det(M):
+    """Determinant by the Leibniz formula (desk sizes only)."""
+    base = M.base
+    out = base.zero()
+    for perm in itertools.permutations(range(M.n)):
+        term = base.one()
+        for i, j in enumerate(perm):
+            term = term * M.rows[i][j]
+        odd = sum(a > b for a, b in itertools.combinations(perm, 2)) % 2
+        out = out - term if odd else out + term
+    return out
+
+
 def check_smith(A):
-    snf = smith(A, want_u=True, want_uinv=True, want_v=True, want_vinv=True)
+    snf = smith(A)
     base = A.base
-    S = snf.U @ A @ snf.V
+    U = _replayed(base, snf.u, A.m)
+    V = _replayed(base, snf.v, A.n)
+    S = U @ A @ V
     for i in range(A.m):
         for j in range(A.n):
             want = base.zero()
             if i == j and i < snf.rank:
-                want = base.t_power(snf.exps[i]) if base.local else base.one()
+                want = base.t_power(snf.exps[i])
             assert S.rows[i][j] == want, (i, j, S.rows[i][j], want)
-    assert (snf.U @ snf.Uinv) == Mat.identity(base, A.m)
-    assert (snf.V @ snf.Vinv) == Mat.identity(base, A.n)
+    assert (U @ _replayed(base, snf.uinv, A.m)) == Mat.identity(base, A.m)
+    assert _det(V).is_unit()  # V is unimodular
     assert snf.exps == sorted(snf.exps)
     return snf
 
@@ -307,6 +328,46 @@ def test_smith_random_roundtrip():
         for _ in range(25):
             m, n = rng.randrange(1, 5), rng.randrange(1, 5)
             check_smith(rand_mat(base, rng, m, n))
+
+
+def scalars(base):
+    """Scalars of base: constants over F_p, fractions of degree <= 2 locally."""
+    coeff = st.integers(0, base.p - 1)
+    if not base.local:
+        return coeff.map(base.from_int)
+    return st.builds(base.scalar, st.lists(coeff, max_size=3).map(tuple),
+                     st.one_of(st.just((1,)), coeff.map(lambda c: (1, c))))
+
+
+@st.composite
+def smith_cases(draw):
+    """(A, x, w): A of 0..4 rows and 0..4 columns, x of length n, w of m."""
+    base = draw(st.sampled_from([F5, L2, L3]))
+    m, n = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    entry = scalars(base)
+    A = Mat.zeros(base, m, n)
+    A.rows = [[draw(entry) for _ in range(n)] for _ in range(m)]
+    return (A, [draw(entry) for _ in range(n)],
+            [draw(entry) for _ in range(m)])
+
+
+@given(smith_cases())
+@settings(max_examples=150, deadline=None)
+@example((Mat.zeros(L3, 0, 2), [L3.one(), L3.t_power(1)], []))
+@example((Mat.zeros(L3, 2, 0), [], [L3.one(), L3.zero()]))
+def test_smith_replays_invert_and_solve(case):
+    A, x, w = case
+    snf = smith(A)
+    assert snf.uinv(snf.u(w)) == w and snf.u(snf.uinv(w)) == w
+    b = A @ x
+    assert snf.image(snf.coords(b, A.n)) == b
+    K = kernel(A)
+    assert (K.m, K.n) == (A.n, A.n - snf.rank) and (A @ K).is_zero()
+    got = solve(A, b)
+    assert got is not None and A @ got == b
+    got = solve(A, w)
+    assert got is None or A @ got == w
+    assert in_span(A, w) == (got is not None)
 
 
 def test_kernel_is_saturated_and_exact():

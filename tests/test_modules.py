@@ -3,14 +3,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subext.dcoeff import Mat
+from subext.dcoeff import Base, Mat
 from subext.errors import InfiniteLengthError
 from subext.modules import (
     ModMap, annihilator, canonical_module, colon_in_module, direct_sum,
     dualize_omega, free_module, from_fractional_ideal, from_quotient_ideal,
     hom, is_isomorphic, is_mcm, length, loewy_length, mu, nu,
     quotient_module, regular_module, residue_field, resolution, socle,
-    submodule, subquotient_module, syzygy, torsion_part, transpose,
+    solve_like, submodule, subquotient_module, syzygy, torsion_part, transpose,
     validate_module, zero_module, assert_minimal,
 )
 from subext.rings import FracIdeal, RingSpec, build_ring, m_ideal
@@ -61,6 +61,15 @@ def test_cyclic_modules_dvr():
     assert loewy_length(M) == 3
     k = residue_field(R)
     assert length(k) == 1 and mu(k) == 1
+
+
+def test_solve_like_on_a_matrix_with_no_columns():
+    # the empty span holds exactly the zero vector, over both kinds of base
+    for base in (Base(2, local=True), Base(5, local=False)):
+        A = Mat.zeros(base, 2, 0)
+        assert solve_like(A, [base.zero(), base.zero()])
+        assert not solve_like(A, [base.zero(), base.one()])
+        assert solve_like(Mat.zeros(base, 0, 0), [])
 
 
 def test_quotient_by_m_powers():

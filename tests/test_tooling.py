@@ -64,10 +64,11 @@ def test_bench_scalar_counters_on_a_slice(tmp_path):
     assert counts["Scalar.__init__"] > 0
     assert counts["Scalar.__init__"] >= counts["Scalar._norm"] >= counts["pgcd"]
     assert counts["pmul"] > 0 and counts["Subquotient.__init__"] > 0
-    # each Subquotient runs at least one smith, and the transform-tracking
-    # calls are a subset of all calls
+    # each Subquotient runs at least one smith, and the transforms are
+    # applied by replaying the recorded operations
     assert counts["smith"] >= counts["Subquotient.__init__"]
-    assert counts["smith"] >= counts["smith_with_transforms"] > 0
+    assert counts["SNF.u"] > 0 and counts["SNF.uinv"] > 0
+    assert counts["SNF.v"] > 0
     # every table entry follows a missed lookup
     assert 0 < counts["table_entries"] <= counts["table_lookups"]
     assert counts["table_hit_rate"] == pytest.approx(
