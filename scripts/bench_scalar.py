@@ -8,8 +8,7 @@
 `--parent` is a second checkout of the commit to compare with (made with
 `git archive` or `git clone`); the checkout holding this script is the
 change.  Without `--parent` only the change is measured.  Commands like the
-first one wrote `BENCH_scalar.json`, `BENCH_tables.json` and
-`BENCH_shared.json` at the root of the repository.
+first one wrote the `BENCH_*.json` files at the root of the repository.
 
 Times: for each workload, `perfbench/run.py --trace 0` runs `--runs` times
 on each checkout, for the `run_seconds` of `BENCHMARK.json`, alternating:
@@ -22,9 +21,12 @@ change read lower.
 
 Counters: one `perfbench/worker.py` pass per checkout and workload at
 `--seed`, run in a child process under cProfile, gives the call counts of
+the engine functions named in COUNTED: in `subext.dcoeff`,
 `Scalar.__init__`, `Scalar._norm`, `pgcd`, `pmul`, `smith`,
 `Subquotient.__init__` and the transform replays `SNF.u`, `SNF.uinv` and
-`SNF.v` (null on an engine whose `SNF` has no such method).  On an engine
+`SNF.v`; `ext.middle`; and `ulrich.multiplicity`,
+`ulrich.multiplicity_hilbert` and `ulrich.is_ulrich`.  A function the
+engine lacks reads null.  On an engine
 whose `Base` has an operation table, the child also counts the table's
 lookups and entries (the hit rate is 1 - entries/lookups).
 They are deterministic, unlike the times.  `--limit N` makes the counter
@@ -52,16 +54,21 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("dvr-sweep", "ulrich-sweep", "artin-yoneda", "registry")
 METRICS = ("wall_s", "verdict_p50_s", "verdict_tail_s", "setup_s",
            "peak_rss_mb")
-# counter name -> (class or None, function name) in subext.dcoeff
-COUNTED = {"Scalar.__init__": ("Scalar", "__init__"),
-           "Scalar._norm": ("Scalar", "_norm"),
-           "pgcd": (None, "pgcd"),
-           "pmul": (None, "pmul"),
-           "smith": (None, "smith"),
-           "Subquotient.__init__": ("Subquotient", "__init__"),
-           "SNF.u": ("SNF", "u"),
-           "SNF.uinv": ("SNF", "uinv"),
-           "SNF.v": ("SNF", "v")}
+# counter name -> (engine module, class or None, function name)
+COUNTED = {"Scalar.__init__": ("dcoeff", "Scalar", "__init__"),
+           "Scalar._norm": ("dcoeff", "Scalar", "_norm"),
+           "pgcd": ("dcoeff", None, "pgcd"),
+           "pmul": ("dcoeff", None, "pmul"),
+           "smith": ("dcoeff", None, "smith"),
+           "Subquotient.__init__": ("dcoeff", "Subquotient", "__init__"),
+           "SNF.u": ("dcoeff", "SNF", "u"),
+           "SNF.uinv": ("dcoeff", "SNF", "uinv"),
+           "SNF.v": ("dcoeff", "SNF", "v"),
+           "ext.middle": ("ext", None, "middle"),
+           "ulrich.multiplicity": ("ulrich", None, "multiplicity"),
+           "ulrich.multiplicity_hilbert": ("ulrich", None,
+                                           "multiplicity_hilbert"),
+           "ulrich.is_ulrich": ("ulrich", None, "is_ulrich")}
 ENGINE = ("dcoeff", "rings", "modules", "ext", "subfun", "ulrich",
           "scenarios", "workspace", "cli")
 CHILD_TIMEOUT_S = 900
@@ -111,12 +118,13 @@ def counter_pass(root, workload, seed, limit):
     sys.path, with table lookups/entries counted by a table installed
     before any Base exists.  A counted function the engine lacks reads
     None."""
-    from subext import dcoeff
-    for name in ENGINE:
-        importlib.import_module("subext." + name)
+    engine = {name: importlib.import_module("subext." + name)
+              for name in ENGINE}
+    dcoeff = engine["dcoeff"]
     codes = {}
-    for name, (owner, fn) in COUNTED.items():
-        f = getattr(getattr(dcoeff, owner) if owner else dcoeff, fn, None)
+    for name, (module, owner, fn) in COUNTED.items():
+        home = engine[module]
+        f = getattr(getattr(home, owner, None) if owner else home, fn, None)
         codes[name] = getattr(f, "__code__", None)
     seen = {"lookups": 0, "entries": 0}
 

@@ -26,6 +26,18 @@ def _load_workspace(path):
         return parse_workspace(fh.read())
 
 
+def _ideal(ws, ideal_name, M):
+    """The ideal labelled ideal_name in ws, m by default; it must be over
+    the ring of M."""
+    if ideal_name is None:
+        return m_ideal(M.handle)
+    I = ws.ideal(ideal_name)
+    if not I.handle.same_ring(M.handle):
+        raise SubextError(f"ideal {ideal_name!r} is over {I.handle.label}, "
+                          f"not over the ring of M ({M.handle.label})")
+    return I
+
+
 def _emit(payload):
     click.echo(json.dumps(payload, sort_keys=True, indent=2))
 
@@ -161,9 +173,7 @@ def cmd_ext_sub(m_name, n_name, fn_name, ideal_name, budget,
         if fn_name == "mu":
             fn = fn_mu()
         else:
-            I = (ws.ideal(ideal_name) if ideal_name
-                 else m_ideal(M.handle))
-            fn = fn_colength(I)
+            fn = fn_colength(_ideal(ws, ideal_name, M))
         res = ext1_additive(pres, fn, budget)
         _emit({"M": m_name, "N": n_name, "fn": fn_name,
                "members": len(res.members), "group_order": res.total,
@@ -186,7 +196,7 @@ def cmd_ext_ul(m_name, n_name, ideal_name, budget, workspace_path):
     try:
         ws = _load_workspace(workspace_path)
         M, N = ws.module(m_name), ws.module(n_name)
-        I = ws.ideal(ideal_name) if ideal_name else m_ideal(M.handle)
+        I = _ideal(ws, ideal_name, M)
         pres = ext_op(M, N, 1)
         res = ext1_ulrich(pres, I, budget)
         _emit({"M": m_name, "N": n_name,

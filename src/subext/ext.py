@@ -174,6 +174,9 @@ def ext(M, N, j):
     if j < 1:
         raise SubextError(f"Ext degree must be at least 1, got {j} "
                           "(use hom() for degree zero)")
+    if not M.handle.same_ring(N.handle):
+        raise SubextError(f"Ext needs M and N over one ring, got "
+                          f"{M.handle.label} and {N.handle.label}")
     key = ("ext", j, N)
     if key in M._cache:
         return M._cache[key]

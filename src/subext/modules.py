@@ -560,6 +560,9 @@ def _linearity_conditions(M, N):
 
 def hom(M, N):
     """Hom_R(M, N) as a CoeffModule with lifted generator maps."""
+    if not M.handle.same_ring(N.handle):
+        raise SubextError(f"Hom needs M and N over one ring, got "
+                          f"{M.handle.label} and {N.handle.label}")
     key = ("hom", N)
     if key in M._cache:
         return M._cache[key]

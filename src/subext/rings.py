@@ -206,6 +206,13 @@ class RingHandle:
             self._res_index = {w % embed_exp: i for i, w in enumerate(basis_desc)}
         self._cache = {}
 
+    def same_ring(self, other):
+        """Whether other is this ring: the same handle, or one built alike
+        (same base, D-basis and generators)."""
+        return self is other or (self.base == other.base
+                                 and self.basis_desc == other.basis_desc
+                                 and self.gen_names == other.gen_names)
+
     # -- elements -----------------------------------------------------------
 
     def zero_elt(self):

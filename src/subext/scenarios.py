@@ -35,7 +35,7 @@ from .subfun import (additive, check_closure_axioms, default_pairs,
                      member_coords, subfunctor_result)
 from .ulrich import (blowup_sequence_comparison, is_ulrich,
                      mcm_approximation_of_k, restrict_to_base,
-                     restrict_to_blowup)
+                     restrict_to_blowup, ulrich_middle)
 
 DEFAULT_BUDGET = 2 ** 20
 
@@ -673,7 +673,7 @@ def _scn_uladd(seed, budget, tally):
             def thunk(M=M, N=N):
                 pres = ext(M, N, 1)
                 ul, ad = ext1_subfunctor(
-                    pres, [lambda ses: is_ulrich(m, ses.B),
+                    pres, [ulrich_middle(m, pres),
                            additive(fn_colength(m), pres)], budget)
                 tally.add(ul.total + ad.total)
                 same = member_coords(ul) == member_coords(ad)
@@ -741,11 +741,11 @@ def _scn_trset(seed, budget, tally):
                     pres = ext(M, N, 1)
                     members = ideal_times_ext(pres, tr, budget)
                     tally.add(len(members))
+                    ulrich = ulrich_middle(I, pres)
                     viol = 0
                     for coords in _sorted_coords(members):
                         cls = ExtClass(pres, list(coords))
-                        ses = middle(cls)
-                        if not is_ulrich(I, ses.B):
+                        if not ulrich(middle(cls)):
                             viol += 1
                     return ({"members": len(members),
                              "violations": viol}, viol == 0)
@@ -915,7 +915,8 @@ def _scn_ulfaith(seed, budget, tally):
     bad = 0
     checked = 0
     for M, N in [(F, F), (F2, F), (F, F2)]:
-        rows = sweep(ext(M, N, 1), lambda ses: is_ulrich(mD, ses.B), budget)
+        pres = ext(M, N, 1)
+        rows = sweep(pres, ulrich_middle(mD, pres), budget)
         tally.add(len(rows))
         checked += len(rows)
         bad += sum(not ok for _, ok in rows)
@@ -928,9 +929,10 @@ def _scn_ulfaith(seed, budget, tally):
     m = m_ideal(R)
     found = None
     for mname, nname, M, N in _ulrich_pairs(R):
+        pres = ext(M, N, 1)
+        ulrich = ulrich_middle(m, pres)
         # mu of each non-Ulrich middle, None for an Ulrich one
-        rows = sweep(ext(M, N, 1),
-                     lambda ses: None if is_ulrich(m, ses.B) else mu(ses.B),
+        rows = sweep(pres, lambda ses: None if ulrich(ses) else mu(ses.B),
                      budget)
         tally.add(len(rows))
         found = next(({"pair": f"({mname}, {nname})",
@@ -997,6 +999,8 @@ def _scn_axioms_nu(seed, budget, tally):
 
 
 def _scn_axioms_ul(seed, budget, tally):
+    # is_ulrich, not ulrich_middle: the composed-deflation sequences have
+    # other ends than the Ext group they come from
     def predicate_of(handle):
         m = m_ideal(handle)
         return lambda ses: is_ulrich(m, ses.B)

@@ -23,6 +23,7 @@ from .modules import (ModMap, _block_ambient, _free_cover_matrix,
                       from_quotient_ideal, hom, is_mcm, length, mu, nu,
                       regular_module, residue_field, resolution, submodule)
 from .rings import m_ideal
+from .ulrich import ulrich_middle
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +263,7 @@ def ext1_additive(pres, fn, budget=2 ** 20):
 
 def ext1_ulrich(pres, I, budget=2 ** 20):
     """Classes whose middle term is I-Ulrich."""
-    from .ulrich import is_ulrich
-    return ext1_subfunctor(pres, [lambda ses: is_ulrich(I, ses.B)], budget)[0]
+    return ext1_subfunctor(pres, [ulrich_middle(I, pres)], budget)[0]
 
 
 def ideal_times_ext(pres, J, budget=2 ** 20):

@@ -325,9 +325,15 @@ def test_cli_verify_all_reports_past_an_error(tmp_path, monkeypatch):
      "module ka { ring=a kind=residue_field }",
      ["verify-ses", "ka", "ka", "--coords", "t"],
      "t only exists over the local base"),
+    (None, ["ext-ul", "M23", "Q2"], "Ext needs M and N over one ring"),
+    (None, ["ext-sub", "M23", "Q2"], "Ext needs M and N over one ring"),
+    (None, ["verify-ses", "M23", "Q2"], "Ext needs M and N over one ring"),
+    (None, ["ext-ul", "M23", "M23", "--ideal", "m345"],
+     "ideal 'm345' is over e345, not over the ring of M"),
 ], ids=["p-not-int", "gens-not-int", "gens-zero", "deg-negative",
         "coords-not-int", "coords-bad-monomial", "coords-bad-term",
-        "coords-t-over-field"])
+        "coords-t-over-field", "ext-ul-two-rings", "ext-sub-two-rings",
+        "verify-ses-two-rings", "ext-ul-ideal-of-another-ring"])
 def test_cli_bad_input_is_clean(tmp_path, workspace, command, message):
     if workspace is not None:
         path = tmp_path / "ws.txt"

@@ -1,7 +1,7 @@
 import pytest
 
 from subext.dcoeff import Mat
-from subext.errors import CertificateError
+from subext.errors import CertificateError, SubextError
 from subext.ext import (
     SES, baer_sum_by_construction, chain_lift, classify, connecting_map,
     direct_sum_seq, enumerate_classes, ext, ext_induced, ext_length,
@@ -11,7 +11,7 @@ from subext.ext import (
 )
 from subext.modules import (
     ModMap, canonical_module, direct_sum, from_fractional_ideal,
-    from_quotient_ideal, is_isomorphic, length, regular_module,
+    from_quotient_ideal, hom, is_isomorphic, length, regular_module,
     residue_field, resolution, mu, zero_module,
 )
 from subext.rings import FracIdeal, RingSpec, build_ring, m_ideal
@@ -67,6 +67,18 @@ def test_ext_k_ring_is_type():
                       regular_module(semigroup(2, 2, 3)), 1) == 1
     R = semigroup(2, 3, 4, 5)
     assert ext_length(residue_field(R), regular_module(R), 1) == 2
+
+
+def test_ext_and_hom_need_one_ring():
+    k23 = residue_field(semigroup(2, 2, 3))
+    # a second handle built alike is the same ring
+    assert hom(k23, residue_field(semigroup(2, 2, 3))).module.n == 1
+    for other in (semigroup(2, 2, 5), semigroup(3, 2, 3), dvr(2)):
+        N = regular_module(other)
+        with pytest.raises(SubextError, match="^Ext needs M and N over one"):
+            ext(k23, N, 1)
+        with pytest.raises(SubextError, match="^Hom needs M and N over one"):
+            hom(N, k23)
 
 
 def test_ext_k_k_is_betti():

@@ -29,6 +29,8 @@ REPORT_SHA256 = {
         "10e31e4dee90c8fdecb5effaedadd734a4b7a2523071f7c47d3e38ea5021067f",
     "mintype-muadd":
         "f63b4b33cfd02785721aa67a8c9ab74482551ed4181c4369c322b12db0916262",
+    "prop1-ulrich":
+        "c25bd82c89396e20a5e624d53c8de0b54a813ce50cb0ddb20bbb25e7c076a6c6",
     "projgor":
         "ff8e8736fbdde19c002aafb5d413d5a120a1689137bbf7b988cf588fd313d35d",
     "redul":
@@ -43,6 +45,8 @@ REPORT_SHA256 = {
         "66af4111609c37c0691366681d4878190b0be68dec1d9ea1fe3cc7a413c2d533",
     "trset":
         "e15571bbbadadefbc14ef31a3c383dbc0da90dee53c0a0e5ccfa2df67c4b9fb9",
+    "uladd":
+        "97237163b5cb5f25995f20fe851803f6226c1a44747234b72db49bc7141f3d8e",
     "ulfaith":
         "49cc8292e1c4c07754ca1afbe2694fa9fd53eecc749fdd1120df835af088803d",
     "weakly-mfull":

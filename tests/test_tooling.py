@@ -3,9 +3,9 @@
 `perfbench/tracer.py` wraps each name in its FUNCTIONS and METHODS tables
 at run time.  Deleting or renaming one of those names in the engine, or
 binding two table entries to one function object, breaks a traced run; the
-first test makes the same lookups without patching anything.  The second
-runs the counter part of `scripts/bench_scalar.py` on a two-verdict slice
-and checks how its counters relate.
+first test makes the same lookups without patching anything.  The others
+run the counter part of `scripts/bench_scalar.py` on two-verdict slices
+and check how its counters relate.
 """
 
 import importlib
@@ -76,3 +76,18 @@ def test_bench_scalar_counters_on_a_slice(tmp_path):
     # a hit returns the stored Scalar, so constructions are a small
     # fraction of the lookups
     assert 10 * counts["Scalar.__init__"] < counts["table_lookups"]
+
+
+def test_bench_scalar_ulrich_counters_on_a_slice(tmp_path):
+    out = tmp_path / "counters.json"
+    subprocess.run([sys.executable, str(ROOT / "scripts" / "bench_scalar.py"),
+                    "--counters-only", "--workloads", "ulrich-sweep",
+                    "--limit", "2", "--out", str(out)],
+                   check=True, timeout=300, capture_output=True)
+    counts = json.loads(out.read_text())["counters"]["ulrich-sweep"]["change"]
+    assert counts["verdicts"] == 2 and counts["failed_verdicts"] == 0
+    # the Ulrich-middle predicate takes e_I from the two ends of each Ext
+    # group, so no middle goes through either multiplicity route
+    assert counts["ext.middle"] > 0
+    assert (counts["ulrich.multiplicity_hilbert"]
+            <= counts["ulrich.multiplicity"] <= 2 * counts["verdicts"])

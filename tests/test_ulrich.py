@@ -1,10 +1,11 @@
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from subext.errors import CertificateError
-from subext.ext import classify, is_split
+from subext.errors import CertificateError, SubextError
+from subext.ext import classify, ext, group_order, is_split, middle, sweep
 from subext.modules import (
     direct_sum, from_fractional_ideal, from_quotient_ideal, is_isomorphic,
-    length, mu, regular_module, residue_field,
+    length, mu, regular_module, residue_field, zero_module,
 )
 from subext.rings import (
     FracIdeal, RingSpec, blow_up, build_ring, m_ideal, principal_reduction,
@@ -13,8 +14,9 @@ from subext.rings import (
 from subext.ulrich import (
     blowup_sequence_comparison, in_add, is_ulrich, mcm_approximation_of_k,
     multiplicity, multiplicity_hilbert, multiplicity_reduction, phi,
-    restrict_to_base, restrict_to_blowup, ulrich_samples,
+    restrict_to_base, restrict_to_blowup, ulrich_middle, ulrich_samples,
 )
+from subext.subfun import _composed_deflation
 
 
 def semigroup(p, *gens):
@@ -104,6 +106,73 @@ def test_blowup_module_is_ulrich_for_m_squared():
     m2 = m_ideal(R).power(2)
     B, _ = blow_up(m2)
     assert is_ulrich(m2, from_fractional_ideal(R, B))
+
+
+# ---------------------------------------------------------------------------
+# Ulrich middles: e_I(B) = e_I(M) + e_I(N) on every sequence
+# ---------------------------------------------------------------------------
+
+def check_ulrich_middles(I, M, N):
+    """On every middle B of Ext^1(M, N), at most 27 of them: e_I is
+    additive (multiplicity raises if its two routes disagree), and the
+    predicate taking e_I from the ends agrees with is_ulrich(I, B)."""
+    pres = ext(M, N, 1)
+    assert group_order(pres) <= 27
+    ends = multiplicity(M, I) + multiplicity(N, I)
+    ulrich = ulrich_middle(I, pres)
+    for _, ses in sweep(pres, lambda ses: ses):
+        assert multiplicity(ses.B, I) == ends
+        assert ulrich(ses) == is_ulrich(I, ses.B)
+
+
+@given(st.sampled_from([2, 3]), st.sampled_from([3, 5, 7]),
+       st.sampled_from(["m,m", "B(m),B(m)", "m,B(m)"]))
+@settings(max_examples=18, deadline=None)
+def test_ulrich_middles_of_ulrich_pairs(p, b, pair):
+    R = semigroup(p, 2, b)
+    m = m_ideal(R)
+    mods = {"m": from_fractional_ideal(R, m),
+            "B(m)": from_fractional_ideal(R, blow_up(m)[0])}
+    M, N = pair.split(",")
+    check_ulrich_middles(m, mods[M], mods[N])
+
+
+@st.composite
+def dvr_sums(draw):
+    """(I, M, N) over D = F_p[t]_(t): I = m or m^2, and M, N sums of at
+    most one copy of D and up to two R/t^a, with |Ext^1(M, N)| <= 27."""
+    p = draw(st.sampled_from([2, 3]))
+    D = dvr(p)
+    summands = st.tuples(st.integers(0, 1),
+                         st.lists(st.integers(1, 3), max_size=2))
+    (fm, am), (fn, an) = draw(summands), draw(summands)
+    # Ext^1(R/t^a, R) = R/t^a and Ext^1(R/t^a, R/t^b) = R/t^min(a, b)
+    assume(p ** sum(fn * a + sum(min(a, b) for b in an) for a in am) <= 27)
+
+    def module(free, exps):
+        parts = [regular_module(D)] * free + [cyclic(D, a) for a in exps]
+        return direct_sum(parts)[0] if parts else zero_module(D)
+    I = m_ideal(D).power(draw(st.integers(1, 2)))
+    return I, module(fm, am), module(fn, an)
+
+
+@given(dvr_sums())
+@settings(max_examples=60, deadline=None)
+def test_ulrich_middles_of_dvr_sums(case):
+    check_ulrich_middles(*case)
+
+
+def test_ulrich_middle_rejects_other_ends():
+    R = semigroup(2, 2, 3)
+    m = m_ideal(R)
+    Mm = from_fractional_ideal(R, m)
+    pres = ext(Mm, Mm, 1)
+    ses = next(ses for cls, ses in sweep(pres, lambda ses: ses)
+               if not cls.is_zero())
+    ulrich = ulrich_middle(m, pres)
+    assert ulrich(middle(pres.zero_class()))
+    with pytest.raises(SubextError, match="ends"):
+        ulrich(_composed_deflation(ses))
 
 
 # ---------------------------------------------------------------------------
