@@ -11,7 +11,8 @@ Grammar (line oriented; ``#`` starts a comment; blank lines are ignored)::
 Elements are monomials ("t^3", "x^2*y", "1") and F_p-linear combinations of
 monomials joined with "+", with optional integer coefficients ("3*t^4").
 List items and values may be double-quoted.  Labels share one namespace and
-duplicates are rejected.
+duplicates are rejected.  The parts of a direct_sum must be over one ring,
+the ring= ring when one is given.
 """
 
 from __future__ import annotations
@@ -209,6 +210,13 @@ def _build_module(ws, opts, lineno):
         if not names:
             raise WorkspaceSyntaxError("direct_sum needs of=[names]", lineno, 1)
         summands = [ws.module(n) for n in names]
+        handle = (ws.ring(_require(opts, "ring", lineno)) if "ring" in opts
+                  else summands[0].handle)
+        for n, M in zip(names, summands):
+            if not M.handle.same_ring(handle):
+                raise WorkspaceSyntaxError(
+                    f"direct_sum parts must be over one ring: {n!r} is over "
+                    f"{M.handle.label}, not {handle.label}", lineno, 1)
         S, _, _ = direct_sum(summands)
         return S
     handle = ws.ring(_require(opts, "ring", lineno))

@@ -6,25 +6,15 @@ fail).  Criterion 15 checks the extension-group engine's own laws on every
 enumerable degree-1 presentation of the bundled workspace.
 """
 
-import functools
-
-import pytest
-
 from subext.errors import BudgetExceeded, InfiniteLengthError
 from subext.ext import (baer_sum_by_construction, classify, enumerate_classes,
                         ext, middle, scalar_by_pullback, scalar_by_pushout,
                         six_term_check, split_sequence)
-from subext.scenarios import run_scenario
 from subext.workspace import default_workspace
 
 
-@functools.lru_cache(maxsize=None)
-def _run(name):
-    return run_scenario(name, seed=0)
-
-
-def _require_pass(num, names):
-    results = [_run(n) for n in names]
+def _require_pass(run, num, names):
+    results = [run(n) for n in names]
     ok = all(r.status == "pass" for r in results)
     detail = ", ".join(f"{r.name if hasattr(r, 'name') else n}={r.status}"
                        for n, r in zip(names, results))
@@ -32,60 +22,60 @@ def _require_pass(num, names):
     assert ok, detail
 
 
-def test_criterion_01_dvr_mu_classwise():
-    _require_pass(1, ["dvr-mu"])
+def test_criterion_01_dvr_mu_classwise(scenario_run):
+    _require_pass(scenario_run, 1, ["dvr-mu"])
 
 
-def test_criterion_02_cyclic_quotient_lengths():
-    _require_pass(2, ["cycquot"])
+def test_criterion_02_cyclic_quotient_lengths(scenario_run):
+    _require_pass(scenario_run, 2, ["cycquot"])
 
 
-def test_criterion_03_regularity_from_mu_subfunctor():
-    _require_pass(3, ["regu-d1", "reg-depth1"])
+def test_criterion_03_regularity_from_mu_subfunctor(scenario_run):
+    _require_pass(scenario_run, 3, ["regu-d1", "reg-depth1"])
 
 
-def test_criterion_04_minimal_multiplicity_full_subfunctor():
-    _require_pass(4, ["mr-minmult"])
+def test_criterion_04_minimal_multiplicity_full_subfunctor(scenario_run):
+    _require_pass(scenario_run, 4, ["mr-minmult"])
 
 
-def test_criterion_05_canonical_module_generators():
-    _require_pass(5, ["artincan", "mintype-muadd"])
+def test_criterion_05_canonical_module_generators(scenario_run):
+    _require_pass(scenario_run, 5, ["artincan", "mintype-muadd"])
 
 
-def test_criterion_06_mcm_approximation_of_k():
-    _require_pass(6, ["cano-d1"])
+def test_criterion_06_mcm_approximation_of_k(scenario_run):
+    _require_pass(scenario_run, 6, ["cano-d1"])
 
 
-def test_criterion_07_finite_injective_dimension_target():
-    _require_pass(7, ["injd-d1"])
+def test_criterion_07_finite_injective_dimension_target(scenario_run):
+    _require_pass(scenario_run, 7, ["injd-d1"])
 
 
-def test_criterion_08_ulrich_subfunctor_identities():
-    _require_pass(8, ["prop1-ulrich", "uladd", "uliso"])
+def test_criterion_08_ulrich_subfunctor_identities(scenario_run):
+    _require_pass(scenario_run, 8, ["prop1-ulrich", "uladd", "uliso"])
 
 
-def test_criterion_09_trace_and_ideal_multiples():
-    _require_pass(9, ["trset", "jane"])
+def test_criterion_09_trace_and_ideal_multiples(scenario_run):
+    _require_pass(scenario_run, 9, ["trset", "jane"])
 
 
-def test_criterion_10_blowup_gorenstein_and_almost_gorenstein():
-    _require_pass(10, ["projgor", "algor"])
+def test_criterion_10_blowup_gorenstein_and_almost_gorenstein(scenario_run):
+    _require_pass(scenario_run, 10, ["projgor", "algor"])
 
 
-def test_criterion_11_transpose_of_k_by_depth():
-    _require_pass(11, ["trk-depth"])
+def test_criterion_11_transpose_of_k_by_depth(scenario_run):
+    _require_pass(scenario_run, 11, ["trk-depth"])
 
 
-def test_criterion_12_loewy_tensor_functions():
-    _require_pass(12, ["loewy"])
+def test_criterion_12_loewy_tensor_functions(scenario_run):
+    _require_pass(scenario_run, 12, ["loewy"])
 
 
-def test_criterion_13_closure_axioms_with_negative_control():
+def test_criterion_13_closure_axioms_with_negative_control(scenario_run):
     names = ["axioms-mu", "axioms-nu", "axioms-ul"]
-    results = [_run(n) for n in names]
+    results = [scenario_run(n) for n in names]
     checks = sum(inst["computed"].get("checks", 0)
                  for r in results for inst in r.instances)
-    control = _run("axioms-mu-negative-control")
+    control = scenario_run("axioms-mu-negative-control")
     witnesses = sum(len(inst["computed"].get("witnesses", []))
                     for inst in control.instances)
     ok = (all(r.status == "pass" for r in results)
@@ -97,15 +87,15 @@ def test_criterion_13_closure_axioms_with_negative_control():
     assert control.status == "fail" and witnesses >= 1
 
 
-def test_criterion_14_half_exact_functors():
-    halfexact = _run("halfexact")
+def test_criterion_14_half_exact_functors(scenario_run):
+    halfexact = scenario_run("halfexact")
     sequences = halfexact.instances[0]["inputs"]["sequences"]
     ok = (halfexact.status == "pass" and sequences >= 100
-          and _run("tony-et").status == "pass")
+          and scenario_run("tony-et").status == "pass")
     print(f"criterion 14: {'PASS' if ok else 'FAIL'} "
           f"({sequences} sequences checked)")
     assert halfexact.status == "pass" and sequences >= 100
-    assert _run("tony-et").status == "pass"
+    assert scenario_run("tony-et").status == "pass"
 
 
 def test_criterion_15_engine_self_consistency():

@@ -7,8 +7,8 @@ from subext.cli import main
 from subext.errors import SubextError, UnknownScenarioError, WorkspaceSyntaxError
 from subext.modules import length, mu
 from subext.rings import ring_invariants
-from subext.scenarios import (ScenarioResult, list_scenarios, render_report,
-                              run_scenario)
+from subext.scenarios import (EXPECTED_FAIL, ScenarioResult, list_scenarios,
+                              render_report, run_scenario)
 from subext.workspace import default_workspace, parse_element, parse_workspace
 
 
@@ -123,6 +123,22 @@ def test_report_is_deterministic_up_to_wall_time():
     assert a.status == "pass"
 
 
+# every scenario that runs out of a budget of 2 classes
+BUDGET_STOPPED = {"cano-d1", "cycquot", "dvr-mu", "halfexact", "hyper",
+                  "loewy", "mr-minmult", "prop1-ulrich", "reg-depth1",
+                  "regu-d1", "tony-et", "uladd", "ulfaith", "uliso"}
+
+
+@pytest.mark.parametrize("name", list_scenarios())
+def test_budget_exhaustion_is_recorded_not_raised(name):
+    result = run_scenario(name, budget=2)
+    assert result.status == ("fail" if name in EXPECTED_FAIL else
+                             "budget" if name in BUDGET_STOPPED else "pass")
+    for inst in result.instances:
+        if inst["status"] == "budget":
+            assert inst["pass"] is None and inst["computed"]["error"]
+
+
 def test_negative_control_fails_with_witnesses():
     result = run_scenario("axioms-mu-negative-control")
     assert result.status == "fail"
@@ -152,6 +168,13 @@ def test_cli_verify_writes_report(tmp_path):
     assert report["scenario"] == "regu-d1"
     assert report["status"] == "pass"
     assert json.loads(out.output) == report
+
+
+def test_cli_verify_exit_code_on_budget():
+    out = CliRunner().invoke(main, ["verify", "regu-d1", "--budget", "2"])
+    assert out.exit_code == 3
+    assert "Error:" not in out.output
+    assert json.loads(out.output)["status"] == "budget"
 
 
 def test_cli_verify_exit_code_on_failure():
@@ -248,7 +271,8 @@ def test_cli_workspace_syntax_error_is_clean(tmp_path, command):
 
 
 def test_cli_verify_all_fail_outranks_budget(monkeypatch):
-    statuses = {name: "pass" for name in list_scenarios()}
+    statuses = {name: "fail" if name in EXPECTED_FAIL else "pass"
+                for name in list_scenarios()}
     first, second = list_scenarios()[:2]
     statuses[first], statuses[second] = "fail", "budget"
 
@@ -265,14 +289,21 @@ def test_cli_verify_all_fail_outranks_budget(monkeypatch):
     assert CliRunner().invoke(main, ["verify", "all"]).exit_code == 3
     statuses[second] = "pass"
     assert CliRunner().invoke(main, ["verify", "all"]).exit_code == 0
+    # an expected-fail scenario that does not fail is a fail
+    for control in EXPECTED_FAIL:
+        for status in ("pass", "budget"):
+            statuses[control] = status
+            assert CliRunner().invoke(main, ["verify", "all"]).exit_code == 1
+        statuses[control] = "fail"
 
 
 def test_cli_verify_all_out_keeps_every_report(tmp_path, monkeypatch):
     def fake_run(name, seed=0, budget=0):
+        status = "fail" if name in EXPECTED_FAIL else "pass"
         return ScenarioResult(name=name, description="", rings="",
-                              instances=[], status="pass",
-                              aggregate_pass=True, seed=seed, budget=budget,
-                              budget_used=0, wall_time_s=0.0)
+                              instances=[], status=status,
+                              aggregate_pass=status == "pass", seed=seed,
+                              budget=budget, budget_used=0, wall_time_s=0.0)
 
     monkeypatch.setattr("subext.cli.run_scenario", fake_run)
     path = tmp_path / "all.json"
@@ -289,10 +320,11 @@ def test_cli_verify_all_reports_past_an_error(tmp_path, monkeypatch):
     def fake_run(name, seed=0, budget=0):
         if name == broken:
             raise SubextError("scenario exploded")
+        status = "fail" if name in EXPECTED_FAIL else "pass"
         return ScenarioResult(name=name, description="", rings="",
-                              instances=[], status="pass",
-                              aggregate_pass=True, seed=seed, budget=budget,
-                              budget_used=0, wall_time_s=0.0)
+                              instances=[], status=status,
+                              aggregate_pass=status == "pass", seed=seed,
+                              budget=budget, budget_used=0, wall_time_s=0.0)
 
     monkeypatch.setattr("subext.cli.run_scenario", fake_run)
     path = tmp_path / "all.json"
@@ -330,10 +362,24 @@ def test_cli_verify_all_reports_past_an_error(tmp_path, monkeypatch):
     (None, ["verify-ses", "M23", "Q2"], "Ext needs M and N over one ring"),
     (None, ["ext-ul", "M23", "M23", "--ideal", "m345"],
      "ideal 'm345' is over e345, not over the ring of M"),
+    ("ring e { family=semigroup p=2 gens=[2,3] }\n"
+     "module M { ring=e kind=frac_ideal gens=[t^2,t^3] }\n"
+     "module Q { ring=ok kind=quotient gens=[t^2] }\n"
+     "module X { ring=ok kind=direct_sum of=[Q,M] }",
+     ["mod-invariants", "X"],
+     "line 5, column 1: direct_sum parts must be over one ring: "
+     "'M' is over e, not ok"),
+    ("ring e { family=semigroup p=2 gens=[2,3] }\n"
+     "module Q { ring=ok kind=quotient gens=[t^2] }\n"
+     "module X { ring=e kind=direct_sum of=[Q,Q] }",
+     ["mod-invariants", "X"],
+     "line 4, column 1: direct_sum parts must be over one ring: "
+     "'Q' is over ok, not e"),
 ], ids=["p-not-int", "gens-not-int", "gens-zero", "deg-negative",
         "coords-not-int", "coords-bad-monomial", "coords-bad-term",
         "coords-t-over-field", "ext-ul-two-rings", "ext-sub-two-rings",
-        "verify-ses-two-rings", "ext-ul-ideal-of-another-ring"])
+        "verify-ses-two-rings", "ext-ul-ideal-of-another-ring",
+        "direct-sum-two-rings", "direct-sum-other-ring"])
 def test_cli_bad_input_is_clean(tmp_path, workspace, command, message):
     if workspace is not None:
         path = tmp_path / "ws.txt"
