@@ -23,10 +23,11 @@ Counters: one `perfbench/worker.py` pass per checkout and workload at
 `--seed`, run in a child process under cProfile, gives the call counts of
 the engine functions named in COUNTED: in `subext.dcoeff`,
 `Scalar.__init__`, `Scalar._norm`, `pgcd`, `pmul`, `smith`,
-`Subquotient.__init__` and the transform replays `SNF.u`, `SNF.uinv` and
-`SNF.v`; `ext.middle`; and `ulrich.multiplicity`,
-`ulrich.multiplicity_hilbert` and `ulrich.is_ulrich`.  A function the
-engine lacks reads null.  On an engine
+`Subquotient.__init__`, the transform replays `SNF.u`, `SNF.uinv` and
+`SNF.v`, and `Mat.__matmul__`; in `subext.modules`, `CoeffModule.__init__` (every module built)
+and `CoeffModule.basis_action`; `ext.middle` and `ext.pushout_seq`; and
+`ulrich.multiplicity`, `ulrich.multiplicity_hilbert` and
+`ulrich.is_ulrich`.  A function the engine lacks reads null.  On an engine
 whose `Base` has an operation table, the child also counts the table's
 lookups and entries (the hit rate is 1 - entries/lookups).
 They are deterministic, unlike the times.  `--limit N` makes the counter
@@ -64,7 +65,12 @@ COUNTED = {"Scalar.__init__": ("dcoeff", "Scalar", "__init__"),
            "SNF.u": ("dcoeff", "SNF", "u"),
            "SNF.uinv": ("dcoeff", "SNF", "uinv"),
            "SNF.v": ("dcoeff", "SNF", "v"),
+           "Mat.__matmul__": ("dcoeff", "Mat", "__matmul__"),
+           "CoeffModule.__init__": ("modules", "CoeffModule", "__init__"),
+           "CoeffModule.basis_action": ("modules", "CoeffModule",
+                                        "basis_action"),
            "ext.middle": ("ext", None, "middle"),
+           "ext.pushout_seq": ("ext", None, "pushout_seq"),
            "ulrich.multiplicity": ("ulrich", None, "multiplicity"),
            "ulrich.multiplicity_hilbert": ("ulrich", None,
                                            "multiplicity_hilbert"),

@@ -11,7 +11,7 @@ constructions so they can be cross-checked.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .dcoeff import (Mat, Subquotient, block_diag, hstack, preimage, solve,
                      solve_matrix, vstack)
@@ -36,6 +36,9 @@ class SES:
     C: CoeffModule
     i: ModMap
     p: ModMap
+    # target module N -> the part of pushout_seq(self, f : A -> N) that does
+    # not depend on f
+    _pushouts: dict = field(default_factory=dict, repr=False, compare=False)
 
     def certify(self):
         if not self.i.is_r_linear() or not self.p.is_r_linear():
@@ -109,6 +112,17 @@ class ExtPresentation:
     res: object
     delta_in: Mat                # from N^{beta_{j-1}}
     delta_out: Mat               # to N^{beta_{j+1}}
+    _presentation: SES = field(default=None, repr=False, compare=False)
+
+    def presentation(self):
+        """The presentation sequence F_1 -d_1-> F_0 -> M, built once."""
+        if self._presentation is None:
+            res = self.res
+            F0, F1 = res.frees[0], res.frees[1]
+            self._presentation = SES(A=F1, B=F0, C=self.M,
+                                     i=ModMap(F1, F0, res.diffs[0]),
+                                     p=res.cover)
+        return self._presentation
 
     def length(self):
         return self.module.length()
@@ -204,7 +218,7 @@ def ext(M, N, j):
     delta_in = _delta_matrix(N, res.rmx[j - 1])
     sq = Subquotient(base, amb_n, hstack(base, [Z, amb_rel], m=amb_n),
                      hstack(base, [delta_in, amb_rel], m=amb_n))
-    module = subquotient_module(h, amb_actions, sq)
+    module = subquotient_module(h, amb_actions, sq, sq.basis())
     pres = ExtPresentation(M=M, N=N, j=j, module=module, sq=sq, beta=beta,
                            res=res, delta_in=delta_in, delta_out=delta_out)
     M._cache[key] = pres
@@ -224,13 +238,8 @@ def ext_length(M, N, j):
 def middle(cls):
     """The extension 0 -> N -> E -> M -> 0 represented by a degree-1 class:
     the pushout of the presentation F_1 -d_1-> F_0 -> M along a cocycle."""
-    pres = cls.pres
-    assert pres.j == 1
-    res = pres.res
-    F0, F1 = res.frees[0], res.frees[1]
-    presentation = SES(A=F1, B=F0, C=pres.M, i=ModMap(F1, F0, res.diffs[0]),
-                       p=res.cover)
-    return pushout_seq(presentation, cls.cocycle())
+    assert cls.pres.j == 1
+    return pushout_seq(cls.pres.presentation(), cls.cocycle())
 
 
 def classify(ses, pres=None):
@@ -302,16 +311,22 @@ def _has_section(p):
 
 
 def pushout_seq(ses, f):
-    """Pushout of 0 -> A -> B -> C -> 0 along f : A -> N."""
-    B, C = ses.B, ses.C
+    """Pushout of 0 -> A -> B -> C -> 0 along f : A -> N: the middle is
+    S / {(-f(a), i(a))} with S = N + B.  S, the injection of N, the relation
+    block inj_B o i and p o proj_B do not depend on f; they are built on the
+    first pushout of ses into N and kept on ses for the next ones."""
     N = f.dst
-    S, injs, projs = direct_sum([N, B])
-    W = injs[1].mat @ ses.i.mat - injs[0].mat @ f.mat
-    sq = S.quotient(None, [W])
-    E = subquotient_module(B.handle, S.actions, sq)
-    imap = ModMap(N, E, sq.project_cols(injs[0].mat))
-    pmap = ModMap(E, C, ses.p.mat @ projs[1].mat @ sq.basis())
-    return SES(A=N, B=E, C=C, i=imap, p=pmap)
+    if N not in ses._pushouts:
+        S, injs, projs = direct_sum([N, ses.B])
+        ses._pushouts[N] = (S, injs[0].mat, injs[1].mat @ ses.i.mat,
+                            ses.p.mat @ projs[1].mat)
+    S, inj_N, rel_B, p_B = ses._pushouts[N]
+    sq = S.quotient(None, [rel_B - inj_N @ f.mat])
+    basis = sq.basis()
+    E = subquotient_module(ses.B.handle, S.actions, sq, basis)
+    imap = ModMap(N, E, sq.project_cols(inj_N))
+    pmap = ModMap(E, ses.C, p_B @ basis)
+    return SES(A=N, B=E, C=ses.C, i=imap, p=pmap)
 
 
 def pullback_seq(ses, g):
@@ -322,9 +337,10 @@ def pullback_seq(ses, g):
     # {(b, m) : p(b) = g(m) mod rel_C}
     cond = ses.p.mat @ projs[0].mat - g.mat @ projs[1].mat
     sq = S.quotient([preimage(cond, C.rel())])
-    E = subquotient_module(B.handle, S.actions, sq)
+    basis = sq.basis()
+    E = subquotient_module(B.handle, S.actions, sq, basis)
     imap = ModMap(A, E, sq.project_cols(injs[0].mat @ ses.i.mat))
-    pmap = ModMap(E, M, projs[1].mat @ sq.basis())
+    pmap = ModMap(E, M, projs[1].mat @ basis)
     return SES(A=A, B=E, C=M, i=imap, p=pmap)
 
 

@@ -6,6 +6,20 @@ coordinates follow with nondecreasing exponents.  All functors (Hom, syzygy,
 transpose, socle, ...) reduce to exact linear algebra over D through the
 Subquotient machinery; a module's spans, quotients and lengths modulo its
 relations go through CoeffModule.span/quotient/quotient_length.
+
+Shared objects.  No CoeffModule or FracIdeal is changed after construction
+(their caches only add results computed from it), so a constructor may hand
+one object to every caller, and these do:
+  residue_field(h), free_module(h, k) (so regular_module(h) and the free
+  modules F_i of every resolution over h) and rings.m_ideal(h) are kept in
+  h._cache, one per handle, and freed with the handle; two handles built
+  from one RingSpec share nothing;
+  from_quotient_ideal(h, J) keeps R/J on the ideal J, next to its span
+  basis, and is freed with J.
+Everything cached on a shared module (its basis_action products, its
+resolution, Hom and Ext out of it) is then computed once per handle or
+ideal instead of once per caller.  Identity tests (`M is N`) see the
+sharing: two calls of residue_field(h) give one module.
 """
 
 from __future__ import annotations
@@ -202,6 +216,10 @@ def solve_like(A, b):
 
 
 def free_module(handle, k):
+    """R^k, shared: one per (handle, k)."""
+    key = ("free_module", k)
+    if key in handle._cache:
+        return handle._cache[key]
     base = handle.base
     n = k * handle.nR
     actions = {}
@@ -215,7 +233,8 @@ def free_module(handle, k):
                     if G.rows[i][j].num:
                         A.rows[off + i][off + j] = G.rows[i][j]
         actions[g] = A
-    return CoeffModule(handle, (None,) * n, actions)
+    out = handle._cache[key] = CoeffModule(handle, (None,) * n, actions)
+    return out
 
 
 def regular_module(handle):
@@ -228,18 +247,20 @@ def zero_module(handle):
 
 
 def residue_field(handle):
+    """k = R/m, shared: one per handle."""
+    if "residue_field" in handle._cache:
+        return handle._cache["residue_field"]
     base = handle.base
-    if base.local:
-        exps = (1,)
-    else:
-        exps = (None,)
+    exps = (1,) if base.local else (None,)
     z = Mat.zeros(base, 1, 1)
-    return CoeffModule(handle, exps, {g: z for g in handle.gen_names})
+    out = handle._cache["residue_field"] = CoeffModule(
+        handle, exps, {g: z for g in handle.gen_names})
+    return out
 
 
-def subquotient_module(handle, ambient_actions, sq):
-    """The module sq = U/V, with the actions induced from the ambient."""
-    B = sq.basis()
+def subquotient_module(handle, ambient_actions, sq, B):
+    """The module sq = U/V, with the actions induced from the ambient; B is
+    sq.basis(), which the caller usually needs as well."""
     new_actions = {g: sq.project_cols(ambient_actions[g] @ B)
                    for g in handle.gen_names}
     return CoeffModule(handle, sq.exps, new_actions)
@@ -253,24 +274,26 @@ def submodule(M, gens_mat):
     # close under the R-action: multiply by all ring basis monomials
     closed = _free_cover_matrix(M.handle, M.basis_action, gens_mat)
     sq = M.quotient([closed])
-    K = subquotient_module(M.handle, M.actions, sq)
-    return K, ModMap(K, M, sq.basis())
+    B = sq.basis()
+    K = subquotient_module(M.handle, M.actions, sq, B)
+    return K, ModMap(K, M, B)
 
 
 def quotient_module(M, gens_mat):
     """M / (R-span of the columns); returns (Q, proj: M -> Q)."""
     closed = _free_cover_matrix(M.handle, M.basis_action, gens_mat)
     sq = M.quotient(None, [closed])
-    Q = subquotient_module(M.handle, M.actions, sq)
+    Q = subquotient_module(M.handle, M.actions, sq, sq.basis())
     return Q, ModMap(M, Q, sq.project_cols(Mat.identity(M.handle.base, M.n)))
 
 
 def from_quotient_ideal(handle, J):
-    """R/J as a CoeffModule (J an ideal contained in R)."""
-    R = regular_module(handle)
-    sp = J.as_ring_ideal().span_basis()
-    Q, _ = quotient_module(R, sp)
-    return Q
+    """R/J as a CoeffModule (J an ideal contained in R), shared: one per
+    (handle, J), kept on J."""
+    if handle not in J._quotients:
+        sp = J.as_ring_ideal().span_basis()
+        J._quotients[handle], _ = quotient_module(regular_module(handle), sp)
+    return J._quotients[handle]
 
 
 def from_fractional_ideal(handle, J):
@@ -578,8 +601,9 @@ def hom(M, N):
     sq = Subquotient(base, amb_n,
                      hstack(base, [preimage(A, span), amb_rel], m=amb_n),
                      amb_rel)
-    Hmod = subquotient_module(h, amb_actions, sq)
-    maps = [ModMap(M, N, _unvec(base, w, N.n, M.n)) for w in sq.basis().cols()]
+    B = sq.basis()
+    Hmod = subquotient_module(h, amb_actions, sq, B)
+    maps = [ModMap(M, N, _unvec(base, w, N.n, M.n)) for w in B.cols()]
     out = HomPres(module=Hmod, maps=maps, sq=sq, src=M, dst=N)
     M._cache[key] = out
     return out

@@ -204,7 +204,7 @@ class RingHandle:
         self._mono_cache = {}
         if dim == 1:
             self._res_index = {w % embed_exp: i for i, w in enumerate(basis_desc)}
-        self._cache = {}
+        self._cache = {}    # shared residue field, free modules, m (see modules)
 
     def same_ring(self, other):
         """Whether other is this ring: the same handle, or one built alike
@@ -477,6 +477,7 @@ class FracIdeal:
         self._span_basis = None
         self._pow_cache = {}
         self._reductions = {}       # budget -> principal_reduction result
+        self._quotients = {}        # handle -> R/J (modules.from_quotient_ideal)
 
     @staticmethod
     def unit_ideal(handle):
@@ -808,7 +809,10 @@ def canonical_ideal(handle):
 
 
 def m_ideal(handle):
-    return FracIdeal(handle, handle.m_gens())
+    """The maximal ideal, shared: one per handle."""
+    if "m_ideal" not in handle._cache:
+        handle._cache["m_ideal"] = FracIdeal(handle, handle.m_gens())
+    return handle._cache["m_ideal"]
 
 
 # ---------------------------------------------------------------------------

@@ -124,16 +124,18 @@ def test_report_is_deterministic_up_to_wall_time():
 
 
 # every scenario that runs out of a budget of 2 classes
-BUDGET_STOPPED = {"cano-d1", "cycquot", "dvr-mu", "halfexact", "hyper",
-                  "loewy", "mr-minmult", "prop1-ulrich", "reg-depth1",
-                  "regu-d1", "tony-et", "uladd", "ulfaith", "uliso"}
+BUDGET_STOPPED = {"axioms-mu", "axioms-mu-negative-control", "axioms-nu",
+                  "axioms-ul", "cano-d1", "cycquot", "dvr-mu", "halfexact",
+                  "hyper", "loewy", "mr-minmult", "prop1-ulrich",
+                  "reg-depth1", "regu-d1", "tony-et", "uladd", "ulfaith",
+                  "uliso"}
 
 
 @pytest.mark.parametrize("name", list_scenarios())
 def test_budget_exhaustion_is_recorded_not_raised(name):
     result = run_scenario(name, budget=2)
-    assert result.status == ("fail" if name in EXPECTED_FAIL else
-                             "budget" if name in BUDGET_STOPPED else "pass")
+    assert result.status == ("budget" if name in BUDGET_STOPPED else
+                             "fail" if name in EXPECTED_FAIL else "pass")
     for inst in result.instances:
         if inst["status"] == "budget":
             assert inst["pass"] is None and inst["computed"]["error"]

@@ -91,3 +91,20 @@ def test_bench_scalar_ulrich_counters_on_a_slice(tmp_path):
     assert counts["ext.middle"] > 0
     assert (counts["ulrich.multiplicity_hilbert"]
             <= counts["ulrich.multiplicity"] <= 2 * counts["verdicts"])
+
+
+def test_bench_scalar_artin_counters_on_a_slice(tmp_path):
+    out = tmp_path / "counters.json"
+    subprocess.run([sys.executable, str(ROOT / "scripts" / "bench_scalar.py"),
+                    "--counters-only", "--workloads", "artin-yoneda",
+                    "--limit", "2", "--out", str(out)],
+                   check=True, timeout=300, capture_output=True)
+    counts = json.loads(out.read_text())["counters"]["artin-yoneda"]["change"]
+    assert counts["verdicts"] == 2 and counts["failed_verdicts"] == 0
+    assert counts["CoeffModule.__init__"] > 0
+    assert counts["CoeffModule.basis_action"] > 0
+    assert counts["Mat.__matmul__"] > 0
+    # every middle is a pushout of its group's presentation sequence, and
+    # every pushout builds its middle module
+    assert counts["ext.pushout_seq"] >= counts["ext.middle"] > 0
+    assert counts["CoeffModule.__init__"] > counts["ext.pushout_seq"]
