@@ -689,6 +689,15 @@ def preimage(A, span):
     return Mat.from_cols(base, A.n, [c for c in cols if any(x.num for x in c)])
 
 
+def preimage_all(base, n, conds):
+    """Columns spanning {x in D^n : A x in <S> for every (A, S) in conds},
+    from one preimage of the stacked A's into the block-diagonal S's."""
+    if not conds:
+        return Mat.identity(base, n)
+    return preimage(vstack(base, [A for A, _ in conds]),
+                    block_diag(base, [S for _, S in conds]))
+
+
 def solve(A, b):
     """One solution x of A x = b (deterministic), or None if insolvable."""
     snf = smith(A)

@@ -17,10 +17,11 @@ from .dcoeff import (Mat, Subquotient, block_diag, hstack, preimage, solve,
                      solve_matrix, vstack)
 from .errors import (BudgetExceeded, CertificateError, InfiniteLengthError,
                      SubextError)
-from .modules import (CoeffModule, ModMap, _block_ambient, _free_cover_matrix,
-                      _image_length, _linearity_conditions, _rmatrix_of,
-                      direct_sum, hom, normalize_rows, resolution,
-                      subquotient_module, zero_module)
+from .modules import (CoeffModule, ModMap, _free_cover_matrix,
+                      _generator_cols, _image_length, _linearity_conditions,
+                      _rmatrix_of, _unvec, direct_sum, hom, normalize_rows,
+                      power, resolution, slot_map, subquotient_module,
+                      zero_module)
 
 
 # ---------------------------------------------------------------------------
@@ -81,26 +82,6 @@ def direct_sum_seq(s1, s2):
 # ---------------------------------------------------------------------------
 
 
-def _delta_matrix(N, rmx):
-    """D-matrix of Hom(F_{j-1}, N) -> Hom(F_j, N), phi -> phi o d_j.
-
-    rmx has shape beta_{j-1} x beta_j over R; source coordinates are
-    (slot b < beta_{j-1}) x N-coords, target (slot c < beta_j) x N-coords.
-    """
-    base = N.handle.base
-    b_prev = len(rmx)
-    b_next = len(rmx[0]) if b_prev else 0
-    out = Mat.zeros(base, b_next * N.n, b_prev * N.n)
-    for b in range(b_prev):
-        for c in range(b_next):
-            act = N.element_action(rmx[b][c])
-            for r in range(N.n):
-                for i in range(N.n):
-                    if act.rows[r][i].num:
-                        out.rows[c * N.n + r][b * N.n + i] = act.rows[r][i]
-    return normalize_rows([e for e in N.exps] * b_next, out)
-
-
 @dataclass
 class ExtPresentation:
     M: CoeffModule
@@ -110,8 +91,6 @@ class ExtPresentation:
     sq: Subquotient              # inside the ambient N^{beta_j}
     beta: int
     res: object
-    delta_in: Mat                # from N^{beta_{j-1}}
-    delta_out: Mat               # to N^{beta_{j+1}}
     _presentation: SES = field(default=None, repr=False, compare=False)
 
     def presentation(self):
@@ -171,11 +150,9 @@ class ExtClass:
     def cocycle(self):
         """A representing map F_j -> N."""
         pres = self.pres
-        vec = pres.sq.lift(list(self.coords))
         N = pres.N
-        cols = Mat.from_cols(N.handle.base, N.n,
-                             [vec[b * N.n:(b + 1) * N.n]
-                              for b in range(pres.beta)])
+        cols = _unvec(N.handle.base, pres.sq.lift(list(self.coords)), N.n,
+                      pres.beta)
         mat = _free_cover_matrix(N.handle, N.basis_action, cols)
         return ModMap(pres.res.frees[pres.j], N, mat)
 
@@ -195,32 +172,22 @@ def ext(M, N, j):
     if key in M._cache:
         return M._cache[key]
     h = M.handle
-    base = h.base
     res = resolution(M, j + 1)
     beta = res.betti[j]
     if beta == 0 or N.is_zero():
         Z = zero_module(h)
-        pres = ExtPresentation(
-            M=M, N=N, j=j, module=Z,
-            sq=Z.quotient(),
-            beta=beta, res=res,
-            delta_in=Mat.zeros(base, 0, 0), delta_out=Mat.zeros(base, 0, 0))
+        pres = ExtPresentation(M=M, N=N, j=j, module=Z, sq=Z.quotient(),
+                               beta=beta, res=res)
         M._cache[key] = pres
         return pres
-    amb_n, amb_rel, amb_actions = _block_ambient(N, beta)
-    # delta_out: N^{beta_j} -> N^{beta_{j+1}}
-    if res.betti[j + 1]:
-        delta_out = _delta_matrix(N, res.rmx[j])
-    else:
-        delta_out = Mat.zeros(base, 0, amb_n)
-    Z = preimage(delta_out, _block_ambient(N, res.betti[j + 1])[1])
-    # delta_in: N^{beta_{j-1}} -> N^{beta_j}, the maps factoring through d_j
-    delta_in = _delta_matrix(N, res.rmx[j - 1])
-    sq = Subquotient(base, amb_n, hstack(base, [Z, amb_rel], m=amb_n),
-                     hstack(base, [delta_in, amb_rel], m=amb_n))
-    module = subquotient_module(h, amb_actions, sq, sq.basis())
+    # cocycles: slots of N^{beta_j} that vanish on the image of d_{j+1};
+    # coboundaries: maps F_j -> N factoring through d_j
+    P = power(N, beta)
+    Z = preimage(slot_map(N, res.rmx[j]), power(N, res.betti[j + 1]).rel())
+    sq = P.quotient([Z], [slot_map(N, res.rmx[j - 1])])
+    module = subquotient_module(h, P.actions, sq, sq.basis())
     pres = ExtPresentation(M=M, N=N, j=j, module=module, sq=sq, beta=beta,
-                           res=res, delta_in=delta_in, delta_out=delta_out)
+                           res=res)
     M._cache[key] = pres
     return pres
 
@@ -247,18 +214,14 @@ def classify(ses, pres=None):
     M, N, B = ses.C, ses.A, ses.B
     if pres is None:
         pres = ext(M, N, 1)
-    base = M.handle.base
     res = pres.res
     h = M.handle
-    nR = h.nR
-    # lift the cover F_0 -> M through p on generators, extend R-linearly
-    targets = [res.cover.mat.col(b * nR) for b in range(res.betti[0])]
-    Y = _solve_cols(M.span(ses.p.mat), targets, CertificateError(
-        "cover does not lift through p"))
-    G = _free_cover_matrix(h, B.basis_action,
-                           Mat.from_cols(base, B.n, [y[:B.n] for y in Y]))
+    # lift the cover F_0 -> M through p
+    G = _lift_generators(B, M.span(ses.p.mat),
+                         _generator_cols(h, res.cover.mat, res.betti[0]),
+                         CertificateError("cover does not lift through p"))
     # psi = G o d1 lands in ker p = im i; pull back through i
-    psis = [G @ res.diffs[0].col(b * nR) for b in range(pres.beta)]
+    psis = [G @ v for v in _generator_cols(h, res.diffs[0], pres.beta)]
     Y = _solve_cols(B.span(ses.i.mat), psis, CertificateError(
         "boundary does not pull back through i"))
     if pres.beta == 0:
@@ -275,6 +238,15 @@ def _solve_cols(A, targets, error):
     if Y is None:
         raise error
     return Y.cols()
+
+
+def _lift_generators(T, A, targets, error):
+    """D-matrix of the R-linear map R^k -> T sending generator b to the first
+    T.n coordinates of a solution y of A y = targets[b]; raises error when a
+    target has no solution."""
+    Y = _solve_cols(A, targets, error)
+    return _free_cover_matrix(T.handle, T.basis_action, Mat.from_cols(
+        T.handle.base, T.n, [y[:T.n] for y in Y]))
 
 
 def is_split(ses, pres=None, cross_check=True):
@@ -295,9 +267,10 @@ def _has_section(p):
     base = B.handle.base
     # unknown s : C -> B as the slots s(e_j) of B^{C.n}: R-linear, and
     # p(s(e_j)) = e_j modulo the relations of C
-    A, span = _linearity_conditions(C, B)
+    _, conds = _linearity_conditions(C, B)
+    A = vstack(base, [a for a, _ in conds])
     P = block_diag(base, [p.mat] * C.n)
-    rels = block_diag(base, [span] + [C.rel()] * C.n)
+    rels = block_diag(base, [s for _, s in conds] + [C.rel()] * C.n)
     big = hstack(base, [vstack(base, [A, P]), rels], m=A.m + P.m)
     rhs = ([base.zero()] * A.m
            + [base.one() if i == j else base.zero()
@@ -429,37 +402,25 @@ def chain_lift(f, depth):
     """
     Mp, M = f.src, f.dst
     h = M.handle
-    base = h.base
-    nR = h.nR
     resp = resolution(Mp, depth)
     res = resolution(M, depth)
-    lifts = []
     # level 0: cover o f0 = f o cover'
-    n0 = res.frees[0].n
-    Y = _solve_cols(M.span(res.cover.mat),
-                    [f.mat @ resp.cover.mat.col(b * nR)
-                     for b in range(resp.betti[0])],
-                    SubextError("chain lift failed at level 0"))
-    f0 = _free_cover_matrix(h, res.frees[0].basis_action,
-                            Mat.from_cols(base, n0, [y[:n0] for y in Y]))
-    lifts.append(f0)
+    lifts = [_lift_generators(
+        res.frees[0], M.span(res.cover.mat),
+        [f.mat @ v for v in _generator_cols(h, resp.cover.mat, resp.betti[0])],
+        SubextError("chain lift failed at level 0"))]
     for lev in range(1, depth + 1):
         if resp.betti[lev] == 0 or res.betti[lev] == 0:
-            lifts.append(Mat.zeros(base, res.frees[lev].n,
+            lifts.append(Mat.zeros(h.base, res.frees[lev].n,
                                    resp.frees[lev].n))
             continue
-        prev = lifts[lev - 1]
         # the D-span of the columns of d_lev is exactly the kernel of the
         # previous map, so a plain solve suffices
-        n_lev = res.frees[lev].n
-        Y = _solve_cols(res.diffs[lev - 1],
-                        [prev @ resp.diffs[lev - 1].col(b * nR)
-                         for b in range(resp.betti[lev])],
-                        SubextError(f"chain lift failed at level {lev}"))
-        flev = _free_cover_matrix(h, res.frees[lev].basis_action,
-                                  Mat.from_cols(base, n_lev,
-                                                [y[:n_lev] for y in Y]))
-        lifts.append(flev)
+        lifts.append(_lift_generators(
+            res.frees[lev], res.diffs[lev - 1],
+            [lifts[lev - 1] @ v for v in
+             _generator_cols(h, resp.diffs[lev - 1], resp.betti[lev])],
+            SubextError(f"chain lift failed at level {lev}")))
     return lifts
 
 
@@ -477,8 +438,8 @@ def ext_induced(f, N, j, pres_src=None, pres_dst=None):
     lifts = chain_lift(f, j)
     fj = lifts[j]
     # precompose: x in N^{beta_j(M)} -> x o f_j in N^{beta_j(M')}
-    rmat = _rmatrix_of(M.handle, fj, fj.n // M.handle.nR)
-    comp = _delta_matrix(N, rmat)  # beta_j(M) slots -> beta_j(M') slots
+    rmat = _rmatrix_of(M.handle, fj, pres_dst.beta)
+    comp = slot_map(N, rmat)  # beta_j(M) slots -> beta_j(M') slots
     return pres_dst.sq.project_cols(comp @ pres_src.sq.basis())
 
 

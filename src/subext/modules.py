@@ -2,18 +2,30 @@
 
 A CoeffModule is D^f + D/t^a1 + ... + D/t^ak together with one commuting
 action matrix per ring generator.  Free coordinates come first, torsion
-coordinates follow with nondecreasing exponents.  All functors (Hom, syzygy,
+coordinates follow with nondecreasing exponents (a power N^k instead repeats
+N's order in each slot, see Coordinates).  All functors (Hom, syzygy,
 transpose, socle, ...) reduce to exact linear algebra over D through the
 Subquotient machinery; a module's spans, quotients and lengths modulo its
 relations go through CoeffModule.span/quotient/quotient_length.
 
+Coordinates.  direct_sum permutes the coordinates of its summands into the
+canonical order (free first, torsion ascending).  power(N, k) = N^k keeps
+slot-major order instead: slot b holds N's coordinates from b*N.n on, and
+only this module does that offset arithmetic.  The free module R^k is
+power(R, k), so generator b of R^k is coordinate b*nR.  Hom(M, N) is a
+subquotient of N^{M.n} whose slots are the images phi(e_j); ext.ext(M, N, j)
+is a subquotient of N^{beta_j} whose slots are the images of the generators
+of F_j; a tensor product X (x) C is a quotient of X^{beta_0(C)}.  slot_map
+lets an R-matrix act on slots (composing with a differential).
+
 Shared objects.  No CoeffModule or FracIdeal is changed after construction
 (their caches only add results computed from it), so a constructor may hand
 one object to every caller, and these do:
-  residue_field(h), free_module(h, k) (so regular_module(h) and the free
-  modules F_i of every resolution over h) and rings.m_ideal(h) are kept in
-  h._cache, one per handle, and freed with the handle; two handles built
-  from one RingSpec share nothing;
+  residue_field(h), regular_module(h), free_module(h, k) (so the free
+  modules F_i of every resolution over h; free_module(h, 1) is
+  regular_module(h)) and rings.m_ideal(h) are kept in h._cache, one per
+  handle, and freed with the handle; two handles built from one RingSpec
+  share nothing;
   from_quotient_ideal(h, J) keeps R/J on the ideal J, next to its span
   basis, and is freed with J.
 Everything cached on a shared module (its basis_action products, its
@@ -27,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dcoeff import (Mat, Subquotient, block_diag, hstack, in_span, kernel,
-                     preimage, vstack)
+                     preimage, preimage_all)
 from .errors import (BudgetExceeded, InfiniteLengthError, NotAModuleError,
                      SubextError)
 from .rings import FracIdeal, RingElement, canonical_ideal
@@ -215,30 +227,50 @@ def solve_like(A, b):
 # ---------------------------------------------------------------------------
 
 
-def free_module(handle, k):
-    """R^k, shared: one per (handle, k)."""
-    key = ("free_module", k)
-    if key in handle._cache:
-        return handle._cache[key]
-    base = handle.base
-    n = k * handle.nR
-    actions = {}
-    for g in handle.gen_names:
-        A = Mat.zeros(base, n, n)
-        G = handle.gen_action[g]
-        for b in range(k):
-            off = b * handle.nR
-            for i in range(handle.nR):
-                for j in range(handle.nR):
-                    if G.rows[i][j].num:
-                        A.rows[off + i][off + j] = G.rows[i][j]
-        actions[g] = A
-    out = handle._cache[key] = CoeffModule(handle, (None,) * n, actions)
-    return out
-
-
 def regular_module(handle):
-    return free_module(handle, 1)
+    """R, shared: one per handle."""
+    if "regular_module" not in handle._cache:
+        handle._cache["regular_module"] = CoeffModule(
+            handle, (None,) * handle.nR, handle.gen_action)
+    return handle._cache["regular_module"]
+
+
+def free_module(handle, k):
+    """R^k = power(R, k), shared: one per (handle, k)."""
+    key = ("free_module", k)
+    if key not in handle._cache:
+        handle._cache[key] = power(regular_module(handle), k)
+    return handle._cache[key]
+
+
+def power(N, k):
+    """N^k in slot-major coordinates (slot b holds coordinates b*N.n up to
+    (b+1)*N.n - 1), with block-diagonal actions; power(N, 1) is N."""
+    if k == 1:
+        return N
+    base = N.handle.base
+    return CoeffModule(N.handle, N.exps * k,
+                       {g: block_diag(base, [N.actions[g]] * k)
+                        for g in N.handle.gen_names})
+
+
+def slot_map(N, rmx):
+    """D-matrix of N^b -> N^c sending the slots (x_i) to the slots
+    (sum_i rmx[i][j] x_i)_j, for a b x c matrix rmx of RingElements.  When
+    rmx is the R-matrix of d : R^c -> R^b (rows = target generators), this
+    is phi -> phi o d on Hom(R^b, N) = N^b."""
+    base = N.handle.base
+    b_src = len(rmx)
+    b_dst = len(rmx[0]) if b_src else 0
+    out = Mat.zeros(base, b_dst * N.n, b_src * N.n)
+    for b in range(b_src):
+        for c in range(b_dst):
+            act = N.element_action(rmx[b][c])
+            for r in range(N.n):
+                for i in range(N.n):
+                    if act.rows[r][i].num:
+                        out.rows[c * N.n + r][b * N.n + i] = act.rows[r][i]
+    return normalize_rows(N.exps * b_dst, out)
 
 
 def zero_module(handle):
@@ -453,7 +485,7 @@ def annihilator(M):
     blocks = [Mat.from_cols(base, M.n, [M.basis_action(i).col(j)
                                         for i in range(h.nR)])
               for j in range(M.n)]
-    K = preimage(vstack(base, blocks), block_diag(base, [M.rel()] * M.n))
+    K = preimage_all(base, h.nR, [(b, M.rel()) for b in blocks])
     gens = [RingElement(h, K.col(j)) for j in range(K.n)] or [h.zero_elt()]
     return FracIdeal(h, gens).reduce_gens()
 
@@ -478,14 +510,10 @@ def loewy_length(M):
 
 def colon_in_module(M, W_cols, elems):
     """{x in M : g*x in <W_cols> + rel for all g in elems}; returns (K, incl)."""
-    base = M.handle.base
     span = M.span(W_cols)
-    # the leading empty block keeps the width when elems is empty
-    blocks = [Mat.zeros(base, 0, M.n)] + [
-        M.element_action(g) if isinstance(g, RingElement) else M.actions[g]
-        for g in elems]
-    gens = preimage(vstack(base, blocks),
-                    block_diag(base, [span] * len(elems)))
+    gens = preimage_all(M.handle.base, M.n, [
+        (M.element_action(g) if isinstance(g, RingElement) else M.actions[g],
+         span) for g in elems])
     return submodule(M, gens)
 
 
@@ -540,45 +568,34 @@ def _unvec(base, vec, nrows, ncols):
     return Mat.from_cols(base, nrows, cols)
 
 
-def _block_ambient(N, slots):
-    """Ambient data for N^slots: (n, relations, actions)."""
-    base = N.handle.base
-    amb_n = slots * N.n
-    amb_rel = block_diag(base, [N.rel()] * slots)
-    amb_actions = {g: block_diag(base, [N.actions[g]] * slots)
-                   for g in N.handle.gen_names}
-    return amb_n, amb_rel, amb_actions
-
-
 def _linearity_conditions(M, N):
-    """(A, span) such that a D-linear phi : M -> N, stored as the slots
-    phi(e_j) of N^{M.n}, is R-linear iff A phi lies in <span>."""
+    """(P, conds) with P = N^{M.n}: a D-linear phi : M -> N, stored as the
+    slots phi(e_j) of P, is R-linear iff A phi lies in <S> for each (A, S)
+    in conds."""
     base = M.handle.base
     nM, nN = M.n, N.n
-    _, amb_rel, amb_actions = _block_ambient(N, nM)
-    # the leading empty block keeps the width when there are no conditions
-    blocks, spans = [Mat.zeros(base, 0, nM * nN)], []
+    P = power(N, nM)
+    rel = P.rel()
+    conds = []
     for g in M.handle.gen_names:
         # phi(g e_j) - g phi(e_j), with g e_j = sum_k A[k][j] e_k
         Ag = M.actions[g]
-        C = Mat.zeros(base, nM * nN, nM * nN)
+        C = Mat.zeros(base, P.n, P.n)
         for j in range(nM):
             for k in range(nM):
                 if Ag.rows[k][j].num:
                     for i in range(nN):
                         C.rows[j * nN + i][k * nN + i] = Ag.rows[k][j]
-        blocks.append(C - amb_actions[g])
-        spans.append(amb_rel)
+        conds.append((C - P.actions[g], rel))
     if base.local:
         for j, e in enumerate(M.exps):
             if e is not None:
                 # t^e phi(e_j) = 0 in N
-                T = Mat.zeros(base, nN, nM * nN)
+                T = Mat.zeros(base, nN, P.n)
                 for i in range(nN):
                     T.rows[i][j * nN + i] = base.t_power(e)
-                blocks.append(T)
-                spans.append(N.rel())
-    return vstack(base, blocks), block_diag(base, spans)
+                conds.append((T, N.rel()))
+    return P, conds
 
 
 def hom(M, N):
@@ -596,13 +613,10 @@ def hom(M, N):
         out = HomPres(module=Z, maps=[], sq=Z.quotient(), src=M, dst=N)
         M._cache[key] = out
         return out
-    amb_n, amb_rel, amb_actions = _block_ambient(N, M.n)
-    A, span = _linearity_conditions(M, N)
-    sq = Subquotient(base, amb_n,
-                     hstack(base, [preimage(A, span), amb_rel], m=amb_n),
-                     amb_rel)
+    P, conds = _linearity_conditions(M, N)
+    sq = P.quotient([preimage_all(base, P.n, conds)])
     B = sq.basis()
-    Hmod = subquotient_module(h, amb_actions, sq, B)
+    Hmod = subquotient_module(h, P.actions, sq, B)
     maps = [ModMap(M, N, _unvec(base, w, N.n, M.n)) for w in B.cols()]
     out = HomPres(module=Hmod, maps=maps, sq=sq, src=M, dst=N)
     M._cache[key] = out
@@ -628,7 +642,8 @@ class Resolution:
     cover : ModMap F0 -> M
     diffs : D-matrices d_i : F_i -> F_{i-1} (i >= 1)
     betti : ranks of the free modules
-    rmx   : R-matrix entries of each differential (rows x cols of RingElement)
+    rmx   : R-matrix of each differential d_i, beta_{i-1} rows of beta_i
+            RingElements (rows of no entries when beta_i = 0)
     frees : the free CoeffModules F_i
     """
     cover: ModMap
@@ -658,20 +673,18 @@ def _free_cover_matrix(handle, target_basis_action, gens_cols):
     return Mat.from_cols(base, gens_cols.m, cols)
 
 
+def _generator_cols(handle, mat, k):
+    """The columns of a D-matrix out of R^k at the k generators of R^k."""
+    return [mat.col(b * handle.nR) for b in range(k)]
+
+
 def _rmatrix_of(handle, mat, beta_src):
     """Extract the R-matrix (rows = target generators) of a map between free
     modules, from its D-matrix."""
     nR = handle.nR
-    beta_dst = mat.m // nR
-    out = []
-    for bi in range(beta_dst):
-        row = []
-        for bj in range(beta_src):
-            col = mat.col(bj * nR)  # image of generator bj
-            coords = col[bi * nR:(bi + 1) * nR]
-            row.append(RingElement(handle, coords))
-        out.append(row)
-    return out
+    cols = _generator_cols(handle, mat, beta_src)
+    return [[RingElement(handle, col[bi * nR:(bi + 1) * nR]) for col in cols]
+            for bi in range(mat.m // nR)]
 
 
 def minimal_presentation(M):
@@ -717,7 +730,7 @@ def resolution(M, length_):
         res.betti.append(gens.n)
         res.frees.append(free_module(h, gens.n))
         res.diffs.append(d)
-        res.rmx.append(_rmatrix_of(h, d, gens.n) if gens.n else [])
+        res.rmx.append(_rmatrix_of(h, d, gens.n))
     return res
 
 
@@ -754,25 +767,11 @@ def transpose(M):
     """Auslander transpose from the minimal presentation."""
     h = M.handle
     res = resolution(M, 1)
-    b0, b1 = res.betti[0], res.betti[1]
-    base = h.base
-    if b1 == 0:
+    if res.betti[1] == 0:
         return zero_module(h)
-    Fdual_target = free_module(h, b1)
-    # dual map R^{b0} -> R^{b1}: entry (j, i) = rmx[i][j]
-    rmx = res.rmx[0]
-    cols = []
-    for i in range(b0):
-        for b in range(h.nR):
-            col = [base.zero()] * (b1 * h.nR)
-            for j in range(b1):
-                elem = rmx[i][j]
-                em = elem.mult_matrix()
-                for r in range(h.nR):
-                    col[j * h.nR + r] = em.rows[r][b]
-            cols.append(col)
-    dual = Mat.from_cols(base, b1 * h.nR, cols)
-    T, _ = quotient_module(Fdual_target, dual)
+    # the dual of d_1 : R^{b1} -> R^{b0}, as a map R^{b0} -> R^{b1}
+    dual = slot_map(regular_module(h), res.rmx[0])
+    T, _ = quotient_module(free_module(h, res.betti[1]), dual)
     return T
 
 

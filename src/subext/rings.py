@@ -24,8 +24,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .dcoeff import (Base, Mat, Subquotient, block_diag, hstack, in_span,
-                     preimage, smith, solve_matrix, vstack)
+from .dcoeff import (Base, Mat, Subquotient, hstack, in_span, preimage_all,
+                     smith, solve_matrix)
 from .errors import (ReductionNotFound, StabilizationBudget, SubextError)
 
 # ---------------------------------------------------------------------------
@@ -632,14 +632,11 @@ def colon(J1, J2, ambient="frac"):
     """(J1 : J2), in Q(R) (dim-1 families) or inside R (ambient="ring")."""
     h = J1.handle
     base = h.base
-    n = h.nR
     if ambient == "ring":
         # {x in R : x g in I1 for every generator g of I2}
         S1 = J1.as_ring_ideal().span_basis()
         gens2 = [g for g in J2.as_ring_ideal().gens if not g.is_zero()]
-        # the leading empty block keeps the width when I2 = 0
-        blocks = [Mat.zeros(base, 0, n)] + [g.mult_matrix() for g in gens2]
-        K = preimage(vstack(base, blocks), block_diag(base, [S1] * len(gens2)))
+        K = preimage_all(base, h.nR, [(g.mult_matrix(), S1) for g in gens2])
         gens = [RingElement(h, K.col(j)) for j in range(K.n)] or [h.zero_elt()]
         return FracIdeal(h, gens).reduce_gens()
     if h.dim != 1:
@@ -653,8 +650,7 @@ def colon(J1, J2, ambient="frac"):
     c = min(nz, key=lambda g: g.valuation())
     BA = A.span_basis()
     ScA = c.mult_matrix() @ BA
-    K = preimage(vstack(base, [g.mult_matrix() @ BA for g in nz]),
-                 block_diag(base, [ScA] * len(nz)))
+    K = preimage_all(base, BA.n, [(g.mult_matrix() @ BA, ScA) for g in nz])
     gens = ([RingElement(h, BA @ K.col(j)) for j in range(K.n)]
             or [h.zero_elt()])
     return FracIdeal(h, gens, b1 * c).reduce_gens()

@@ -13,15 +13,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .dcoeff import Mat, Subquotient, block_diag, hstack, preimage
-from .errors import (CertificateError, InfiniteLengthError,
-                     StabilizationBudget, SubextError)
-from .ext import (SES, _delta_matrix, coordinate_tuples, ext, hom_induced,
-                  pullback_seq, pushout_seq, sweep)
-from .modules import (ModMap, _block_ambient, _free_cover_matrix,
-                      _image_length, direct_sum, from_fractional_ideal,
-                      from_quotient_ideal, hom, is_mcm, length, mu, nu,
-                      regular_module, residue_field, resolution, submodule)
+from .dcoeff import Mat, block_diag, hstack, preimage
+from .errors import CertificateError, StabilizationBudget, SubextError
+from .ext import (SES, coordinate_tuples, ext, hom_induced, pullback_seq,
+                  pushout_seq, sweep)
+from .modules import (ModMap, _free_cover_matrix, _image_length, direct_sum,
+                      from_fractional_ideal, from_quotient_ideal, hom, is_mcm,
+                      length, mu, nu, power, regular_module, residue_field,
+                      resolution, slot_map, submodule)
 from .rings import m_ideal
 from .ulrich import ulrich_middle
 
@@ -31,46 +30,32 @@ from .ulrich import ulrich_middle
 # ---------------------------------------------------------------------------
 
 
-def _tensor_relations(X, res):
-    """(n, V) with X (x)_R C = D^n / <V>, for res a minimal presentation of
-    C: the relations of X^{beta_0} and the image of X^{beta_1}."""
+def _tensor_presentation(X, res):
+    """(P, V) with X (x)_R C = P / <V>, for res a minimal presentation of C:
+    P = X^{beta_0}, and V the image of X^{beta_1} under X (x) d_1."""
     b0, b1 = res.betti[0], res.betti[1]
-    amb_n, amb_rel, _ = _block_ambient(X, b0)
-    if not b1:
-        return amb_n, amb_rel
     rmxT = [[res.rmx[0][r][c] for r in range(b0)] for c in range(b1)]
-    return amb_n, hstack(X.handle.base, [_delta_matrix(X, rmxT), amb_rel],
-                         m=amb_n)
+    return power(X, b0), slot_map(X, rmxT)
 
 
 def tensor_length(X, C):
     """lambda(X (x)_R C), via a minimal presentation of C."""
     if X.is_zero() or C.is_zero():
         return 0
-    base = X.handle.base
-    amb_n, V = _tensor_relations(X, resolution(C, 1))
-    sq = Subquotient(base, amb_n, None, V)
-    out = sq.length()
-    if out is None:
-        raise InfiniteLengthError("tensor product has infinite length")
-    return out
+    P, V = _tensor_presentation(X, resolution(C, 1))
+    return P.quotient_length(None, [V], "tensor product has infinite length")
 
 
 def _tensor_image_length(f, C):
     """Length of the image of f (x) C : A (x) C -> B (x) C for f : A -> B."""
     A, B = f.src, f.dst
-    base = A.handle.base
     res = resolution(C, 1)
     b0 = res.betti[0]
     if b0 == 0 or A.is_zero() or B.is_zero():
         return 0
-    ambB, VB = _tensor_relations(B, res)
-    F = block_diag(base, [f.mat] * b0)  # f on each presentation slot
-    sq = Subquotient(base, ambB, hstack(base, [F, VB], m=ambB), VB)
-    out = sq.length()
-    if out is None:
-        raise InfiniteLengthError("tensor image has infinite length")
-    return out
+    P, V = _tensor_presentation(B, res)
+    F = block_diag(A.handle.base, [f.mat] * b0)  # f on each presentation slot
+    return P.quotient_length([F, V], [V], "tensor image has infinite length")
 
 
 # ---------------------------------------------------------------------------
@@ -290,17 +275,13 @@ class AxiomReport:
     violations: list
 
 
-def check_closure_axioms(handle, predicate, pairs, scalars=None, maps=None,
+def check_closure_axioms(handle, predicate, pairs, scalars=None,
                          rng_seed=0, budget=2 ** 14, baer_limit=6):
     """Exercise the closure axioms of a sequence predicate on the given
     (M, N) pairs: split sequences are members; members are closed under Baer
-    sum, ring scalars (pushout and pullback), pushouts along maps out of N,
-    and pullbacks along maps into M.  Returns an AxiomReport listing every
-    violation found; an Ext group past the budget raises BudgetExceeded.
-
-    A supplied map f is tried as a pushout when f.src is N and as a
-    pullback when f.dst is M; shared constructors (residue_field(h), ...)
-    make these identity tests hold for modules built by separate calls."""
+    sum, ring scalars (pushout and pullback along multiplication maps) and
+    composed deflations.  Returns an AxiomReport listing every violation
+    found; an Ext group past the budget raises BudgetExceeded."""
     rng = random.Random(rng_seed)
     checks = 0
     violations = []
@@ -347,17 +328,6 @@ def check_closure_axioms(handle, predicate, pairs, scalars=None, maps=None,
                 g = ModMap(M, M, M.element_action(r))
                 note(predicate(pullback_seq(ses, g)),
                      f"pullback of {c.coords} along *{r} left")
-        # pushout / pullback closure along supplied maps
-        for f in (maps or []):
-            for c, ses, _ in sample:
-                if c.is_zero():
-                    continue
-                if f.src is N:
-                    po = pushout_seq(ses, f)
-                    note(predicate(po), f"pushout of {c.coords} left")
-                if f.dst is M:
-                    pb = pullback_seq(ses, f)
-                    note(predicate(pb), f"pullback of {c.coords} left")
         # composition of deflations: compose the epi of a member sequence
         # with a split epi on top and test the kernel sequence
         for c, ses, _ in sample[:3]:

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from subext.dcoeff import (
-    Base, Mat, Scalar, Subquotient, block_diag, cokernel_invariants, hstack,
-    in_span, kernel, padd, pgcd, pinv_series, pmod_tk, pmul, pneg, preimage,
-    pshift, smith, solve, solve_matrix, vstack,
+    Base, Mat, Scalar, Subquotient, cokernel_invariants, hstack, in_span,
+    kernel, padd, pgcd, pinv_series, pmod_tk, pmul, pneg, preimage_all,
+    pshift, smith, solve, solve_matrix,
 )
 from subext.errors import ExactDivisionError, NotInSpanError
 
@@ -420,12 +420,13 @@ def test_cokernel_invariants():
 
 @st.composite
 def preimage_systems(draw):
-    """(p, n, [(A_b, S_b, columns of S_b)]) over F_p, 0..3 rows per block."""
+    """(p, n, [(A_b, S_b, columns of S_b)]) over F_p, 0..3 blocks of 0..3
+    rows."""
     p = draw(st.sampled_from([2, 3]))
     n = draw(st.integers(1, 4))
     entry = st.integers(0, p - 1)
     blocks = []
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(draw(st.integers(0, 3))):
         m, k = draw(st.integers(0, 3)), draw(st.integers(0, 2))
         blocks.append(([[draw(entry) for _ in range(n)] for _ in range(m)],
                        [[draw(entry) for _ in range(k)] for _ in range(m)],
@@ -452,12 +453,14 @@ def _int_span(p, cols, n):
 @given(preimage_systems())
 @settings(max_examples=80, deadline=None)
 @example((2, 3, [([], [], 0)]))
+@example((3, 2, []))
 def test_preimage_matches_brute_force(system):
+    # preimage_all stacks the blocks into one preimage(A, span) call
     p, n, blocks = system
     base = Base(p, local=False)
-    A = vstack(base, [_int_mat(base, rows, n) for rows, _, _ in blocks])
-    span = block_diag(base, [_int_mat(base, rows, k) for _, rows, k in blocks])
-    got = preimage(A, span)
+    got = preimage_all(base, n, [(_int_mat(base, rows, n),
+                                  _int_mat(base, srows, k))
+                                 for rows, srows, k in blocks])
     assert got.m == n and all(any(x.num for x in c) for c in got.cols())
     want = set()
     for x in itertools.product(range(p), repeat=n):

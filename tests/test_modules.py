@@ -8,10 +8,10 @@ from subext.errors import InfiniteLengthError
 from subext.modules import (
     ModMap, annihilator, canonical_module, colon_in_module, direct_sum,
     dualize_omega, free_module, from_fractional_ideal, from_quotient_ideal,
-    hom, is_isomorphic, is_mcm, length, loewy_length, mu, nu,
-    quotient_module, regular_module, residue_field, resolution, socle,
-    solve_like, submodule, subquotient_module, syzygy, torsion_part, transpose,
-    validate_module, zero_module, assert_minimal,
+    hom, is_isomorphic, is_mcm, length, loewy_length, mu, nu, power,
+    quotient_module, regular_module, residue_field, resolution, slot_map,
+    socle, solve_like, submodule, subquotient_module, syzygy, torsion_part,
+    transpose, validate_module, zero_module, assert_minimal,
 )
 from subext.rings import FracIdeal, RingSpec, build_ring, m_ideal
 
@@ -51,6 +51,67 @@ def test_constructors_validate():
     m = m_ideal(R1)
     validate_module(from_fractional_ideal(R1, m))
     validate_module(from_quotient_ideal(R1, m.power(2)))
+
+
+def test_power_keeps_slot_major_order():
+    A = artin(2, ["x", "y"], [(2, 0), (1, 1), (0, 2)])
+    for h in (semigroup(2, 2, 3), A, dvr(3)):
+        k, Rm = residue_field(h), from_quotient_ideal(h, m_ideal(h))
+        for N in (k, Rm, canonical_module(h)):
+            assert power(N, 1) is N
+            for n in (0, 2, 3):
+                P = power(N, n)
+                assert P.exps == N.exps * n
+                validate_module(P)
+                for g in h.gen_names:
+                    for b in range(n):
+                        for c in range(n):
+                            block = [row[c * N.n:(c + 1) * N.n]
+                                     for row in P.actions[g].rows[
+                                         b * N.n:(b + 1) * N.n]]
+                            want = (N.actions[g].rows if b == c else
+                                    [[h.base.zero()] * N.n] * N.n)
+                            assert block == want
+        assert regular_module(h) is free_module(h, 1)
+        for n in (0, 2, 3):
+            F = free_module(h, n)
+            assert F is free_module(h, n)
+            P = power(regular_module(h), n)
+            assert F.exps == P.exps
+            assert all(F.actions[g] == P.actions[g] for g in h.gen_names)
+
+
+def _dual_by_mult_matrix(h, rmx, b0, b1):
+    """The transpose of an R-matrix d : R^{b1} -> R^{b0}, as a D-matrix
+    R^{b0} -> R^{b1}, placed block by block from RingElement.mult_matrix()."""
+    cols = []
+    for i in range(b0):
+        for b in range(h.nR):
+            col = [h.base.zero()] * (b1 * h.nR)
+            for j in range(b1):
+                em = rmx[i][j].mult_matrix()
+                for r in range(h.nR):
+                    col[j * h.nR + r] = em.rows[r][b]
+            cols.append(col)
+    return Mat.from_cols(h.base, b1 * h.nR, cols)
+
+
+def test_slot_map_on_the_regular_module_transposes_the_differentials():
+    A = artin(2, ["x", "y"], [(2, 0), (1, 1), (0, 2)])
+    for h in (dvr(2), dvr(3), semigroup(2, 2, 3), A):
+        R = regular_module(h)
+        for M in (residue_field(h), from_quotient_ideal(h, m_ideal(h))):
+            res = resolution(M, 2)
+            for lev in (0, 1):
+                b0, b1 = res.betti[lev], res.betti[lev + 1]
+                got = slot_map(R, res.rmx[lev])
+                assert (got.m, got.n) == (b1 * h.nR, b0 * h.nR)
+                assert got == _dual_by_mult_matrix(h, res.rmx[lev], b0, b1)
+        # R is free: d_1 = 0, and slot_map keeps the width of N^{beta_0}
+        res = resolution(R, 1)
+        assert res.betti[1] == 0 and len(res.rmx[0]) == res.betti[0]
+        got = slot_map(residue_field(h), res.rmx[0])
+        assert (got.m, got.n) == (0, res.betti[0])
 
 
 def test_cyclic_modules_dvr():

@@ -3,11 +3,13 @@
 `perfbench/tracer.py` wraps each name in its FUNCTIONS and METHODS tables
 at run time.  Deleting or renaming one of those names in the engine, or
 binding two table entries to one function object, breaks a traced run; the
-first test makes the same lookups without patching anything.  The others
-run the counter part of `scripts/bench_scalar.py` on two-verdict slices
-and check how its counters relate.
+first test makes the same lookups without patching anything.  The next
+ones run the counter part of `scripts/bench_scalar.py` on two-verdict
+slices and check how its counters relate.  The last one keeps the engine's
+imports honest.
 """
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -108,3 +110,32 @@ def test_bench_scalar_artin_counters_on_a_slice(tmp_path):
     # every pushout builds its middle module
     assert counts["ext.pushout_seq"] >= counts["ext.middle"] > 0
     assert counts["CoeffModule.__init__"] > counts["ext.pushout_seq"]
+
+
+def _unused_imports(source):
+    """Names a module imports and never mentions again."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used)
+
+
+def test_unused_import_finder_flags_only_unused_names():
+    source = ("from __future__ import annotations\n"
+              "import os.path\nfrom a import b, c as d, e\n"
+              "def f():\n    from g import h\n    return os.sep, d\n")
+    assert _unused_imports(source) == [(3, "b"), (3, "e"), (5, "h")]
+
+
+def test_src_has_no_unused_imports():
+    found = {path.name: _unused_imports(path.read_text())
+             for path in sorted((ROOT / "src" / "subext").glob("*.py"))}
+    assert {k: v for k, v in found.items() if v} == {}
