@@ -25,7 +25,8 @@ the engine functions named in COUNTED: in `subext.dcoeff`,
 `Scalar.__init__`, `Scalar._norm`, `pgcd`, `pmul`, `smith`,
 `Subquotient.__init__`, the transform replays `SNF.u`, `SNF.uinv` and
 `SNF.v`, and `Mat.__matmul__`; in `subext.modules`, `CoeffModule.__init__` (every module built)
-and `CoeffModule.basis_action`; `ext.middle` and `ext.pushout_seq`; and
+and `CoeffModule.basis_action`; `ext.middle`, `ext.pushout_seq`,
+`SES.certify` and `ext.classify`; and
 `ulrich.multiplicity`, `ulrich.multiplicity_hilbert` and
 `ulrich.is_ulrich`.  A function the engine lacks reads null.  On an engine
 whose `Base` has an operation table, the child also counts the table's
@@ -71,6 +72,8 @@ COUNTED = {"Scalar.__init__": ("dcoeff", "Scalar", "__init__"),
                                         "basis_action"),
            "ext.middle": ("ext", None, "middle"),
            "ext.pushout_seq": ("ext", None, "pushout_seq"),
+           "SES.certify": ("ext", "SES", "certify"),
+           "ext.classify": ("ext", None, "classify"),
            "ulrich.multiplicity": ("ulrich", None, "multiplicity"),
            "ulrich.multiplicity_hilbert": ("ulrich", None,
                                            "multiplicity_hilbert"),

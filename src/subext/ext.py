@@ -13,15 +13,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .dcoeff import (Mat, Subquotient, block_diag, hstack, preimage, solve,
-                     solve_matrix, vstack)
+from .dcoeff import (Mat, Subquotient, block_diag, hstack, preimage, smith,
+                     solve, solve_matrix, vstack)
 from .errors import (BudgetExceeded, CertificateError, InfiniteLengthError,
                      SubextError)
 from .modules import (CoeffModule, ModMap, _free_cover_matrix,
                       _generator_cols, _image_length, _linearity_conditions,
                       _rmatrix_of, _unvec, direct_sum, hom, normalize_rows,
-                      power, resolution, slot_map, subquotient_module,
-                      zero_module)
+                      power, power_rel, resolution, slot_map,
+                      subquotient_module, zero_module)
 
 
 # ---------------------------------------------------------------------------
@@ -31,7 +31,15 @@ from .modules import (CoeffModule, ModMap, _free_cover_matrix,
 
 @dataclass
 class SES:
-    """0 -> A -i-> B -p-> C -> 0 with explicit coordinate maps."""
+    """0 -> A -i-> B -p-> C -> 0 with explicit coordinate maps.
+
+    A sequence keeps one Smith form of the span [i | rel_B] in D^{B.n} and
+    one of [p | rel_C] in D^{C.n} (``_forms``, keyed "i" and "p"), each
+    built on its first use by certify or classify and freed with the
+    sequence; a classify with nothing to solve builds none.  Keeping them is
+    safe because no SES or ModMap is changed after construction, so a form
+    always describes the maps it was built from.
+    """
     A: CoeffModule
     B: CoeffModule
     C: CoeffModule
@@ -40,21 +48,61 @@ class SES:
     # target module N -> the part of pushout_seq(self, f : A -> N) that does
     # not depend on f
     _pushouts: dict = field(default_factory=dict, repr=False, compare=False)
+    # "i" / "p" -> (width, Smith form) of [i | rel_B] / [p | rel_C]
+    _forms: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def _form(self, name):
+        if name not in self._forms:
+            f = getattr(self, name)
+            A = f.dst.span(f.mat)
+            self._forms[name] = (A.n, smith(A))
+        return self._forms[name]
+
+    def _kernel(self, name):
+        """A D-basis of {x : [f | rel] x = 0} for f = self.i or self.p."""
+        n, snf = self._form(name)
+        units = Mat.identity(snf.base, n).rows
+        return [snf.v(units[j]) for j in range(snf.rank, n)]
+
+    def _solve(self, name, targets, error):
+        """One solution x of [f | rel] x = b for each target b, for
+        f = self.i ("i") or self.p ("p"); raises error when a target has
+        none.  With no targets no Smith form is built."""
+        if not targets:
+            return []
+        n, snf = self._form(name)
+        out = []
+        for b in targets:
+            x = snf.coords(b, n)
+            if x is None:
+                raise error
+            out.append(snf.v(x))
+        return out
 
     def certify(self):
+        """Check that this is a short exact sequence of R-modules; raises
+        CertificateError naming the first check that fails.
+
+        R-linearity and p o i = 0 are checked on the matrices.  The other
+        three read the two kept Smith forms: i is injective when the
+        A-coordinates of each kernel vector of [i | rel_B] lie in rel_A; p
+        is surjective when [p | rel_C] has rank C.n with every exponent 0;
+        the sequence is exact in the middle when the B-coordinates of each
+        kernel vector of [p | rel_C] lie in the span of [i | rel_B].
+        """
         if not self.i.is_r_linear() or not self.p.is_r_linear():
             raise CertificateError("sequence maps are not R-linear")
         if not (self.p @ self.i).is_zero_map():
             raise CertificateError("p o i is not zero")
-        # i injective: {x : i(x) in rel_B} must lie in rel_A
-        if self.A.quotient([preimage(self.i.mat, self.B.rel())]).exps:
+        if any(x.num for k in self._kernel("i")
+               for x in self.A.reduce_vec(k[:self.A.n])):
             raise CertificateError("i is not injective")
-        # p surjective
-        if self.C.quotient(None, [self.p.mat]).exps:
+        _, snf_p = self._form("p")
+        if snf_p.rank != self.C.n or any(snf_p.exps):
             raise CertificateError("p is not surjective")
-        # exact in the middle: ker p = im i
-        Z = preimage(self.p.mat, self.C.rel())
-        if self.B.quotient([Z], [self.i.mat]).exps:
+        n_i, snf_i = self._form("i")
+        if any(snf_i.coords(k[:self.B.n], n_i) is None
+               for k in self._kernel("p")):
             raise CertificateError("sequence is not exact in the middle")
         return True
 
@@ -183,7 +231,7 @@ def ext(M, N, j):
     # cocycles: slots of N^{beta_j} that vanish on the image of d_{j+1};
     # coboundaries: maps F_j -> N factoring through d_j
     P = power(N, beta)
-    Z = preimage(slot_map(N, res.rmx[j]), power(N, res.betti[j + 1]).rel())
+    Z = preimage(slot_map(N, res.rmx[j]), power_rel(N, res.betti[j + 1]))
     sq = P.quotient([Z], [slot_map(N, res.rmx[j - 1])])
     module = subquotient_module(h, P.actions, sq, sq.basis())
     pres = ExtPresentation(M=M, N=N, j=j, module=module, sq=sq, beta=beta,
@@ -210,43 +258,44 @@ def middle(cls):
 
 
 def classify(ses, pres=None):
-    """The degree-1 class of a sequence 0 -> N -> B -> M -> 0."""
+    """The degree-1 class of a sequence 0 -> N -> B -> M -> 0, solved
+    against the Smith forms of [p | rel_M] and [i | rel_B] kept on ses."""
     M, N, B = ses.C, ses.A, ses.B
     if pres is None:
         pres = ext(M, N, 1)
     res = pres.res
     h = M.handle
     # lift the cover F_0 -> M through p
-    G = _lift_generators(B, M.span(ses.p.mat),
-                         _generator_cols(h, res.cover.mat, res.betti[0]),
-                         CertificateError("cover does not lift through p"))
+    G = _cover_by(B, ses._solve(
+        "p", _generator_cols(h, res.cover.mat, res.betti[0]),
+        CertificateError("cover does not lift through p")))
     # psi = G o d1 lands in ker p = im i; pull back through i
     psis = [G @ v for v in _generator_cols(h, res.diffs[0], pres.beta)]
-    Y = _solve_cols(B.span(ses.i.mat), psis, CertificateError(
+    Y = ses._solve("i", psis, CertificateError(
         "boundary does not pull back through i"))
     if pres.beta == 0:
         return pres.zero_class()
     return pres.class_of_vec([a for y in Y for a in y[:N.n]])
 
 
-def _solve_cols(A, targets, error):
-    """One solution of A y = b for each target b, from one Smith form of A;
-    raises error when a target has none."""
-    if not targets:
-        return []
-    Y = solve_matrix(A, Mat.from_cols(A.base, A.m, targets))
-    if Y is None:
-        raise error
-    return Y.cols()
+def _cover_by(T, Y):
+    """D-matrix of the R-linear map R^k -> T sending generator b to the
+    first T.n coordinates of Y[b]."""
+    return _free_cover_matrix(T.handle, T.basis_action, Mat.from_cols(
+        T.handle.base, T.n, [y[:T.n] for y in Y]))
 
 
 def _lift_generators(T, A, targets, error):
-    """D-matrix of the R-linear map R^k -> T sending generator b to the first
-    T.n coordinates of a solution y of A y = targets[b]; raises error when a
+    """_cover_by(T, Y) for one solution y of A y = targets[b] per generator
+    b, from one Smith form of A (none without targets); raises error when a
     target has no solution."""
-    Y = _solve_cols(A, targets, error)
-    return _free_cover_matrix(T.handle, T.basis_action, Mat.from_cols(
-        T.handle.base, T.n, [y[:T.n] for y in Y]))
+    Y = []
+    if targets:
+        Y = solve_matrix(A, Mat.from_cols(A.base, A.m, targets))
+        if Y is None:
+            raise error
+        Y = Y.cols()
+    return _cover_by(T, Y)
 
 
 def is_split(ses, pres=None, cross_check=True):

@@ -16,7 +16,8 @@ power(R, k), so generator b of R^k is coordinate b*nR.  Hom(M, N) is a
 subquotient of N^{M.n} whose slots are the images phi(e_j); ext.ext(M, N, j)
 is a subquotient of N^{beta_j} whose slots are the images of the generators
 of F_j; a tensor product X (x) C is a quotient of X^{beta_0(C)}.  slot_map
-lets an R-matrix act on slots (composing with a differential).
+lets an R-matrix act on slots (composing with a differential), and
+power_rel(N, k) is the relation block of N^k without N^k's actions.
 
 Shared objects.  No CoeffModule or FracIdeal is changed after construction
 (their caches only add results computed from it), so a constructor may hand
@@ -191,7 +192,6 @@ class ModMap:
         return ModMap(self.src, self.dst, -self.mat)
 
     def is_zero_map(self):
-        # rows are normalized modulo the torsion exponents at construction
         return self.mat_is_rel()
 
     def __eq__(self, other):
@@ -214,8 +214,8 @@ class ModMap:
         return True
 
     def mat_is_rel(self):
-        return all(not a.num for row in normalize_rows(self.dst.exps, self.mat).rows
-                   for a in row)
+        # rows are normalized modulo the torsion exponents at construction
+        return all(not a.num for row in self.mat.rows for a in row)
 
 
 def solve_like(A, b):
@@ -252,6 +252,12 @@ def power(N, k):
     return CoeffModule(N.handle, N.exps * k,
                        {g: block_diag(base, [N.actions[g]] * k)
                         for g in N.handle.gen_names})
+
+
+def power_rel(N, k):
+    """power(N, k).rel() without building the actions of N^k: k copies of
+    N.rel(), block-diagonal."""
+    return block_diag(N.handle.base, [N.rel()] * k)
 
 
 def slot_map(N, rmx):

@@ -9,7 +9,7 @@ from subext.modules import (
     ModMap, annihilator, canonical_module, colon_in_module, direct_sum,
     dualize_omega, free_module, from_fractional_ideal, from_quotient_ideal,
     hom, is_isomorphic, is_mcm, length, loewy_length, mu, nu, power,
-    quotient_module, regular_module, residue_field, resolution, slot_map,
+    power_rel, quotient_module, regular_module, residue_field, resolution, slot_map,
     socle, solve_like, submodule, subquotient_module, syzygy, torsion_part,
     transpose, validate_module, zero_module, assert_minimal,
 )
@@ -79,6 +79,18 @@ def test_power_keeps_slot_major_order():
             P = power(regular_module(h), n)
             assert F.exps == P.exps
             assert all(F.actions[g] == P.actions[g] for g in h.gen_names)
+
+
+def test_power_rel_is_the_relation_block_of_the_power():
+    D, S, A = dvr(3), semigroup(2, 2, 3), artin(2, ["x", "y"],
+                                                [(2, 0), (1, 1), (0, 2)])
+    for N in (direct_sum([regular_module(D), cyclic(D, 1), cyclic(D, 2)])[0],
+              cyclic(D, 2), regular_module(D),
+              direct_sum([regular_module(S), residue_field(S)])[0],
+              canonical_module(S), residue_field(A),
+              from_quotient_ideal(A, m_ideal(A))):
+        for k in range(4):
+            assert power_rel(N, k) == power(N, k).rel()
 
 
 def _dual_by_mult_matrix(h, rmx, b0, b1):

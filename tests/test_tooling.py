@@ -71,6 +71,8 @@ def test_bench_scalar_counters_on_a_slice(tmp_path):
     assert counts["smith"] >= counts["Subquotient.__init__"]
     assert counts["SNF.u"] > 0 and counts["SNF.uinv"] > 0
     assert counts["SNF.v"] > 0
+    # the dvr-mu verdicts certify every middle they build
+    assert counts["SES.certify"] == counts["ext.middle"] > 0
     # every table entry follows a missed lookup
     assert 0 < counts["table_entries"] <= counts["table_lookups"]
     assert counts["table_hit_rate"] == pytest.approx(
