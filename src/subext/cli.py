@@ -93,7 +93,18 @@ def cmd_verify(scenario, seed, budget, out):
     sys.exit(1 if "fail" in statuses else 3 if "budget" in statuses else 0)
 
 
-@main.group("compute")
+class _ComputeGroup(click.Group):
+    """A command group whose commands report a SubextError as a click
+    error (an `Error:` line and exit status 1), not a traceback."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except SubextError as exc:
+            raise click.ClickException(str(exc)) from None
+
+
+@main.group("compute", cls=_ComputeGroup)
 def cmd_compute():
     """Ad-hoc computations over a workspace (bundled by default)."""
 
@@ -108,12 +119,9 @@ _WORKSPACE_OPT = click.option(
 @_WORKSPACE_OPT
 def cmd_ring_info(ring_name, workspace_path):
     """Invariants of a ring: dimension, multiplicity, type, flags."""
-    try:
-        ws = _load_workspace(workspace_path)
-        handle = ws.ring(ring_name)
-        inv = ring_invariants(handle)
-    except SubextError as exc:
-        raise click.ClickException(str(exc))
+    ws = _load_workspace(workspace_path)
+    handle = ws.ring(ring_name)
+    inv = ring_invariants(handle)
     _emit({"ring": ring_name, "label": handle.label, "dim": inv.dim,
            "depth": inv.depth, "emb_dim": inv.emb_dim, "mult": inv.mult,
            "type": inv.cm_type, "regular": inv.regular,
@@ -127,17 +135,14 @@ def cmd_ring_info(ring_name, workspace_path):
 @_WORKSPACE_OPT
 def cmd_mod_invariants(module_name, workspace_path):
     """Invariants of a module: generators, length, MCM flag."""
-    try:
-        ws = _load_workspace(workspace_path)
-        M = ws.module(module_name)
-        lam = length(M) if all(e is not None or not M.handle.base.local
-                               for e in M.exps) else None
-        _emit({"module": module_name, "mu": mu(M), "length": lam,
-               "mcm": is_mcm(M),
-               "invariant_factors": [e if e is not None else "free"
-                                     for e in M.exps]})
-    except SubextError as exc:
-        raise click.ClickException(str(exc))
+    ws = _load_workspace(workspace_path)
+    M = ws.module(module_name)
+    lam = length(M) if all(e is not None or not M.handle.base.local
+                           for e in M.exps) else None
+    _emit({"module": module_name, "mu": mu(M), "length": lam,
+           "mcm": is_mcm(M),
+           "invariant_factors": [e if e is not None else "free"
+                                 for e in M.exps]})
 
 
 @cmd_compute.command("ext")
@@ -147,15 +152,12 @@ def cmd_mod_invariants(module_name, workspace_path):
 @_WORKSPACE_OPT
 def cmd_ext(m_name, n_name, deg, workspace_path):
     """Invariant factors and order of Ext^deg(M, N)."""
-    try:
-        ws = _load_workspace(workspace_path)
-        pres = ext_op(ws.module(m_name), ws.module(n_name), deg)
-        _emit({"M": m_name, "N": n_name, "deg": deg,
-               "invariant_factors": [e if e is not None else "free"
-                                     for e in pres.module.exps],
-               "order": group_order(pres)})
-    except SubextError as exc:
-        raise click.ClickException(str(exc))
+    ws = _load_workspace(workspace_path)
+    pres = ext_op(ws.module(m_name), ws.module(n_name), deg)
+    _emit({"M": m_name, "N": n_name, "deg": deg,
+           "invariant_factors": [e if e is not None else "free"
+                                 for e in pres.module.exps],
+           "order": group_order(pres)})
 
 
 @cmd_compute.command("ext-sub")
@@ -171,21 +173,18 @@ def cmd_ext(m_name, n_name, deg, workspace_path):
 def cmd_ext_sub(m_name, n_name, fn_name, ideal_name, budget,
                 workspace_path):
     """Member count and submodule certificate of an Ext^1 subfunctor."""
-    try:
-        ws = _load_workspace(workspace_path)
-        M, N = ws.module(m_name), ws.module(n_name)
-        pres = ext_op(M, N, 1)
-        if fn_name == "mu":
-            fn = fn_mu()
-        else:
-            fn = fn_colength(_ideal(ws, ideal_name, M))
-        res = ext1_additive(pres, fn, budget)
-        _emit({"M": m_name, "N": n_name, "fn": fn_name,
-               "members": len(res.members), "group_order": res.total,
-               "span_length": res.span_length,
-               "certified_submodule": res.certified})
-    except SubextError as exc:
-        raise click.ClickException(str(exc))
+    ws = _load_workspace(workspace_path)
+    M, N = ws.module(m_name), ws.module(n_name)
+    pres = ext_op(M, N, 1)
+    if fn_name == "mu":
+        fn = fn_mu()
+    else:
+        fn = fn_colength(_ideal(ws, ideal_name, M))
+    res = ext1_additive(pres, fn, budget)
+    _emit({"M": m_name, "N": n_name, "fn": fn_name,
+           "members": len(res.members), "group_order": res.total,
+           "span_length": res.span_length,
+           "certified_submodule": res.certified})
 
 
 @cmd_compute.command("ext-ul")
@@ -198,17 +197,14 @@ def cmd_ext_sub(m_name, n_name, fn_name, ideal_name, budget,
 @_WORKSPACE_OPT
 def cmd_ext_ul(m_name, n_name, ideal_name, budget, workspace_path):
     """Classes of Ext^1(M, N) whose middle is I-Ulrich."""
-    try:
-        ws = _load_workspace(workspace_path)
-        M, N = ws.module(m_name), ws.module(n_name)
-        I = _ideal(ws, ideal_name, M)
-        pres = ext_op(M, N, 1)
-        res = ext1_ulrich(pres, I, budget)
-        _emit({"M": m_name, "N": n_name,
-               "members": len(res.members), "group_order": res.total,
-               "certified_submodule": res.certified})
-    except SubextError as exc:
-        raise click.ClickException(str(exc))
+    ws = _load_workspace(workspace_path)
+    M, N = ws.module(m_name), ws.module(n_name)
+    I = _ideal(ws, ideal_name, M)
+    pres = ext_op(M, N, 1)
+    res = ext1_ulrich(pres, I, budget)
+    _emit({"M": m_name, "N": n_name,
+           "members": len(res.members), "group_order": res.total,
+           "certified_submodule": res.certified})
 
 
 @cmd_compute.command("verify-ses")
@@ -223,34 +219,30 @@ def cmd_verify_ses(m_name, n_name, coords, workspace_path):
     """Build the extension with the given class coordinates, certify it,
     and report its middle's invariants."""
     from .ext import ExtClass, classify
-    try:
-        ws = _load_workspace(workspace_path)
-        M, N = ws.module(m_name), ws.module(n_name)
-        pres = ext_op(M, N, 1)
-        base = M.handle.base
-        if coords:
-            try:
-                values = [parse_scalar(base, c) for c in coords.split(",")]
-            except WorkspaceSyntaxError as exc:
-                raise SubextError(
-                    f"--coords needs comma-separated integers or, over a "
-                    f"local base, polynomials in t; got {coords!r}: {exc}"
-                ) from None
-            if len(values) != pres.module.n:
-                raise SubextError(
-                    f"expected {pres.module.n} coordinates")
-            cls = ExtClass(pres, values)
-        else:
-            cls = pres.zero_class()
-        ses = middle(cls)
-        ses.certify()
-        round_trip = classify(ses, pres) == cls
-        _emit({"M": m_name, "N": n_name, "class": repr(cls.coords),
-               "certified_exact": True, "round_trip": round_trip,
-               "middle_mu": mu(ses.B),
-               "mu_additive": mu(ses.B) == mu(ses.A) + mu(ses.C)})
-    except SubextError as exc:
-        raise click.ClickException(str(exc))
+    ws = _load_workspace(workspace_path)
+    M, N = ws.module(m_name), ws.module(n_name)
+    pres = ext_op(M, N, 1)
+    base = M.handle.base
+    if coords:
+        try:
+            values = [parse_scalar(base, c) for c in coords.split(",")]
+        except WorkspaceSyntaxError as exc:
+            raise SubextError(
+                f"--coords needs comma-separated integers or, over a "
+                f"local base, polynomials in t; got {coords!r}: {exc}"
+            ) from None
+        if len(values) != pres.module.n:
+            raise SubextError(f"expected {pres.module.n} coordinates")
+        cls = ExtClass(pres, values)
+    else:
+        cls = pres.zero_class()
+    ses = middle(cls)
+    ses.certify()
+    round_trip = classify(ses, pres) == cls
+    _emit({"M": m_name, "N": n_name, "class": repr(cls.coords),
+           "certified_exact": True, "round_trip": round_trip,
+           "middle_mu": mu(ses.B),
+           "mu_additive": mu(ses.B) == mu(ses.A) + mu(ses.C)})
 
 
 if __name__ == "__main__":

@@ -524,17 +524,19 @@ class SNF:
     """U @ A @ V = diag(t^e for e in exps), padded by zeros; rank = len(exps).
 
     smith runs the elimination once and records it instead of building U
-    and V.  ``row_ops`` lists the row operations of A (m rows) in the order
+    and V.  ``row_ops`` lists the row operations of A (m x n) in the order
     they were made: ("swap", i, j, None) swaps rows i and j, ("scale", i,
     None, s) multiplies row i by the unit s, and ("add", i, j, f) subtracts
     f times row j from row i.  ``col_ops`` lists the column operations the
     same way, as ("swap", i, j, None) and ("add", i, j, g).  U is the
     product of the row operations and V that of the column operations, so
-    u, uinv and v apply U, U^-1 and V to a vector by replaying the lists.
+    u, uinv and v apply U, U^-1 and V to a vector by replaying the lists,
+    and solve and kernel read the solutions and the kernel of A off them.
     """
 
     base: Base
     m: int
+    n: int
     exps: list
     rank: int
     row_ops: list
@@ -601,6 +603,16 @@ class SNF:
             z[i] = c[i] * base.t_power(e)
         return self.uinv(z)
 
+    def solve(self, b):
+        """One solution x of A x = b (deterministic), or None if insolvable."""
+        x = self.coords(b, self.n)
+        return None if x is None else self.v(x)
+
+    def kernel(self):
+        """A free, saturated basis of {x : A x = 0}, as a list of vectors."""
+        units = Mat.identity(self.base, self.n).rows
+        return [self.v(units[j]) for j in range(self.rank, self.n)]
+
 
 def smith(A):
     """Local Smith normal form, with its row and column operations recorded.
@@ -664,16 +676,13 @@ def smith(A):
                 W[r][j] = base.zero()
         exps.append(v)
         r += 1
-    return SNF(base=base, m=m, exps=exps, rank=len(exps), row_ops=row_ops,
-               col_ops=col_ops)
+    return SNF(base=base, m=m, n=n, exps=exps, rank=len(exps),
+               row_ops=row_ops, col_ops=col_ops)
 
 
 def kernel(A):
     """Free, saturated basis of {x : A x = 0}, as columns of a matrix."""
-    snf = smith(A)
-    units = Mat.identity(A.base, A.n).rows
-    return Mat.from_cols(A.base, A.n,
-                         [snf.v(units[j]) for j in range(snf.rank, A.n)])
+    return Mat.from_cols(A.base, A.n, smith(A).kernel())
 
 
 def preimage(A, span):
@@ -700,9 +709,7 @@ def preimage_all(base, n, conds):
 
 def solve(A, b):
     """One solution x of A x = b (deterministic), or None if insolvable."""
-    snf = smith(A)
-    x = snf.coords(b, A.n)
-    return None if x is None else snf.v(x)
+    return smith(A).solve(b)
 
 
 def solve_matrix(A, B):
@@ -710,10 +717,10 @@ def solve_matrix(A, B):
     snf = smith(A)
     cols = []
     for j in range(B.n):
-        x = snf.coords(B.col(j), A.n)
+        x = snf.solve(B.col(j))
         if x is None:
             return None
-        cols.append(snf.v(x))
+        cols.append(x)
     return Mat.from_cols(A.base, A.n, cols)
 
 

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .dcoeff import (Mat, Subquotient, block_diag, hstack, preimage, smith,
-                     solve, solve_matrix, vstack)
+                     solve, vstack)
 from .errors import (BudgetExceeded, CertificateError, InfiniteLengthError,
                      SubextError)
 from .modules import (CoeffModule, ModMap, _free_cover_matrix,
@@ -48,36 +48,14 @@ class SES:
     # target module N -> the part of pushout_seq(self, f : A -> N) that does
     # not depend on f
     _pushouts: dict = field(default_factory=dict, repr=False, compare=False)
-    # "i" / "p" -> (width, Smith form) of [i | rel_B] / [p | rel_C]
+    # "i" / "p" -> Smith form of [i | rel_B] / [p | rel_C]
     _forms: dict = field(default_factory=dict, repr=False, compare=False)
 
     def _form(self, name):
         if name not in self._forms:
             f = getattr(self, name)
-            A = f.dst.span(f.mat)
-            self._forms[name] = (A.n, smith(A))
+            self._forms[name] = smith(f.dst.span(f.mat))
         return self._forms[name]
-
-    def _kernel(self, name):
-        """A D-basis of {x : [f | rel] x = 0} for f = self.i or self.p."""
-        n, snf = self._form(name)
-        units = Mat.identity(snf.base, n).rows
-        return [snf.v(units[j]) for j in range(snf.rank, n)]
-
-    def _solve(self, name, targets, error):
-        """One solution x of [f | rel] x = b for each target b, for
-        f = self.i ("i") or self.p ("p"); raises error when a target has
-        none.  With no targets no Smith form is built."""
-        if not targets:
-            return []
-        n, snf = self._form(name)
-        out = []
-        for b in targets:
-            x = snf.coords(b, n)
-            if x is None:
-                raise error
-            out.append(snf.v(x))
-        return out
 
     def certify(self):
         """Check that this is a short exact sequence of R-modules; raises
@@ -94,15 +72,15 @@ class SES:
             raise CertificateError("sequence maps are not R-linear")
         if not (self.p @ self.i).is_zero_map():
             raise CertificateError("p o i is not zero")
-        if any(x.num for k in self._kernel("i")
+        if any(x.num for k in self._form("i").kernel()
                for x in self.A.reduce_vec(k[:self.A.n])):
             raise CertificateError("i is not injective")
-        _, snf_p = self._form("p")
+        snf_p = self._form("p")
         if snf_p.rank != self.C.n or any(snf_p.exps):
             raise CertificateError("p is not surjective")
-        n_i, snf_i = self._form("i")
-        if any(snf_i.coords(k[:self.B.n], n_i) is None
-               for k in self._kernel("p")):
+        snf_i = self._form("i")
+        if any(snf_i.coords(k[:self.B.n], snf_i.n) is None
+               for k in snf_p.kernel()):
             raise CertificateError("sequence is not exact in the middle")
         return True
 
@@ -219,24 +197,19 @@ def ext(M, N, j):
     key = ("ext", j, N)
     if key in M._cache:
         return M._cache[key]
-    h = M.handle
     res = resolution(M, j + 1)
     beta = res.betti[j]
     if beta == 0 or N.is_zero():
-        Z = zero_module(h)
-        pres = ExtPresentation(M=M, N=N, j=j, module=Z, sq=Z.quotient(),
-                               beta=beta, res=res)
-        M._cache[key] = pres
-        return pres
-    # cocycles: slots of N^{beta_j} that vanish on the image of d_{j+1};
-    # coboundaries: maps F_j -> N factoring through d_j
-    P = power(N, beta)
-    Z = preimage(slot_map(N, res.rmx[j]), power_rel(N, res.betti[j + 1]))
-    sq = P.quotient([Z], [slot_map(N, res.rmx[j - 1])])
-    module = subquotient_module(h, P.actions, sq, sq.basis())
-    pres = ExtPresentation(M=M, N=N, j=j, module=module, sq=sq, beta=beta,
-                           res=res)
-    M._cache[key] = pres
+        module = zero_module(M.handle)
+        sq = module.quotient()
+    else:
+        # cocycles: slots of N^{beta_j} that vanish on the image of d_{j+1};
+        # coboundaries: maps F_j -> N factoring through d_j
+        Z = preimage(slot_map(N, res.rmx[j]), power_rel(N, res.betti[j + 1]))
+        module, sq, _ = subquotient_module(power(N, beta), [Z],
+                                           [slot_map(N, res.rmx[j - 1])])
+    pres = M._cache[key] = ExtPresentation(M=M, N=N, j=j, module=module,
+                                           sq=sq, beta=beta, res=res)
     return pres
 
 
@@ -266,12 +239,13 @@ def classify(ses, pres=None):
     res = pres.res
     h = M.handle
     # lift the cover F_0 -> M through p
-    G = _cover_by(B, ses._solve(
-        "p", _generator_cols(h, res.cover.mat, res.betti[0]),
+    G = _cover_by(B, _solve_each(
+        lambda: ses._form("p"),
+        _generator_cols(h, res.cover.mat, res.betti[0]),
         CertificateError("cover does not lift through p")))
     # psi = G o d1 lands in ker p = im i; pull back through i
     psis = [G @ v for v in _generator_cols(h, res.diffs[0], pres.beta)]
-    Y = ses._solve("i", psis, CertificateError(
+    Y = _solve_each(lambda: ses._form("i"), psis, CertificateError(
         "boundary does not pull back through i"))
     if pres.beta == 0:
         return pres.zero_class()
@@ -285,27 +259,26 @@ def _cover_by(T, Y):
         T.handle.base, T.n, [y[:T.n] for y in Y]))
 
 
-def _lift_generators(T, A, targets, error):
-    """_cover_by(T, Y) for one solution y of A y = targets[b] per generator
-    b, from one Smith form of A (none without targets); raises error when a
+def _solve_each(form, targets, error):
+    """One solution per target of the system with Smith form form(), which
+    is called once, and not at all without targets; raises error when a
     target has no solution."""
-    Y = []
-    if targets:
-        Y = solve_matrix(A, Mat.from_cols(A.base, A.m, targets))
-        if Y is None:
+    if not targets:
+        return []
+    snf = form()
+    out = []
+    for b in targets:
+        out.append(snf.solve(b))
+        if out[-1] is None:
             raise error
-        Y = Y.cols()
-    return _cover_by(T, Y)
+    return out
 
 
-def is_split(ses, pres=None, cross_check=True):
+def is_split(ses, pres=None):
     """Splitting test: vanishing class, cross-checked by a direct search
     for an R-linear section of p."""
     by_class = classify(ses, pres).is_zero()
-    if not cross_check:
-        return by_class
-    by_section = _has_section(ses.p)
-    if by_class != by_section:
+    if by_class != _has_section(ses.p):
         raise CertificateError("classification and section search disagree")
     return by_class
 
@@ -343,9 +316,7 @@ def pushout_seq(ses, f):
         ses._pushouts[N] = (S, injs[0].mat, injs[1].mat @ ses.i.mat,
                             ses.p.mat @ projs[1].mat)
     S, inj_N, rel_B, p_B = ses._pushouts[N]
-    sq = S.quotient(None, [rel_B - inj_N @ f.mat])
-    basis = sq.basis()
-    E = subquotient_module(ses.B.handle, S.actions, sq, basis)
+    E, sq, basis = subquotient_module(S, None, [rel_B - inj_N @ f.mat])
     imap = ModMap(N, E, sq.project_cols(inj_N))
     pmap = ModMap(E, ses.C, p_B @ basis)
     return SES(A=N, B=E, C=ses.C, i=imap, p=pmap)
@@ -358,9 +329,7 @@ def pullback_seq(ses, g):
     S, injs, projs = direct_sum([B, M])
     # {(b, m) : p(b) = g(m) mod rel_C}
     cond = ses.p.mat @ projs[0].mat - g.mat @ projs[1].mat
-    sq = S.quotient([preimage(cond, C.rel())])
-    basis = sq.basis()
-    E = subquotient_module(B.handle, S.actions, sq, basis)
+    E, sq, basis = subquotient_module(S, [preimage(cond, C.rel())])
     imap = ModMap(A, E, sq.project_cols(injs[0].mat @ ses.i.mat))
     pmap = ModMap(E, M, projs[1].mat @ basis)
     return SES(A=A, B=E, C=M, i=imap, p=pmap)
@@ -454,10 +423,10 @@ def chain_lift(f, depth):
     resp = resolution(Mp, depth)
     res = resolution(M, depth)
     # level 0: cover o f0 = f o cover'
-    lifts = [_lift_generators(
-        res.frees[0], M.span(res.cover.mat),
+    lifts = [_cover_by(res.frees[0], _solve_each(
+        lambda: smith(M.span(res.cover.mat)),
         [f.mat @ v for v in _generator_cols(h, resp.cover.mat, resp.betti[0])],
-        SubextError("chain lift failed at level 0"))]
+        SubextError("chain lift failed at level 0")))]
     for lev in range(1, depth + 1):
         if resp.betti[lev] == 0 or res.betti[lev] == 0:
             lifts.append(Mat.zeros(h.base, res.frees[lev].n,
@@ -465,23 +434,20 @@ def chain_lift(f, depth):
             continue
         # the D-span of the columns of d_lev is exactly the kernel of the
         # previous map, so a plain solve suffices
-        lifts.append(_lift_generators(
-            res.frees[lev], res.diffs[lev - 1],
+        lifts.append(_cover_by(res.frees[lev], _solve_each(
+            lambda: smith(res.diffs[lev - 1]),
             [lifts[lev - 1] @ v for v in
              _generator_cols(h, resp.diffs[lev - 1], resp.betti[lev])],
-            SubextError(f"chain lift failed at level {lev}")))
+            SubextError(f"chain lift failed at level {lev}"))))
     return lifts
 
 
-def ext_induced(f, N, j, pres_src=None, pres_dst=None):
+def ext_induced(f, N, j):
     """Matrix (on canonical coordinates) of Ext^j(f, N) : Ext^j(M, N) ->
     Ext^j(M', N) for f : M' -> M."""
     Mp, M = f.src, f.dst
     base = M.handle.base
-    if pres_src is None:
-        pres_src = ext(M, N, j)
-    if pres_dst is None:
-        pres_dst = ext(Mp, N, j)
+    pres_src, pres_dst = ext(M, N, j), ext(Mp, N, j)
     if pres_src.module.is_zero() or pres_dst.module.is_zero():
         return Mat.zeros(base, pres_dst.module.n, pres_src.module.n)
     lifts = chain_lift(f, j)
@@ -492,26 +458,20 @@ def ext_induced(f, N, j, pres_src=None, pres_dst=None):
     return pres_dst.sq.project_cols(comp @ pres_src.sq.basis())
 
 
-def hom_induced(f, N, hp_src=None, hp_dst=None):
+def hom_induced(f, N):
     """Matrix of Hom(f, N) : Hom(M, N) -> Hom(M', N) for f : M' -> M."""
     Mp, M = f.src, f.dst
-    if hp_src is None:
-        hp_src = hom(M, N)
-    if hp_dst is None:
-        hp_dst = hom(Mp, N)
+    hp_src, hp_dst = hom(M, N), hom(Mp, N)
     cols = [hp_dst.coords_of(ModMap(Mp, N, phi.mat @ f.mat))
             for phi in hp_src.maps]
     return Mat.from_cols(M.handle.base, hp_dst.module.n, cols)
 
 
-def connecting_map(ses, N, hp_A=None, pres_C=None):
+def connecting_map(ses, N):
     """Matrix of the connecting map Hom(A, N) -> Ext^1(C, N) for
     0 -> A -> B -> C -> 0: phi maps to the class of its pushout."""
     base = ses.A.handle.base
-    if hp_A is None:
-        hp_A = hom(ses.A, N)
-    if pres_C is None:
-        pres_C = ext(ses.C, N, 1)
+    hp_A, pres_C = hom(ses.A, N), ext(ses.C, N, 1)
     cols = [list(classify(pushout_seq(ses, phi), pres_C).coords)
             for phi in hp_A.maps]
     return Mat.from_cols(base, pres_C.module.n, cols)
@@ -524,14 +484,12 @@ def six_term_check(ses, N):
     = length(middle), and consecutive composites vanish.
     Returns a dict with the lengths; raises CertificateError on failure."""
     A, B, C = ses.A, ses.B, ses.C
-    hC, hB, hA = hom(C, N), hom(B, N), hom(A, N)
-    eC, eB = ext(C, N, 1), ext(B, N, 1)
-    m1 = hom_induced(ses.p, N, hC, hB)       # Hom(C,N) -> Hom(B,N)
-    m2 = hom_induced(ses.i, N, hB, hA)       # Hom(B,N) -> Hom(A,N)
-    m3 = connecting_map(ses, N, hA, eC)      # Hom(A,N) -> Ext1(C,N)
-    m4 = ext_induced(ses.p, N, 1, eC, eB)    # Ext1(C,N) -> Ext1(B,N)
-    mods = [hC.module, hB.module, hA.module, eC.module, eB.module]
-    mats = [m1, m2, m3, m4]
+    mats = [hom_induced(ses.p, N),     # Hom(C,N) -> Hom(B,N)
+            hom_induced(ses.i, N),     # Hom(B,N) -> Hom(A,N)
+            connecting_map(ses, N),    # Hom(A,N) -> Ext1(C,N)
+            ext_induced(ses.p, N, 1)]  # Ext1(C,N) -> Ext1(B,N)
+    mods = [hom(C, N).module, hom(B, N).module, hom(A, N).module,
+            ext(C, N, 1).module, ext(B, N, 1).module]
     # composites vanish
     for k in range(3):
         if mods[k + 2].n == 0 or mats[k].n == 0 or mats[k + 1].n == 0:

@@ -296,12 +296,15 @@ def residue_field(handle):
     return out
 
 
-def subquotient_module(handle, ambient_actions, sq, B):
-    """The module sq = U/V, with the actions induced from the ambient; B is
-    sq.basis(), which the caller usually needs as well."""
-    new_actions = {g: sq.project_cols(ambient_actions[g] @ B)
-                   for g in handle.gen_names}
-    return CoeffModule(handle, sq.exps, new_actions)
+def subquotient_module(M, top=None, bottom=()):
+    """The module E = M.quotient(top, bottom) = U/V with the actions induced
+    from M; returns (E, sq, B) with sq that Subquotient and B = sq.basis(),
+    the lifts of E's coordinates into M, which callers usually need too."""
+    sq = M.quotient(top, bottom)
+    B = sq.basis()
+    actions = {g: sq.project_cols(M.actions[g] @ B)
+               for g in M.handle.gen_names}
+    return CoeffModule(M.handle, sq.exps, actions), sq, B
 
 
 def submodule(M, gens_mat):
@@ -311,17 +314,14 @@ def submodule(M, gens_mat):
     """
     # close under the R-action: multiply by all ring basis monomials
     closed = _free_cover_matrix(M.handle, M.basis_action, gens_mat)
-    sq = M.quotient([closed])
-    B = sq.basis()
-    K = subquotient_module(M.handle, M.actions, sq, B)
+    K, _, B = subquotient_module(M, [closed])
     return K, ModMap(K, M, B)
 
 
 def quotient_module(M, gens_mat):
     """M / (R-span of the columns); returns (Q, proj: M -> Q)."""
     closed = _free_cover_matrix(M.handle, M.basis_action, gens_mat)
-    sq = M.quotient(None, [closed])
-    Q = subquotient_module(M.handle, M.actions, sq, sq.basis())
+    Q, sq, _ = subquotient_module(M, None, [closed])
     return Q, ModMap(M, Q, sq.project_cols(Mat.identity(M.handle.base, M.n)))
 
 
@@ -612,28 +612,21 @@ def hom(M, N):
     key = ("hom", N)
     if key in M._cache:
         return M._cache[key]
-    h = M.handle
-    base = h.base
+    base = M.handle.base
     if M.is_zero() or N.is_zero():
-        Z = zero_module(h)
-        out = HomPres(module=Z, maps=[], sq=Z.quotient(), src=M, dst=N)
-        M._cache[key] = out
-        return out
-    P, conds = _linearity_conditions(M, N)
-    sq = P.quotient([preimage_all(base, P.n, conds)])
-    B = sq.basis()
-    Hmod = subquotient_module(h, P.actions, sq, B)
-    maps = [ModMap(M, N, _unvec(base, w, N.n, M.n)) for w in B.cols()]
-    out = HomPres(module=Hmod, maps=maps, sq=sq, src=M, dst=N)
-    M._cache[key] = out
+        Hmod = zero_module(M.handle)
+        sq, maps = Hmod.quotient(), []
+    else:
+        P, conds = _linearity_conditions(M, N)
+        Hmod, sq, B = subquotient_module(P, [preimage_all(base, P.n, conds)])
+        maps = [ModMap(M, N, _unvec(base, w, N.n, M.n)) for w in B.cols()]
+    out = M._cache[key] = HomPres(module=Hmod, maps=maps, sq=sq, src=M, dst=N)
     return out
 
 
-def dualize_omega(M, omega=None):
+def dualize_omega(M):
     """M^dagger = Hom(M, omega)."""
-    if omega is None:
-        omega = canonical_module(M.handle)
-    return hom(M, omega).module
+    return hom(M, canonical_module(M.handle)).module
 
 
 # ---------------------------------------------------------------------------

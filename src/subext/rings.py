@@ -28,6 +28,11 @@ from .dcoeff import (Base, Mat, Subquotient, hstack, in_span, preimage_all,
                      smith, solve_matrix)
 from .errors import (ReductionNotFound, StabilizationBudget, SubextError)
 
+# STEP_BUDGET: the powers J^n that principal_reduction and blow_up try;
+# TRIANGULAR_FUEL: cancellations per element in valuation_triangular_basis
+STEP_BUDGET = 16
+TRIANGULAR_FUEL = 400
+
 # ---------------------------------------------------------------------------
 # numerical semigroup combinatorics
 # ---------------------------------------------------------------------------
@@ -476,7 +481,7 @@ class FracIdeal:
         self.gens = [g for g in gens]
         self._span_basis = None
         self._pow_cache = {}
-        self._reductions = {}       # budget -> principal_reduction result
+        self._reduction = None      # principal_reduction result
         self._quotients = {}        # handle -> R/J (modules.from_quotient_ideal)
 
     @staticmethod
@@ -675,26 +680,26 @@ class Reduction:
         return FracIdeal(handle, [self.num], self.den)
 
 
-def principal_reduction(J, budget=16):
+def principal_reduction(J):
     """Minimal-valuation generator x of J with J^{n+1} = x J^n."""
     if J.handle.dim != 1:
         raise SubextError("principal reductions need a dimension-1 family")
-    if budget in J._reductions:
-        return J._reductions[budget]
+    if J._reduction is not None:
+        return J._reduction
     num = J.min_valuation_gen()
     xid = FracIdeal(J.handle, [num], J.den)
-    for n in range(budget + 1):
+    for n in range(STEP_BUDGET + 1):
         if J.power(n + 1) == (J.power(n) * xid):
-            J._reductions[budget] = (Reduction(num, J.den, n), n)
-            return J._reductions[budget]
-    raise ReductionNotFound(
-        f"no principal reduction by {num!r}/({J.den!r}) within budget {budget}")
+            J._reduction = (Reduction(num, J.den, n), n)
+            return J._reduction
+    raise ReductionNotFound(f"no principal reduction by {num!r}/({J.den!r}) "
+                            f"within budget {STEP_BUDGET}")
 
 
 # -- value semigroups and blow-ups -------------------------------------------
 
 
-def valuation_triangular_basis(J, fuel=400):
+def valuation_triangular_basis(J):
     """Basis of the D-span of the numerator ideal with distinct residue
     valuations; returns list of (valuation, element)."""
     h = J.handle
@@ -725,7 +730,7 @@ def valuation_triangular_basis(J, fuel=400):
             shift = base.t_power((v - vy) // a)
             x = x - y * (c * shift)
             steps += 1
-            if steps > fuel:
+            if steps > TRIANGULAR_FUEL:
                 # x should be in the span of stored (fraction tail); verify
                 B = Mat.from_cols(base, h.nR,
                                   [list(e.coords) for e in stored.values()])
@@ -763,11 +768,11 @@ def value_semigroup(J):
     return gens, mins
 
 
-def blow_up(J, budget=16):
+def blow_up(J):
     """Stabilized (J^n : J^n); returns (B as FracIdeal, B as RingHandle)."""
     h = J.handle
     prev = colon(J, J)
-    for n in range(2, budget + 1):
+    for n in range(2, STEP_BUDGET + 1):
         Jn = J.power(n)
         cur = colon(Jn, Jn)
         if cur == prev:
@@ -777,7 +782,8 @@ def blow_up(J, budget=16):
                 label=f"blowup<{','.join(map(str, gens))}>/{h.label}")
             return prev, bh
         prev = cur
-    raise StabilizationBudget(f"blow-up did not stabilize within budget {budget}")
+    raise StabilizationBudget(
+        f"blow-up did not stabilize within budget {STEP_BUDGET}")
 
 
 # -- canonical ideal ----------------------------------------------------------
@@ -830,7 +836,7 @@ class RingInvariants:
     almost_gorenstein: bool = None
 
 
-def ring_invariants(handle, budget=16):
+def ring_invariants(handle):
     m = m_ideal(handle)
     emb_dim = m.min_gen_count()
     if handle.dim == 0:
@@ -844,7 +850,7 @@ def ring_invariants(handle, budget=16):
             length=length, regular=reg, gorenstein=cm_type == 1 or reg,
             min_mult=mult == emb_dim + 1 or reg,
             almost_gorenstein=None)
-    red, _ = principal_reduction(m, budget)
+    red, _ = principal_reduction(m)
     xI = red.ideal(handle)
     mult = xI.quotient_length()
     cx = colon(xI, m)
@@ -856,7 +862,7 @@ def ring_invariants(handle, budget=16):
         ag = True
     else:
         omega = canonical_ideal(handle)
-        redo, _ = principal_reduction(omega, budget)
+        redo, _ = principal_reduction(omega)
         crit = colon(redo.ideal(handle), omega)
         ag = crit.contains_ideal(m)
     return RingInvariants(

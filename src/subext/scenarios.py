@@ -560,7 +560,7 @@ def _scn_loewy(seed, budget, tally):
             c = loewy_length(L)
 
             def check():
-                fL = fn_tensor(_cyclic(D, c), label=f"len_tensor(R/m^{c})")
+                fL = fn_tensor(_cyclic(D, c))
                 pres = ext(L, F, 1)
                 add_mu, add_L = additive(fn_mu(), pres), additive(fL, pres)
                 rows = sweep(pres, lambda ses: add_mu(ses) and add_L(ses),

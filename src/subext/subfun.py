@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 
 from .dcoeff import Mat, block_diag, hstack, preimage
-from .errors import CertificateError, StabilizationBudget, SubextError
+from .errors import CertificateError, SubextError
 from .ext import (SES, coordinate_tuples, ext, hom_induced, pullback_seq,
                   pushout_seq, sweep)
 from .modules import (ModMap, _free_cover_matrix, _image_length, direct_sum,
@@ -22,7 +22,7 @@ from .modules import (ModMap, _free_cover_matrix, _image_length, direct_sum,
                       length, mu, nu, power, regular_module, residue_field,
                       resolution, slot_map, submodule)
 from .rings import m_ideal
-from .ulrich import ulrich_middle
+from .ulrich import _stabilized, ulrich_middle
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +63,7 @@ def _tensor_image_length(f, C):
 # ---------------------------------------------------------------------------
 
 
-def tor_multiplicity(I, M, window=3, nmax=24):
+def tor_multiplicity(I, M):
     """Stabilized value of lambda(Tor_1(M, R/I^{n+1})); defined for maximal
     Cohen-Macaulay modules (and the zero module)."""
     from .ext import tor1_length
@@ -71,13 +71,7 @@ def tor_multiplicity(I, M, window=3, nmax=24):
         return 0
     if not is_mcm(M):
         raise SubextError("Tor multiplicity is defined on MCM modules only")
-    vals = []
-    for n in range(nmax + 1):
-        vals.append(tor1_length(M, I.power(n + 1)))
-        if len(vals) > window and len(set(vals[-window - 1:])) == 1:
-            return vals[-1]
-    raise StabilizationBudget(
-        f"Tor lengths did not stabilize within {nmax} steps: {vals}")
+    return _stabilized(lambda n: tor1_length(M, I.power(n + 1)), "Tor lengths")
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +88,6 @@ class NumFn:
     """
     kind: str
     payload: object = None
-    label: str = ""
 
     def __call__(self, M):
         if self.kind == "mu":
@@ -113,27 +106,27 @@ class NumFn:
 
 
 def fn_mu():
-    return NumFn(kind="mu", label="mu")
+    return NumFn(kind="mu")
 
 
-def fn_colength(I, label=None):
-    return NumFn(kind="colength", payload=I, label=label or "colength")
+def fn_colength(I):
+    return NumFn(kind="colength", payload=I)
 
 
-def fn_hom_from(C, label=None):
-    return NumFn(kind="hom_from", payload=C, label=label or "hom_from")
+def fn_hom_from(C):
+    return NumFn(kind="hom_from", payload=C)
 
 
-def fn_hom_to(C, label=None):
-    return NumFn(kind="hom_to", payload=C, label=label or "hom_to")
+def fn_hom_to(C):
+    return NumFn(kind="hom_to", payload=C)
 
 
-def fn_tensor(C, label=None):
-    return NumFn(kind="tensor", payload=C, label=label or "tensor")
+def fn_tensor(C):
+    return NumFn(kind="tensor", payload=C)
 
 
-def fn_tor_mult(I, label=None):
-    return NumFn(kind="tor_mult", payload=I, label=label or "tor_mult")
+def fn_tor_mult(I):
+    return NumFn(kind="tor_mult", payload=I)
 
 
 def is_additive_on(fn, ses):
@@ -150,9 +143,8 @@ def exactness_on(fn, ses):
     decided directly (not via lengths of the middle)."""
     if fn.kind in ("mu", "hom_to"):
         C = residue_field(ses.B.handle) if fn.kind == "mu" else fn.payload
-        hp_B, hp_A = hom(ses.B, C), hom(ses.A, C)
-        mat = hom_induced(ses.i, C, hp_B, hp_A)
-        return _image_length(hp_A.module, mat) == length(hp_A.module)
+        H = hom(ses.A, C).module
+        return _image_length(H, hom_induced(ses.i, C)) == length(H)
     if fn.kind == "hom_from":
         C = fn.payload
         hp_B, hp_C = hom(C, ses.B), hom(C, ses.C)
@@ -269,20 +261,29 @@ def member_coords(result):
 # ---------------------------------------------------------------------------
 
 
+# check_closure_axioms tests closure on at most BAER_SAMPLE members per pair
+BAER_SAMPLE = 6
+
+
 @dataclass
 class AxiomReport:
     checks: int
     violations: list
 
 
-def check_closure_axioms(handle, predicate, pairs, scalars=None,
-                         rng_seed=0, budget=2 ** 14, baer_limit=6):
+def check_closure_axioms(handle, predicate, pairs, rng_seed=0,
+                         budget=2 ** 14):
     """Exercise the closure axioms of a sequence predicate on the given
     (M, N) pairs: split sequences are members; members are closed under Baer
     sum, ring scalars (pushout and pullback along multiplication maps) and
-    composed deflations.  Returns an AxiomReport listing every violation
-    found; an Ext group past the budget raises BudgetExceeded."""
+    composed deflations, on BAER_SAMPLE members drawn with rng_seed and the
+    first two ring generators.  Returns an AxiomReport listing every
+    violation found; an Ext group past the budget raises BudgetExceeded."""
     rng = random.Random(rng_seed)
+    if handle.base.local:
+        elems = [handle.t_elt(v) for v in handle.semigroup[:2]]
+    else:
+        elems = [handle.gen_elt(g) for g in handle.spec.variables[:2]]
     checks = 0
     violations = []
 
@@ -300,19 +301,14 @@ def check_closure_axioms(handle, predicate, pairs, scalars=None,
         note(membership[pres.zero_class().coords][2],
              "split sequence rejected")
         # Baer closure
-        sample = mem if len(mem) <= baer_limit else rng.sample(mem, baer_limit)
+        sample = (mem if len(mem) <= BAER_SAMPLE
+                  else rng.sample(mem, BAER_SAMPLE))
         for c1, _, _ in sample:
             for c2, _, _ in sample:
                 s = c1 + c2
                 note(membership[s.coords][2],
                      f"Baer sum of members {c1.coords} + {c2.coords} left")
         # scalar closure
-        if scalars is not None:
-            elems = scalars
-        elif handle.base.local:
-            elems = [handle.t_elt(v) for v in handle.semigroup[:2]]
-        else:
-            elems = [handle.gen_elt(g) for g in handle.spec.variables[:2]]
         for c, _, _ in sample:
             for r in elems:
                 s = c.scale(r)

@@ -27,10 +27,26 @@ from .modules import (CoeffModule, ModMap, canonical_module, colon_in_module,
                       torsion_part, validate_module)
 from .rings import blow_up, m_ideal, principal_reduction
 
+# _stabilized: SETTLE_RUN equal values in a row within SETTLE_STEPS steps
+SETTLE_RUN = 4
+SETTLE_STEPS = 24
+
 
 # ---------------------------------------------------------------------------
 # multiplicity
 # ---------------------------------------------------------------------------
+
+
+def _stabilized(value, what):
+    """The value that the lengths value(0), value(1), ... settle at; raises
+    StabilizationBudget naming what and the values seen otherwise."""
+    vals = []
+    for n in range(SETTLE_STEPS + 1):
+        vals.append(value(n))
+        if len(vals) >= SETTLE_RUN and len(set(vals[-SETTLE_RUN:])) == 1:
+            return vals[-1]
+    raise StabilizationBudget(
+        f"{what} did not stabilize within {SETTLE_STEPS} steps: {vals}")
 
 
 def _power_colength(M, I, n):
@@ -42,22 +58,16 @@ def _power_colength(M, I, n):
                              "Hilbert function value is infinite")
 
 
-def multiplicity_hilbert(M, I, window=3, nmax=24):
+def multiplicity_hilbert(M, I):
     """e_I(M) as the stabilized value of lambda(I^n M / I^{n+1} M), taken
     on M modulo its finite-length part: e_I vanishes there, and the Hilbert
-    function of a finite-length module can stand still for longer than the
-    window (1, 1, 1, 1, 0 for R/t^4 over a DVR)."""
+    function of a finite-length module can stand still for SETTLE_RUN steps
+    before it drops (1, 1, 1, 1, 0 for R/t^4 over a DVR)."""
     if M.torsion():
         M, _ = quotient_module(M, torsion_part(M)[1].mat)
         if M.is_zero():
             return 0
-    vals = []
-    for n in range(nmax + 1):
-        vals.append(_power_colength(M, I, n))
-        if len(vals) > window and len(set(vals[-window - 1:])) == 1:
-            return vals[-1]
-    raise StabilizationBudget(
-        f"Hilbert function did not stabilize within {nmax} steps: {vals}")
+    return _stabilized(lambda n: _power_colength(M, I, n), "Hilbert function")
 
 
 def multiplicity_reduction(M, I):
@@ -284,11 +294,9 @@ def mcm_approximation_of_k(handle):
     m = m_ideal(h)
     Mm, incl = submodule(F, m.span_basis())
     w = canonical_module(h)
-    hp_R = hom(F, w)
-    hp_m = hom(Mm, w)
-    imat = hom_induced(incl, w, hp_R, hp_m)
-    A = hp_R.module       # = omega
-    B = hp_m.module       # = m-dual
+    imat = hom_induced(incl, w)
+    A = hom(F, w).module       # = omega
+    B = hom(Mm, w).module      # = m-dual
     i = ModMap(A, B, imat)
     C, p = quotient_module(B, imat)
     ses = SES(A=A, B=B, C=C, i=i, p=p)

@@ -16,11 +16,12 @@ import subext.modules as modules_mod
 import subext.rings as rings_mod
 from subext.dcoeff import Mat, preimage
 from subext.errors import CertificateError
-from subext.ext import (SES, classify, enumerate_classes, ext, group_order,
-                        middle, split_sequence)
+from subext.ext import (SES, chain_lift, classify, enumerate_classes, ext,
+                        group_order, middle, split_sequence)
 from subext.modules import (ModMap, canonical_module, direct_sum,
                             from_fractional_ideal, from_quotient_ideal,
-                            regular_module, residue_field, zero_module)
+                            regular_module, residue_field, resolution,
+                            zero_module)
 from subext.rings import FracIdeal, RingSpec, build_ring, m_ideal
 
 MAX_CLASSES = 27
@@ -255,3 +256,18 @@ def test_classify_out_of_R_builds_no_form_for_the_empty_pull_back(
     assert len(smith_calls) == 1
     assert ses.certify()
     assert len(smith_calls) == 2
+
+
+def test_chain_lift_runs_one_smith_per_level_it_lifts(smith_calls):
+    h = _semigroup(2, 2, 3)
+    k = residue_field(h)
+    res = resolution(k, 2)
+    assert res.betti == [1, 2, 2]
+    # the identity of k lifts at levels 0-2; the cover R -> k at level 0
+    # only (R has no syzygies); a map out of the zero module has no targets
+    for f, smiths in [(ModMap.identity(k), 3), (res.cover, 1),
+                      (ModMap.zero(zero_module(h), k), 0)]:
+        resolution(f.src, 2)
+        del smith_calls[:]
+        assert len(chain_lift(f, 2)) == 3
+        assert len(smith_calls) == smiths

@@ -368,6 +368,13 @@ def test_smith_replays_invert_and_solve(case):
     got = solve(A, w)
     assert got is None or A @ got == w
     assert in_span(A, w) == (got is not None)
+    # the form's own solve and kernel: the same answers, read off one form
+    assert (snf.m, snf.n) == (A.m, A.n)
+    assert snf.kernel() == K.cols()
+    assert all(not a.num for k in snf.kernel() for a in A @ k)
+    assert snf.solve(w) == got
+    got = snf.solve(b)
+    assert got is not None and A @ got == b
 
 
 def test_kernel_is_saturated_and_exact():

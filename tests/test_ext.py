@@ -281,7 +281,7 @@ def test_ext_induced_identity_is_identity():
     R = dvr(3)
     M = cyclic(R, 2)
     pres = ext(M, M, 1)
-    mat = ext_induced(ModMap.identity(M), M, 1, pres, pres)
+    mat = ext_induced(ModMap.identity(M), M, 1)
     for cls in enumerate_classes(pres)[:5]:
         img = pres.module.reduce_vec(mat @ list(cls.coords))
         assert tuple(img) == cls.coords

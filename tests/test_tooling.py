@@ -5,8 +5,8 @@ at run time.  Deleting or renaming one of those names in the engine, or
 binding two table entries to one function object, breaks a traced run; the
 first test makes the same lookups without patching anything.  The next
 ones run the counter part of `scripts/bench_scalar.py` on two-verdict
-slices and check how its counters relate.  The last one keeps the engine's
-imports honest.
+slices and check how its counters relate.  The last ones keep the engine's
+imports honest and its options in use.
 """
 
 import ast
@@ -141,3 +141,76 @@ def test_src_has_no_unused_imports():
     found = {path.name: _unused_imports(path.read_text())
              for path in sorted((ROOT / "src" / "subext").glob("*.py"))}
     assert {k: v for k, v in found.items() if v} == {}
+
+
+def _unset_defaults(sources):
+    """'name(param)' for each defaulted parameter of a def in the sources
+    that no call in them passes, by keyword or by position.  A call is
+    matched by the called name (a class name for __init__), a method's
+    positions start after self, and click commands are skipped."""
+    defs, calls = [], {}
+
+    def collect(body, cls):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                collect(node.body, node.name)
+            elif isinstance(node, ast.FunctionDef):
+                if any(isinstance(d, ast.Call)
+                       and isinstance(d.func, ast.Attribute)
+                       and d.func.attr == "command"
+                       for d in node.decorator_list):
+                    continue
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in node.decorator_list)
+                args = node.args
+                pos = args.posonlyargs + args.args
+                first = len(pos) - len(args.defaults)
+                shift = 1 if cls and not static else 0
+                qual = f"{cls}.{node.name}" if cls else node.name
+                callee = cls if node.name == "__init__" else node.name
+                defs.extend((qual, callee, pos[i].arg, i - shift)
+                            for i in range(first, len(pos)))
+                defs.extend((qual, callee, a.arg, None) for a, d in
+                            zip(args.kwonlyargs, args.kw_defaults) if d)
+                collect(node.body, None)
+
+    for source in sources:
+        tree = ast.parse(source)
+        collect(tree.body, None)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
+
+    def passes(call, param, index):
+        return (any(k.arg in (param, None) for k in call.keywords)
+                or any(isinstance(a, ast.Starred) for a in call.args)
+                or (index is not None and len(call.args) > index))
+
+    return sorted(f"{qual}({param})" for qual, callee, param, index in defs
+                  if not any(passes(c, param, index)
+                             for c in calls.get(callee, [])))
+
+
+def test_unset_default_finder_flags_only_unset_parameters():
+    source = ("import click\n"
+              "def f(a, b=1, c=2, *, d=3): pass\n"
+              "class K:\n"
+              "    def __init__(self, x=0, y=0): pass\n"
+              "    def m(self, u=0, v=0): pass\n"
+              "    @staticmethod\n"
+              "    def s(w=0): pass\n"
+              "@click.command()\n"
+              "def cmd(opt=None): pass\n"
+              "f(0, 1)\nK(1).m(v=2)\nK.s(1)\n")
+    assert _unset_defaults([source]) == ["K.__init__(y)", "K.m(u)", "f(c)",
+                                         "f(d)"]
+
+
+def test_src_sets_every_option_it_declares():
+    # the three left are set by the tests only, and the tracer pins them
+    sources = [path.read_text()
+               for path in sorted((ROOT / "src" / "subext").glob("*.py"))]
+    assert _unset_defaults(sources) == [
+        "Base.scalar(den)", "FracIdeal.contains_element(elem_den)",
+        "ulrich_samples(I)", "ulrich_samples(powers)"]

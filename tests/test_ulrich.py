@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from subext.errors import CertificateError, SubextError
+from subext.errors import CertificateError, StabilizationBudget, SubextError
 from subext.ext import classify, ext, group_order, is_split, middle, sweep
 from subext.modules import (
     direct_sum, from_fractional_ideal, from_quotient_ideal, is_isomorphic,
@@ -14,7 +14,8 @@ from subext.rings import (
 from subext.ulrich import (
     blowup_sequence_comparison, in_add, is_ulrich, mcm_approximation_of_k,
     multiplicity, multiplicity_hilbert, multiplicity_reduction, phi,
-    restrict_to_base, restrict_to_blowup, ulrich_middle, ulrich_samples,
+    SETTLE_RUN, SETTLE_STEPS, _stabilized, restrict_to_base,
+    restrict_to_blowup, ulrich_middle, ulrich_samples,
 )
 from subext.subfun import _composed_deflation
 
@@ -47,6 +48,27 @@ def test_multiplicity_routes_agree_on_ideals():
     m = m_ideal(R)
     M = from_fractional_ideal(R, m)
     assert multiplicity_reduction(M, m) == multiplicity_hilbert(M, m) == 3
+
+
+def test_stabilized_returns_the_settled_value():
+    seen = []
+
+    def value(n):
+        seen.append(n)
+        return max(5 - n, 2)            # 5, 4, 3, 2, 2, 2, 2
+    assert _stabilized(value, "toy lengths") == 2
+    assert seen == list(range(3 + SETTLE_RUN))
+    # a run one short of SETTLE_RUN does not settle the sequence
+    vals = [1] * (SETTLE_RUN - 1) + [0] * SETTLE_RUN
+    assert _stabilized(vals.__getitem__, "toy lengths") == 0
+
+
+def test_stabilized_raises_naming_the_quantity_and_the_values_seen():
+    vals = [n % 2 for n in range(SETTLE_STEPS + 1)]
+    with pytest.raises(StabilizationBudget) as err:
+        _stabilized(lambda n: n % 2, "Parity lengths")
+    assert str(err.value) == (f"Parity lengths did not stabilize within "
+                              f"{SETTLE_STEPS} steps: {vals}")
 
 
 def test_multiplicity_of_finite_length_module_is_zero():
