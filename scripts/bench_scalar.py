@@ -33,6 +33,11 @@ whose `Base` has an operation table, the child also counts the table's
 lookups and entries (the hit rate is 1 - entries/lookups).
 They are deterministic, unlike the times.  `--limit N` makes the counter
 pass run only the first N verdicts.
+
+Middles: without `--limit`, one more child per checkout runs every
+scenario of the registry once, `run_scenario(name, 0)`, under cProfile and
+records the `ext.middle` calls of each scenario and their total
+(`scenario_middles`).
 """
 
 from __future__ import annotations
@@ -181,6 +186,33 @@ def counter_pass(root, workload, seed, limit):
     return out
 
 
+def count_scenario_middles(root):
+    """The ext.middle calls of each scenario at seed 0 and their total,
+    from a child process that runs scenario_pass in the checkout at root."""
+    cmd = [sys.executable, os.path.abspath(__file__), "--scenario-pass"]
+    proc = subprocess.run(cmd, cwd=root, env=_env(root), capture_output=True,
+                          text=True, timeout=CHILD_TIMEOUT_S)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{root}: scenario pass failed:\n"
+                           f"{proc.stderr[-2000:]}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def scenario_pass():
+    """In this process: each scenario of the engine on sys.path, run once
+    at seed 0 under its own cProfile, and its ext.middle call count."""
+    ext = importlib.import_module("subext.ext")
+    scenarios = importlib.import_module("subext.scenarios")
+    code = ext.middle.__code__
+    key = (code.co_filename, code.co_firstlineno, code.co_name)
+    out = {}
+    for name in scenarios.list_scenarios():
+        prof = cProfile.Profile()
+        prof.runcall(scenarios.run_scenario, name, 0)
+        out[name] = pstats.Stats(prof).stats.get(key, (0, 0))[1]
+    return {"per_scenario": out, "total": sum(out.values())}
+
+
 def _median_block(runs):
     out = {}
     for k in METRICS:
@@ -205,12 +237,18 @@ def main(argv=None):
     ap.add_argument("--counter-pass", action="store_true",
                     help="internal: run one counter pass of the first "
                          "workload in this process and print its counters")
+    ap.add_argument("--scenario-pass", action="store_true",
+                    help="internal: count the middles of every scenario in "
+                         "this process and print them")
     ap.add_argument("--topic", default="scalar layer")
     ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_scalar.json"))
     args = ap.parse_args(argv)
     if args.counter_pass:
         print(json.dumps(counter_pass(os.getcwd(), args.workloads[0],
                                       args.seed, args.limit)))
+        return 0
+    if args.scenario_pass:
+        print(json.dumps(scenario_pass()))
         return 0
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         seconds = json.load(f)["run_seconds"]
@@ -222,6 +260,13 @@ def main(argv=None):
               "host": {"cpus": os.cpu_count(),
                        "python": platform.python_version()},
               "counters": {}, "times": {}}
+    if args.limit is None:
+        report["scenario_middles"] = {side: count_scenario_middles(root)
+                                      for side, root in sides.items()}
+        print("scenario_middles", json.dumps(
+            {side: c["total"]
+             for side, c in report["scenario_middles"].items()}),
+            file=sys.stderr, flush=True)
     for workload in args.workloads:
         report["counters"][workload] = {
             side: count_calls(root, workload, args.seed, args.limit)

@@ -396,10 +396,83 @@ def enumerate_classes(pres, budget=2 ** 20):
             coordinate_tuples(pres.N.handle.base, pres.module.exps, budget)]
 
 
+def _primitive_root(p):
+    """The least generator of F_p^x."""
+    primes = [q for q in range(2, p) if (p - 1) % q == 0
+              and all(q % d for d in range(2, q))]
+    return next(r for r in range(1, p)
+                if all(pow(r, (p - 1) // q, p) != 1 for q in primes))
+
+
+def orbit_units(handle):
+    """Units of R whose orbits sweep merges: a primitive root lam of F_p^x
+    (p > 2), and 1 + g and 1 + lam g for each ring generator g."""
+    base = handle.base
+    one = handle.one_elt()
+    if base.p == 2:
+        return [one + g for g in handle.m_gens()]
+    lam = base.from_int(_primitive_root(base.p))
+    return [one * lam] + [one + g * c for g in handle.m_gens()
+                          for c in (base.one(), lam)]
+
+
+def unit_orbits(pres, classes):
+    """The orbits of the units of orbit_units on classes, all the elements
+    of the Ext group: lists of indices into classes, each in enumeration
+    order, the lists ordered by their first index.  A union-find over the
+    class coordinates, with each unit's action matrix built once."""
+    module = pres.module
+    index = {cls.coords: k for k, cls in enumerate(classes)}
+    root = list(range(len(classes)))
+
+    def find(k):
+        while root[k] != k:
+            root[k] = root[root[k]]
+            k = root[k]
+        return k
+    for u in orbit_units(pres.N.handle):
+        act = module.element_action(u)
+        for k, cls in enumerate(classes):
+            a = find(k)
+            b = find(index[tuple(module.reduce_vec(act @ list(cls.coords)))])
+            root[max(a, b)] = min(a, b)
+    orbits = {}
+    for k in range(len(classes)):
+        orbits.setdefault(find(k), []).append(k)
+    return list(orbits.values())
+
+
 def sweep(pres, f, budget=2 ** 20):
-    """[(cls, f(middle(cls))) for every class of the degree-1 Ext group]:
-    each middle is built once and kept only if f returns it."""
-    return [(cls, f(middle(cls))) for cls in enumerate_classes(pres, budget)]
+    """[(cls, f(middle(cls))) for every class of the degree-1 Ext group],
+    with one middle built per unit orbit.
+
+    Contract: f may read only the isomorphism class of the middle.  Basis:
+    for a unit u of R the middle of u.c is isomorphic to the middle of c,
+    by the pushout along the automorphism u.id_N, so f is constant on each
+    R^x-orbit.  The classes are split into orbits under the units of
+    orbit_units; these generate a subgroup of R^x, whose orbits lie inside
+    the R^x-orbits.  f runs once per orbit, on the middle of its first
+    class, and the value is copied to the rest of the orbit.  Check: in a
+    group with an orbit of more than one class, the last class of the
+    largest orbit gets a middle of its own, and an f value other than the
+    copied one raises CertificateError.
+    """
+    classes = enumerate_classes(pres, budget)
+    orbits = unit_orbits(pres, classes)
+    values = [None] * len(classes)
+    for orbit in orbits:
+        v = f(middle(classes[orbit[0]]))
+        for k in orbit:
+            values[k] = v
+    largest = max(orbits, key=len)
+    if len(largest) > 1:
+        last = largest[-1]
+        v = f(middle(classes[last]))
+        if v != values[last]:
+            raise CertificateError(
+                f"sweep: f gives {v!r} on class {classes[last].coords} but "
+                f"{values[last]!r} on the first class of its unit orbit")
+    return list(zip(classes, values))
 
 
 def group_order(pres):

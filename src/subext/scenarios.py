@@ -278,8 +278,9 @@ def _scn_dvr_mu(seed, budget, tally):
         bad = 0
         for pres, m, order in drawn:
             mem = ideal_times_ext(pres, m)
-            for cls, slow_add in sweep(pres, additive(fn_mu(), pres),
-                                       budget):
+            slow = additive(fn_mu(), pres)
+            for cls in enumerate_classes(pres, budget):
+                slow_add = slow(middle(cls))
                 fast = all((c.num[0] if c.num else 0) == 0
                            for c in cls.coords)
                 bad += slow_add != fast or (cls.coords in mem) != fast
@@ -909,9 +910,9 @@ def _halfexact_pool(budget, tally):
              (R23, Mm23, Mm23),
              (A, kA, FA), (A, kA, kA)]
     for handle, M, N in pairs:
-        rows = sweep(ext(M, N, 1), lambda ses: ses, min(budget, 2 ** 7))
-        tally.add(len(rows))
-        pool.extend((handle, ses) for _, ses in rows)
+        classes = enumerate_classes(ext(M, N, 1), min(budget, 2 ** 7))
+        tally.add(len(classes))
+        pool.extend((handle, middle(c)) for c in classes)
     return pool
 
 

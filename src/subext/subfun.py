@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 from .dcoeff import Mat, block_diag, hstack, preimage
 from .errors import CertificateError, SubextError
-from .ext import (SES, coordinate_tuples, ext, hom_induced, pullback_seq,
-                  pushout_seq, sweep)
+from .ext import (SES, coordinate_tuples, enumerate_classes, ext,
+                  hom_induced, middle, pullback_seq, pushout_seq, sweep)
 from .modules import (ModMap, _free_cover_matrix, _image_length, direct_sum,
                       from_fractional_ideal, from_quotient_ideal, hom, is_mcm,
                       length, mu, nu, power, regular_module, residue_field,
@@ -218,7 +218,9 @@ def subfunctor_result(pres, members, total, budget=2 ** 20):
 def ext1_subfunctor(pres, predicates, budget=2 ** 20):
     """For each predicate on sequences, the member classes
     {c : predicate(middle(c))} of Ext^1 with a submodule-closure
-    certificate; one sweep builds each middle once for all predicates."""
+    certificate; one sweep builds one middle per unit orbit for all
+    predicates, so each predicate may read only the isomorphism class of
+    the middle."""
     rows = sweep(pres, lambda ses: [pred(ses) for pred in predicates], budget)
     return [subfunctor_result(pres, [cls for cls, hits in rows if hits[k]],
                               len(rows), budget)
@@ -295,8 +297,9 @@ def check_closure_axioms(handle, predicate, pairs, rng_seed=0,
 
     for (M, N) in pairs:
         pres = ext(M, N, 1)
-        rows = sweep(pres, lambda ses: (ses, predicate(ses)), budget)
-        membership = {cls.coords: (cls, ses, ok) for cls, (ses, ok) in rows}
+        rows = [(cls, middle(cls)) for cls in enumerate_classes(pres, budget)]
+        membership = {cls.coords: (cls, ses, predicate(ses))
+                      for cls, ses in rows}
         mem = [v for v in membership.values() if v[2]]
         note(membership[pres.zero_class().coords][2],
              "split sequence rejected")

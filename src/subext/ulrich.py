@@ -6,21 +6,20 @@ with respect to an ideal I means: M is maximal Cohen-Macaulay and
 lambda(M/IM) equals the multiplicity e_I(M); this is cross-checked against
 IM = xM for a principal reduction x of I.
 
-On the middles B of an Ext^1 group the multiplicity comes from the ends:
-e_I is additive on short exact sequences (Bruns-Herzog, Cohen-Macaulay
-Rings, 4.7), so e_I(B) = e_I(M) + e_I(N).  A sweep with `ulrich_middle`
-runs both multiplicity routes on the two ends only, and keeps the IM = xM
+All the middles B of an Ext^1 group share one multiplicity: e_I is
+additive on short exact sequences (Bruns-Herzog, Cohen-Macaulay Rings,
+4.7), so e_I(B) = e_I(M) + e_I(N).  A sweep with `ulrich_middle` runs both
+multiplicity routes once, on the first MCM middle, and keeps the IM = xM
 cross-check on every middle.
 """
 
 from __future__ import annotations
 
-from functools import cache
-
 from .dcoeff import Mat, solve_matrix
 from .errors import (CertificateError, ReductionNotFound,
                      StabilizationBudget, SubextError)
-from .ext import SES, _has_section, classify, ext, hom_induced, sweep
+from .ext import (SES, _has_section, classify, enumerate_classes, ext,
+                  hom_induced, middle)
 from .modules import (CoeffModule, ModMap, canonical_module, colon_in_module,
                       direct_sum, from_fractional_ideal, hom, is_mcm,
                       length, nu, quotient_module, regular_module, submodule,
@@ -116,16 +115,22 @@ def is_ulrich(I, M):
 def ulrich_middle(I, pres):
     """The predicate "the middle is I-Ulrich" for sequences
     0 -> N -> B -> M -> 0 with the ends of pres.  It gives the answer of
-    is_ulrich(I, B), with e_I(B) = e_I(M) + e_I(N) computed once, on the
-    first middle that is MCM."""
-    ends = cache(lambda: multiplicity(pres.M, I) + multiplicity(pres.N, I))
+    is_ulrich(I, B).  e_I is additive on these sequences, so every middle
+    has e_I(B) = e_I(M) + e_I(N): it is computed once, by both routes of
+    multiplicity, from the first MCM middle the predicate meets."""
+    e = []
+
+    def e_of(B):
+        if not e:
+            e.append(multiplicity(B, I))
+        return e[0]
 
     def predicate(ses):
         if ses.A is not pres.N or ses.C is not pres.M:
             raise SubextError(
                 "ulrich_middle takes sequences 0 -> N -> B -> M -> 0 whose "
                 "ends are those of its Ext group")
-        return _ulrich(I, ses.B, ends)
+        return _ulrich(I, ses.B, lambda: e_of(ses.B))
     return predicate
 
 
@@ -249,7 +254,8 @@ def blowup_sequence_comparison(Mb, Nb, rh, bh, pres_R):
                     p=ModMap(B, C, ses_b.p.mat))
         ses_r.certify()
         return classify(ses_r, pres_R)
-    return sweep(ext(Mb, Nb, 1), r_class)
+    return [(cls, r_class(middle(cls)))
+            for cls in enumerate_classes(ext(Mb, Nb, 1))]
 
 
 # ---------------------------------------------------------------------------

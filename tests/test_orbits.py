@@ -1,0 +1,196 @@
+"""Unit orbits in the class sweep.
+
+`sweep` builds one middle per orbit of the units of `orbit_units` and
+copies its value across the orbit.  Laws on generated inputs: the orbit
+sweep equals the per-class comprehension for every numerical-function
+predicate, and each orbit is closed under the unit actions.  Guards: the
+callers that need one sequence per class still build one, the second route
+fires on a function that moves with the class, and the middles built by
+`cycquot` and `loewy` stay pinned.
+"""
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+import subext.ext
+import subext.scenarios
+import subext.subfun
+import subext.ulrich
+from subext.errors import CertificateError
+from subext.ext import (SES, classify, enumerate_classes, ext, group_order,
+                        middle, orbit_units, sweep, unit_orbits)
+from subext.modules import (ModMap, direct_sum, from_fractional_ideal,
+                            from_quotient_ideal, regular_module,
+                            residue_field, zero_module)
+from subext.rings import FracIdeal, RingSpec, blow_up, build_ring, m_ideal
+from subext.scenarios import (DEFAULT_BUDGET, Tally, _halfexact_pool,
+                              _minmult, _sg, run_scenario)
+from subext.subfun import (additive, fn_colength, fn_hom_from, fn_hom_to,
+                           fn_mu, fn_tensor)
+from subext.ulrich import (blowup_sequence_comparison, restrict_to_base,
+                           ulrich_middle)
+
+MAX_CLASSES = 27
+
+
+def _dvr(p):
+    return build_ring(RingSpec(family="dvr", p=p))
+
+
+def _cyclic(h, a):
+    return from_quotient_ideal(h, FracIdeal(h, [h.t_elt(a)]))
+
+
+def _artin(variables, monos):
+    return build_ring(RingSpec(family="artin_monomial", p=3,
+                               variables=tuple(variables),
+                               ideal_monomials=tuple(monos)))
+
+
+@st.composite
+def orbit_groups(draw):
+    """(handle, M, N) with at most MAX_CLASSES classes in Ext^1(M, N): DVR
+    sums over F_3 or F_5, pairs over <2,b>/F_3, or pairs over an F_3
+    monomial artin ring."""
+    family = draw(st.sampled_from(["dvr", "two-b", "artin"]))
+    if family == "dvr":
+        h = _dvr(draw(st.sampled_from([3, 5])))
+
+        def module(free, exps):
+            parts = ([regular_module(h)] * free
+                     + [_cyclic(h, a) for a in exps])
+            return direct_sum(parts)[0] if parts else zero_module(h)
+        M = module(draw(st.integers(0, 1)),
+                   draw(st.lists(st.integers(1, 3), min_size=1, max_size=2)))
+        N = module(draw(st.integers(0, 1)),
+                   draw(st.lists(st.integers(1, 3), max_size=2)))
+    else:
+        if family == "two-b":
+            h = _sg(3, 2, draw(st.sampled_from([3, 5])))
+            m = m_ideal(h)
+            pool = [residue_field(h), regular_module(h),
+                    from_fractional_ideal(h, m),
+                    from_fractional_ideal(h, blow_up(m)[0])]
+        else:
+            h = draw(st.sampled_from([
+                _artin("x", [(3,)]),
+                _artin("xy", [(2, 0), (1, 1), (0, 2)]),
+                _artin("xy", [(2, 0), (0, 2)])]))
+            pool = [residue_field(h), regular_module(h),
+                    from_quotient_ideal(h, FracIdeal(h, h.m_gens()[:1]))]
+        M, N = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+    assume(group_order(ext(M, N, 1)) <= MAX_CLASSES)
+    return h, M, N
+
+
+def _predicates(h, pres):
+    """additive for mu, colength(m), hom_to(k), hom_from(k) and tensor(k),
+    and ulrich_middle(m) in dimension 1, as one function of the middle."""
+    k, m = residue_field(h), m_ideal(h)
+    preds = [additive(fn, pres) for fn in (fn_mu(), fn_colength(m),
+                                           fn_hom_to(k), fn_hom_from(k),
+                                           fn_tensor(k))]
+    if h.dim == 1:
+        preds.append(ulrich_middle(m, pres))
+    return lambda ses: [pred(ses) for pred in preds]
+
+
+@given(orbit_groups())
+@settings(max_examples=25, deadline=None)
+def test_orbit_sweep_equals_the_per_class_sweep(case):
+    h, M, N = case
+    pres = ext(M, N, 1)
+    f = _predicates(h, pres)
+    per_class = [(c, f(middle(c))) for c in enumerate_classes(pres)]
+    assert sweep(pres, _predicates(h, pres)) == per_class
+
+
+@given(orbit_groups())
+@settings(max_examples=25, deadline=None)
+def test_unit_orbits_partition_the_group_and_are_closed(case):
+    h, M, N = case
+    pres = ext(M, N, 1)
+    classes = enumerate_classes(pres)
+    orbits = unit_orbits(pres, classes)
+    assert sorted(k for orbit in orbits for k in orbit) == list(
+        range(len(classes)))
+    assert [orbit[0] for orbit in orbits] == sorted(
+        orbit[0] for orbit in orbits)
+    for orbit in orbits:
+        assert orbit == sorted(orbit)
+        members = {classes[k] for k in orbit}
+        for u in orbit_units(h):
+            assert {c.scale(u) for c in members} == members
+
+
+def test_orbit_units_over_f2_and_f5():
+    D2, D5 = _dvr(2), _dvr(5)
+    assert len(orbit_units(D2)) == 1          # 1 + t
+    assert len(orbit_units(D5)) == 3          # 2, 1 + t, 1 + 2t
+    assert orbit_units(D5)[0] == D5.one_elt() * D5.base.from_int(2)
+
+
+# ---------------------------------------------------------------------------
+# the second route and the callers that keep one sequence per class
+# ---------------------------------------------------------------------------
+
+
+def test_sweep_rejects_a_function_that_moves_with_the_class():
+    D = _dvr(3)
+    pres = ext(_cyclic(D, 2), _cyclic(D, 2), 1)
+    with pytest.raises(CertificateError, match="unit orbit"):
+        sweep(pres, lambda ses: classify(ses).coords)
+
+
+def test_halfexact_builds_one_sequence_per_reported_sequence(scenario_run):
+    pool = _halfexact_pool(DEFAULT_BUDGET, Tally())
+    sequences = scenario_run("halfexact").instances[0]["inputs"]["sequences"]
+    assert len({id(ses) for _, ses in pool}) == len(pool) == sequences == 133
+
+
+def _uliso_groups():
+    """The (handle, blow-up handle, Mb, Nb) of the uliso scenario."""
+    for handle in _minmult():
+        _, bh = blow_up(m_ideal(handle))
+        yield handle, bh, regular_module(bh), regular_module(bh)
+    handle = _sg(2, 3, 7, 8)
+    _, bh = blow_up(m_ideal(handle))
+    yield (handle, bh, from_fractional_ideal(bh, m_ideal(bh)),
+           regular_module(bh))
+
+
+def test_blowup_comparison_classifies_every_class():
+    for handle, bh, Mb, Nb in _uliso_groups():
+        pres_R = ext(restrict_to_base(Mb, handle, bh),
+                     restrict_to_base(Nb, handle, bh), 1)
+        expected = []
+        for cls in enumerate_classes(ext(Mb, Nb, 1)):
+            ses = middle(cls)
+            A, B, C = (restrict_to_base(X, handle, bh)
+                       for X in (ses.A, ses.B, ses.C))
+            expected.append((cls, classify(SES(
+                A=A, B=B, C=C, i=ModMap(A, B, ses.i.mat),
+                p=ModMap(B, C, ses.p.mat)), pres_R)))
+        assert blowup_sequence_comparison(Mb, Nb, handle, bh,
+                                          pres_R) == expected
+
+
+# ---------------------------------------------------------------------------
+# middle-count gate
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name, most", [("cycquot", 130), ("loewy", 140)])
+def test_middles_built_by_scenario_stay_pinned(monkeypatch, name, most):
+    built = 0
+
+    def counted(cls):
+        nonlocal built
+        built += 1
+        return middle(cls)
+    for module in (subext.ext, subext.scenarios, subext.subfun,
+                   subext.ulrich):
+        if hasattr(module, "middle"):
+            monkeypatch.setattr(module, "middle", counted)
+    assert run_scenario(name, 0).status == "pass"
+    assert 0 < built <= most

@@ -90,8 +90,8 @@ def test_bench_scalar_ulrich_counters_on_a_slice(tmp_path):
                    check=True, timeout=300, capture_output=True)
     counts = json.loads(out.read_text())["counters"]["ulrich-sweep"]["change"]
     assert counts["verdicts"] == 2 and counts["failed_verdicts"] == 0
-    # the Ulrich-middle predicate takes e_I from the two ends of each Ext
-    # group, so no middle goes through either multiplicity route
+    # the Ulrich-middle predicate takes e_I once per Ext group, from its
+    # first MCM middle, so no other middle goes through either route
     assert counts["ext.middle"] > 0
     assert (counts["ulrich.multiplicity_hilbert"]
             <= counts["ulrich.multiplicity"] <= 2 * counts["verdicts"])

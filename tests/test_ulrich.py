@@ -2,7 +2,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from subext.errors import CertificateError, StabilizationBudget, SubextError
-from subext.ext import classify, ext, group_order, is_split, middle, sweep
+from subext.ext import (classify, enumerate_classes, ext, group_order,
+                        is_split, middle)
 from subext.modules import (
     direct_sum, from_fractional_ideal, from_quotient_ideal, is_isomorphic,
     length, mu, regular_module, residue_field, zero_module,
@@ -142,7 +143,7 @@ def check_ulrich_middles(I, M, N):
     assert group_order(pres) <= 27
     ends = multiplicity(M, I) + multiplicity(N, I)
     ulrich = ulrich_middle(I, pres)
-    for _, ses in sweep(pres, lambda ses: ses):
+    for ses in [middle(c) for c in enumerate_classes(pres)]:
         assert multiplicity(ses.B, I) == ends
         assert ulrich(ses) == is_ulrich(I, ses.B)
 
@@ -189,8 +190,7 @@ def test_ulrich_middle_rejects_other_ends():
     m = m_ideal(R)
     Mm = from_fractional_ideal(R, m)
     pres = ext(Mm, Mm, 1)
-    ses = next(ses for cls, ses in sweep(pres, lambda ses: ses)
-               if not cls.is_zero())
+    ses = next(middle(c) for c in enumerate_classes(pres) if not c.is_zero())
     ulrich = ulrich_middle(m, pres)
     assert ulrich(middle(pres.zero_class()))
     with pytest.raises(SubextError, match="ends"):
