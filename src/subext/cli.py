@@ -11,7 +11,7 @@ import click
 from .errors import SubextError, WorkspaceSyntaxError
 from .ext import ext as ext_op
 from .ext import group_order, middle
-from .modules import is_mcm, length, mu
+from .modules import invariant_factors, is_mcm, length, mu
 from .rings import m_ideal, ring_invariants
 from .scenarios import (DEFAULT_BUDGET, EXPECTED_FAIL, list_scenarios,
                         render_report, run_scenario, SCENARIOS)
@@ -142,7 +142,7 @@ def cmd_mod_invariants(module_name, workspace_path):
     _emit({"module": module_name, "mu": mu(M), "length": lam,
            "mcm": is_mcm(M),
            "invariant_factors": [e if e is not None else "free"
-                                 for e in M.exps]})
+                                 for e in invariant_factors(M)]})
 
 
 @cmd_compute.command("ext")

@@ -93,13 +93,12 @@ def split_sequence(A, C):
 
 def direct_sum_seq(s1, s2):
     """Componentwise direct sum of two short exact sequences."""
-    A, _, ap = direct_sum([s1.A, s2.A])
-    B, bi, bp = direct_sum([s1.B, s2.B])
-    C, ci, _ = direct_sum([s1.C, s2.C])
-    i = ModMap(A, B, bi[0].mat @ s1.i.mat @ ap[0].mat
-               + bi[1].mat @ s2.i.mat @ ap[1].mat)
-    p = ModMap(B, C, ci[0].mat @ s1.p.mat @ bp[0].mat
-               + ci[1].mat @ s2.p.mat @ bp[1].mat)
+    A = direct_sum([s1.A, s2.A])[0]
+    B = direct_sum([s1.B, s2.B])[0]
+    C = direct_sum([s1.C, s2.C])[0]
+    base = A.handle.base
+    i = ModMap(A, B, block_diag(base, [s1.i.mat, s2.i.mat]))
+    p = ModMap(B, C, block_diag(base, [s1.p.mat, s2.p.mat]))
     return SES(A=A, B=B, C=C, i=i, p=p)
 
 

@@ -1,23 +1,26 @@
 """Finite modules over a ring handle, presented as D-modules with actions.
 
 A CoeffModule is D^f + D/t^a1 + ... + D/t^ak together with one commuting
-action matrix per ring generator.  Free coordinates come first, torsion
-coordinates follow with nondecreasing exponents (a power N^k instead repeats
-N's order in each slot, see Coordinates).  All functors (Hom, syzygy,
-transpose, socle, ...) reduce to exact linear algebra over D through the
-Subquotient machinery; a module's spans, quotients and lengths modulo its
-relations go through CoeffModule.span/quotient/quotient_length.
+action matrix per ring generator.  A subquotient module has its free
+coordinates first and its torsion coordinates after, with nondecreasing
+exponents; sums and powers keep their summands' orders instead (see
+Coordinates), and invariant_factors(M) lists the exponents of any module in
+that canonical order.  All functors (Hom, syzygy, transpose, socle, ...)
+reduce to exact linear algebra over D through the Subquotient machinery;
+a module's spans, quotients and lengths modulo its relations go through
+CoeffModule.span/quotient/quotient_length.
 
-Coordinates.  direct_sum permutes the coordinates of its summands into the
-canonical order (free first, torsion ascending).  power(N, k) = N^k keeps
-slot-major order instead: slot b holds N's coordinates from b*N.n on, and
-only this module does that offset arithmetic.  The free module R^k is
-power(R, k), so generator b of R^k is coordinate b*nR.  Hom(M, N) is a
-subquotient of N^{M.n} whose slots are the images phi(e_j); ext.ext(M, N, j)
-is a subquotient of N^{beta_j} whose slots are the images of the generators
-of F_j; a tensor product X (x) C is a quotient of X^{beta_0(C)}.  slot_map
-lets an R-matrix act on slots (composing with a differential), and
-power_rel(N, k) is the relation block of N^k without N^k's actions.
+Coordinates.  Sums are slot-major: direct_sum([M_0, ..., M_{k-1}]) puts
+slot i, the coordinates of M_i, after those of M_0, ..., M_{i-1}, with
+block-diagonal actions, and power(N, k) = N^k is the sum of k copies of N,
+so slot b holds N's coordinates from b*N.n on.  Only this module does that
+offset arithmetic.  The free module R^k is power(R, k), so generator b of
+R^k is coordinate b*nR.  Hom(M, N) is a subquotient of N^{M.n} whose
+slots are the images phi(e_j); ext.ext(M, N, j) is a subquotient of
+N^{beta_j} whose slots are the images of the generators of F_j; a tensor
+product X (x) C is a quotient of X^{beta_0(C)}.  slot_map lets an R-matrix
+act on slots (composing with a differential), and power_rel(N, k) is the
+relation block of N^k without N^k's actions.
 
 Shared objects.  No CoeffModule or FracIdeal is changed after construction
 (their caches only add results computed from it), so a constructor may hand
@@ -243,15 +246,18 @@ def free_module(handle, k):
     return handle._cache[key]
 
 
+def _sum_module(handle, mods):
+    """The slot-major sum of mods: each summand's coordinates follow those
+    of the summands before it, and the actions are block-diagonal."""
+    actions = {g: block_diag(handle.base, [M.actions[g] for M in mods])
+               for g in handle.gen_names}
+    return CoeffModule(handle, tuple(e for M in mods for e in M.exps), actions)
+
+
 def power(N, k):
-    """N^k in slot-major coordinates (slot b holds coordinates b*N.n up to
-    (b+1)*N.n - 1), with block-diagonal actions; power(N, 1) is N."""
-    if k == 1:
-        return N
-    base = N.handle.base
-    return CoeffModule(N.handle, N.exps * k,
-                       {g: block_diag(base, [N.actions[g]] * k)
-                        for g in N.handle.gen_names})
+    """N^k, the sum of k copies of N (slot b holds coordinates b*N.n up to
+    (b+1)*N.n - 1); power(N, 1) is N."""
+    return N if k == 1 else _sum_module(N.handle, [N] * k)
 
 
 def power_rel(N, k):
@@ -343,42 +349,19 @@ def from_fractional_ideal(handle, J):
 
 
 def direct_sum(mods):
-    """Direct sum; returns (S, injections, projections).
-
-    Coordinates of the summands are permuted into the canonical order
-    (free first, torsion ascending).
-    """
-    handle = mods[0].handle
-    base = handle.base
-    pieces = []  # (exp_sortkey, module_index, coord_index)
-    for mi, M in enumerate(mods):
-        for ci, e in enumerate(M.exps):
-            key = (-1,) if e is None else (0, e)
-            pieces.append((key, mi, ci))
-    pieces.sort(key=lambda x: (x[0],))
-    n = len(pieces)
-    pos = {(mi, ci): i for i, (_, mi, ci) in enumerate(pieces)}
-    exps = tuple(None if k == (-1,) else k[1] for k, _, _ in pieces)
-    actions = {}
-    for g in handle.gen_names:
-        A = Mat.zeros(base, n, n)
-        for mi, M in enumerate(mods):
-            G = M.actions[g]
-            for i in range(M.n):
-                for j in range(M.n):
-                    if G.rows[i][j].num:
-                        A.rows[pos[(mi, i)]][pos[(mi, j)]] = G.rows[i][j]
-        actions[g] = A
-    S = CoeffModule(handle, exps, actions)
+    """Direct sum in slot-major coordinates (see Coordinates); returns (S,
+    injections, projections), identity blocks at each summand's offset."""
+    S = _sum_module(mods[0].handle, mods)
+    base = S.handle.base
     injections, projections = [], []
-    for mi, M in enumerate(mods):
-        inj = Mat.zeros(base, n, M.n)
-        prj = Mat.zeros(base, M.n, n)
-        for ci in range(M.n):
-            inj.rows[pos[(mi, ci)]][ci] = base.one()
-            prj.rows[ci][pos[(mi, ci)]] = base.one()
+    off = 0
+    for M in mods:
+        inj = Mat.zeros(base, S.n, M.n)
+        for c in range(M.n):
+            inj.rows[off + c][c] = base.one()
         injections.append(ModMap(M, S, inj))
-        projections.append(ModMap(S, M, prj))
+        projections.append(ModMap(S, M, inj.transpose()))
+        off += M.n
     return S, injections, projections
 
 
@@ -783,10 +766,16 @@ def is_surjective(phi):
     return not phi.dst.quotient(None, [phi.mat]).exps
 
 
+def invariant_factors(M):
+    """M's coordinate exponents in canonical order: free (None) first, then
+    torsion exponents ascending."""
+    return sorted(M.exps, key=lambda e: (e is not None, e or 0))
+
+
 def is_isomorphic(M, N, budget=2 ** 20):
-    """Equal invariants plus a surjective homomorphism found by enumerating
-    Hom/mHom representatives."""
-    if M.exps != N.exps:
+    """Equal invariant factors plus a surjective homomorphism found by
+    enumerating Hom/mHom representatives."""
+    if invariant_factors(M) != invariant_factors(N):
         return False
     if M.is_zero():
         return True

@@ -36,8 +36,9 @@ from .modules import (ModMap, _free_cover_matrix, _generator_cols,
                       canonical_module, colon_in_module, direct_sum,
                       dualize_omega, from_fractional_ideal,
                       from_quotient_ideal, is_isomorphic, is_mcm,
-                      loewy_length, mu, quotient_module, regular_module,
-                      residue_field, resolution, socle, syzygy, transpose)
+                      loewy_length, mu, power, quotient_module,
+                      regular_module, residue_field, resolution, socle,
+                      syzygy, transpose)
 from .rings import (FracIdeal, RingSpec, blow_up, build_ring, m_ideal,
                     principal_reduction, ring_invariants, trace_ideal)
 from .subfun import (additive, check_closure_axioms, default_pairs,
@@ -489,10 +490,9 @@ def _scn_mintype(seed, budget, tally):
         base = h.base
         muW = mu(W)
         res = resolution(W, 0)
-        S, injs, _ = direct_sum([W] * muW)
-        vcol = [base.zero()] * S.n
-        for inj, gen in zip(injs, _generator_cols(h, res.cover.mat, muW)):
-            vcol = [a + b for a, b in zip(vcol, inj.mat @ gen)]
+        S = power(W, muW)
+        vcol = [a for gen in _generator_cols(h, res.cover.mat, muW)
+                for a in gen]
         imat = _free_cover_matrix(h, S.basis_action,
                                   Mat.from_cols(base, S.n, [vcol]))
         F = regular_module(h)

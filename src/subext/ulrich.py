@@ -15,15 +15,15 @@ cross-check on every middle.
 
 from __future__ import annotations
 
-from .dcoeff import Mat, solve_matrix
+from .dcoeff import Mat, hstack, solve_matrix
 from .errors import (CertificateError, ReductionNotFound,
                      StabilizationBudget, SubextError)
 from .ext import (SES, _has_section, classify, enumerate_classes, ext,
                   hom_induced, middle)
 from .modules import (CoeffModule, ModMap, canonical_module, colon_in_module,
-                      direct_sum, from_fractional_ideal, hom, is_mcm,
-                      length, nu, quotient_module, regular_module, submodule,
-                      torsion_part, validate_module)
+                      from_fractional_ideal, hom, is_mcm, is_surjective,
+                      length, nu, power, quotient_module, regular_module,
+                      submodule, torsion_part, validate_module)
 from .rings import blow_up, m_ideal, principal_reduction
 
 # _stabilized: SETTLE_RUN equal values in a row within SETTLE_STEPS steps
@@ -171,8 +171,7 @@ def ulrich_samples(handle, I=None, powers=3):
     out.append(("blowup", Bmod))
     for n in range(1, powers + 1):
         out.append((f"I^{n}", from_fractional_ideal(handle, I.power(n))))
-    S, _, _ = direct_sum([Bmod, Bmod])
-    out.append(("blowup^2", S))
+    out.append(("blowup^2", power(Bmod, 2)))
     return out
 
 
@@ -277,12 +276,8 @@ def in_add(M, X):
     r = len(H.maps)
     if r == 0:
         return False
-    S, _, projs = direct_sum([X] * r)
-    # not an hstack: direct_sum permutes the coordinates of the summands
-    mat = sum((phim.mat @ pr.mat for phim, pr in zip(H.maps, projs)),
-              Mat.zeros(M.handle.base, M.n, S.n))
-    Phi = ModMap(S, M, mat)
-    from .modules import is_surjective
+    Phi = ModMap(power(X, r), M,
+                 hstack(M.handle.base, [phim.mat for phim in H.maps], m=M.n))
     if not is_surjective(Phi):
         return False
     return _has_section(Phi)

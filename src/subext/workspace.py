@@ -12,7 +12,7 @@ Elements are monomials ("t^3", "x^2*y", "1") and F_p-linear combinations of
 monomials joined with "+", with optional integer coefficients ("3*t^4").
 List items and values may be double-quoted.  Labels share one namespace and
 duplicates are rejected.  The parts of a direct_sum must be over one ring,
-the ring= ring when one is given.
+the ring= ring when one is given; its coordinates follow the of=[...] order.
 """
 
 from __future__ import annotations

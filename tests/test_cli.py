@@ -206,6 +206,24 @@ def test_cli_mod_invariants():
     assert data["mu"] == 2 and data["mcm"]
 
 
+def test_cli_mod_invariants_prints_canonical_order(tmp_path):
+    # a sum's coordinates follow its of=[...] order; the printed invariant
+    # factors stay in canonical order (free first, torsion ascending)
+    path = tmp_path / "ws.txt"
+    path.write_text(
+        "ring d2 { family=dvr p=2 }\n"
+        "module Q2 { ring=d2 kind=quotient gens=[t^2] }\n"
+        "module Q3 { ring=d2 kind=quotient gens=[t^3] }\n"
+        "module R { ring=d2 kind=frac_ideal gens=[1] }\n"
+        "module Q32 { ring=d2 kind=direct_sum of=[Q3,Q2] }\n"
+        "module Q3R { ring=d2 kind=direct_sum of=[Q3,R] }\n")
+    for name, want in (("Q32", [2, 3]), ("Q3R", ["free", 3])):
+        out = CliRunner().invoke(main, ["compute", "mod-invariants", name,
+                                        "--workspace", str(path)])
+        assert out.exit_code == 0, out.output
+        assert json.loads(out.output)["invariant_factors"] == want
+
+
 def test_cli_ext_and_subfunctors():
     runner = CliRunner()
     out = runner.invoke(main, ["compute", "ext", "k23", "R23", "--deg", "1"])

@@ -5,7 +5,8 @@ at run time.  Deleting or renaming one of those names in the engine, or
 binding two table entries to one function object, breaks a traced run; the
 first test makes the same lookups without patching anything.  The next
 ones run the counter part of `scripts/bench_scalar.py` on two-verdict
-slices and check how its counters relate.  The last ones keep the engine's
+slices and check how its counters relate, and one runs a traced
+`perfbench/worker.py` pass against a plain one.  The last ones keep the engine's
 imports honest and its options in use.
 """
 
@@ -13,8 +14,10 @@ import ast
 import importlib
 import importlib.util
 import json
+import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -112,6 +115,25 @@ def test_bench_scalar_artin_counters_on_a_slice(tmp_path):
     # every pushout builds its middle module
     assert counts["ext.pushout_seq"] >= counts["ext.middle"] > 0
     assert counts["CoeffModule.__init__"] > counts["ext.pushout_seq"]
+
+
+def _worker(*args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "worker.py"),
+         "--workload", "artin-yoneda", "--seed", "7", "--limit", "3",
+         "--t0", str(time.monotonic()), *args],
+        check=True, timeout=300, capture_output=True, text=True, env=env)
+    return json.loads(run.stdout.splitlines()[-1])
+
+
+def test_traced_worker_pass_matches_the_untraced_one():
+    # the tracer keys NumFn calls by their kind and payload and patches the
+    # engine's bindings; a traced pass must do the same work as a plain one
+    plain, traced = _worker(), _worker("--trace")
+    assert plain["failures"] == traced["failures"] == []
+    assert traced["digest"] == plain["digest"]
+    assert traced["counts"]["subfun.NumFn.__call__"] > 0
 
 
 def _unused_imports(source):
