@@ -24,8 +24,9 @@ Counters: one `perfbench/worker.py` pass per checkout and workload at
 the engine functions named in COUNTED: in `subext.dcoeff`,
 `Scalar.__init__`, `Scalar._norm`, `pgcd`, `pmul`, `smith`,
 `Subquotient.__init__`, the transform replays `SNF.u`, `SNF.uinv` and
-`SNF.v`, and `Mat.__matmul__`; in `subext.modules`, `CoeffModule.__init__` (every module built)
-and `CoeffModule.basis_action`; `ext.middle`, `ext.pushout_seq`,
+`SNF.v`, and `Mat.__matmul__`; in `subext.modules`, `CoeffModule.__init__` (every module built),
+`CoeffModule.basis_action`, `hom` (every call, cache hits included) and
+`ModMap.is_r_linear`; `ext.middle`, `ext.pushout_seq`,
 `SES.certify` and `ext.classify`; and
 `ulrich.multiplicity`, `ulrich.multiplicity_hilbert` and
 `ulrich.is_ulrich`.  A function the engine lacks reads null.  On an engine
@@ -75,6 +76,8 @@ COUNTED = {"Scalar.__init__": ("dcoeff", "Scalar", "__init__"),
            "CoeffModule.__init__": ("modules", "CoeffModule", "__init__"),
            "CoeffModule.basis_action": ("modules", "CoeffModule",
                                         "basis_action"),
+           "modules.hom": ("modules", None, "hom"),
+           "ModMap.is_r_linear": ("modules", "ModMap", "is_r_linear"),
            "ext.middle": ("ext", None, "middle"),
            "ext.pushout_seq": ("ext", None, "pushout_seq"),
            "SES.certify": ("ext", "SES", "certify"),

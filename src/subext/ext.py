@@ -13,15 +13,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .dcoeff import (Mat, Subquotient, block_diag, hstack, preimage, smith,
-                     solve, vstack)
+from .dcoeff import (Mat, Subquotient, block_diag, hstack, in_span, preimage,
+                     smith, vstack)
 from .errors import (BudgetExceeded, CertificateError, InfiniteLengthError,
                      SubextError)
 from .modules import (CoeffModule, ModMap, _free_cover_matrix,
-                      _generator_cols, _image_length, _linearity_conditions,
-                      _rmatrix_of, _unvec, direct_sum, hom, normalize_rows,
-                      power, power_rel, resolution, slot_map,
-                      subquotient_module, zero_module)
+                      _generator_cols, _image_length, _rmatrix_of, _unvec,
+                      direct_sum, hom, normalize_rows, power, power_rel,
+                      resolution, slot_map, subquotient_module, zero_module)
 
 
 # ---------------------------------------------------------------------------
@@ -283,20 +282,12 @@ def is_split(ses, pres=None):
 
 
 def _has_section(p):
-    """Does the surjection p : B -> C admit an R-linear section?"""
-    B, C = p.src, p.dst
-    base = B.handle.base
-    # unknown s : C -> B as the slots s(e_j) of B^{C.n}: R-linear, and
-    # p(s(e_j)) = e_j modulo the relations of C
-    _, conds = _linearity_conditions(C, B)
-    A = vstack(base, [a for a, _ in conds])
-    P = block_diag(base, [p.mat] * C.n)
-    rels = block_diag(base, [s for _, s in conds] + [C.rel()] * C.n)
-    big = hstack(base, [vstack(base, [A, P]), rels], m=A.m + P.m)
-    rhs = ([base.zero()] * A.m
-           + [base.one() if i == j else base.zero()
-              for j in range(C.n) for i in range(C.n)])
-    return solve(big, rhs) is not None
+    """Does the surjection p : B -> C admit an R-linear section?  Exactly
+    when id_C lies in the image of Hom(C, p) : Hom(C, B) -> Hom(C, C)."""
+    C = p.dst
+    H = hom(C, C)
+    return in_span(H.module.span(hom_postcomposed(C, p)),
+                   H.coords_of(ModMap.identity(C)))
 
 
 # ---------------------------------------------------------------------------
@@ -338,12 +329,12 @@ def baer_sum_by_construction(s1, s2):
     """Baer sum of two sequences with the same ends, via pullback along the
     diagonal and pushout along the codiagonal."""
     A, C = s1.A, s1.C
+    base = A.handle.base
     ds = direct_sum_seq(s1, s2)
-    _, cinjs, _ = direct_sum([C, C])
-    diag = ModMap(C, ds.C, cinjs[0].mat + cinjs[1].mat)
-    pb = pullback_seq(ds, diag)
-    _, _, aprojs = direct_sum([A, A])
-    codiag = ModMap(pb.A, A, aprojs[0].mat + aprojs[1].mat)
+    # slot-major: the diagonal is (id; id), the codiagonal (id | id)
+    eye_C, eye_A = Mat.identity(base, C.n), Mat.identity(base, A.n)
+    pb = pullback_seq(ds, ModMap(C, ds.C, vstack(base, [eye_C, eye_C])))
+    codiag = ModMap(pb.A, A, hstack(base, [eye_A, eye_A], m=A.n))
     return pushout_seq(pb, codiag)
 
 
@@ -537,6 +528,13 @@ def hom_induced(f, N):
     cols = [hp_dst.coords_of(ModMap(Mp, N, phi.mat @ f.mat))
             for phi in hp_src.maps]
     return Mat.from_cols(M.handle.base, hp_dst.module.n, cols)
+
+
+def hom_postcomposed(C, g):
+    """Matrix of Hom(C, g) : Hom(C, X) -> Hom(C, Y) for g : X -> Y."""
+    hp_src, hp_dst = hom(C, g.src), hom(C, g.dst)
+    cols = [hp_dst.coords_of(g @ phi) for phi in hp_src.maps]
+    return Mat.from_cols(C.handle.base, hp_dst.module.n, cols)
 
 
 def connecting_map(ses, N):

@@ -374,23 +374,15 @@ def canonical_module(handle):
 
 
 def validate_module(M):
-    """Check commutation, torsion compatibility, the designated D-scalar
-    identity, and (artin) vanishing of the ideal monomials."""
+    """Check that each generator acts R-linearly (so the actions commute and
+    keep the torsion exponents), the designated D-scalar identity, and
+    (artin) vanishing of the ideal monomials."""
     h = M.handle
     base = h.base
-    for g1 in h.gen_names:
-        for g2 in h.gen_names:
-            d = (M.actions[g1] @ M.actions[g2]) - (M.actions[g2] @ M.actions[g1])
-            if not ModMap(M, M, d).mat_is_rel():
-                raise NotAModuleError(f"actions of {g1} and {g2} do not commute")
+    for g in h.gen_names:
+        if not ModMap(M, M, M.actions[g]).is_r_linear():
+            raise NotAModuleError(f"action of {g} is not R-linear")
     if base.local:
-        for j, e in enumerate(M.exps):
-            if e is None:
-                continue
-            for g in h.gen_names:
-                col = [a * base.t_power(e) for a in M.actions[g].col(j)]
-                if any(c.num for c in M.reduce_vec(col)):
-                    raise NotAModuleError("action violates torsion exponents")
         s = base.t_power(1)
         emb_act = M.element_action(h.t_elt(h.embed_exp))
         d = emb_act - Mat.identity(base, M.n).scale(s)
@@ -557,38 +549,12 @@ def _unvec(base, vec, nrows, ncols):
     return Mat.from_cols(base, nrows, cols)
 
 
-def _linearity_conditions(M, N):
-    """(P, conds) with P = N^{M.n}: a D-linear phi : M -> N, stored as the
-    slots phi(e_j) of P, is R-linear iff A phi lies in <S> for each (A, S)
-    in conds."""
-    base = M.handle.base
-    nM, nN = M.n, N.n
-    P = power(N, nM)
-    rel = P.rel()
-    conds = []
-    for g in M.handle.gen_names:
-        # phi(g e_j) - g phi(e_j), with g e_j = sum_k A[k][j] e_k
-        Ag = M.actions[g]
-        C = Mat.zeros(base, P.n, P.n)
-        for j in range(nM):
-            for k in range(nM):
-                if Ag.rows[k][j].num:
-                    for i in range(nN):
-                        C.rows[j * nN + i][k * nN + i] = Ag.rows[k][j]
-        conds.append((C - P.actions[g], rel))
-    if base.local:
-        for j, e in enumerate(M.exps):
-            if e is not None:
-                # t^e phi(e_j) = 0 in N
-                T = Mat.zeros(base, nN, P.n)
-                for i in range(nN):
-                    T.rows[i][j * nN + i] = base.t_power(e)
-                conds.append((T, N.rel()))
-    return P, conds
-
-
 def hom(M, N):
-    """Hom_R(M, N) as a CoeffModule with lifted generator maps."""
+    """Hom_R(M, N) as a CoeffModule with lifted generator maps.  A D-linear
+    phi : M -> N is stored as the slots phi(e_j) of P = N^{M.n}; it is
+    R-linear iff phi(g e_j) = g phi(e_j) modulo the relations of P for each
+    ring generator g and, over the local base, t^e phi(e_j) = 0 in N for
+    each torsion coordinate e_j of exponent e."""
     if not M.handle.same_ring(N.handle):
         raise SubextError(f"Hom needs M and N over one ring, got "
                           f"{M.handle.label} and {N.handle.label}")
@@ -600,7 +566,25 @@ def hom(M, N):
         Hmod = zero_module(M.handle)
         sq, maps = Hmod.quotient(), []
     else:
-        P, conds = _linearity_conditions(M, N)
+        nM, nN = M.n, N.n
+        P = power(N, nM)
+        rel, conds = P.rel(), []
+        for g in M.handle.gen_names:
+            # phi(g e_j) - g phi(e_j), with g e_j = sum_k A[k][j] e_k
+            Ag = M.actions[g]
+            C = Mat.zeros(base, P.n, P.n)
+            for j in range(nM):
+                for k in range(nM):
+                    if Ag.rows[k][j].num:
+                        for i in range(nN):
+                            C.rows[j * nN + i][k * nN + i] = Ag.rows[k][j]
+            conds.append((C - P.actions[g], rel))
+        for j, e in enumerate(M.exps):
+            if base.local and e is not None:
+                T = Mat.zeros(base, nN, P.n)
+                for i in range(nN):
+                    T.rows[i][j * nN + i] = base.t_power(e)
+                conds.append((T, N.rel()))
         Hmod, sq, B = subquotient_module(P, [preimage_all(base, P.n, conds)])
         maps = [ModMap(M, N, _unvec(base, w, N.n, M.n)) for w in B.cols()]
     out = M._cache[key] = HomPres(module=Hmod, maps=maps, sq=sq, src=M, dst=N)
@@ -729,19 +713,13 @@ def assert_minimal(res):
 
 
 def syzygy(M, j):
-    """Omega^j M as a CoeffModule (a submodule of F_{j-1})."""
+    """Omega^j M as a CoeffModule: the image of d_j in F_{j-1}, which is the
+    kernel of F_{j-1} -> F_{j-2} (of the cover when j = 1) because the
+    resolution is exact."""
     if j == 0:
         return M
     res = resolution(M, j)
-    h = M.handle
-    F_prev = res.frees[j - 1]
-    if F_prev.n == 0:
-        return zero_module(h)
-    if j == 1:
-        Kc = preimage(res.cover.mat, M.rel())
-    else:
-        Kc = kernel(res.diffs[j - 2])
-    S, _ = submodule(F_prev, Kc)
+    S, _, _ = subquotient_module(res.frees[j - 1], [res.diffs[j - 1]])
     return S
 
 

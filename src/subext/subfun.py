@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from .dcoeff import Mat, block_diag, hstack, preimage
 from .errors import CertificateError, SubextError
 from .ext import (SES, coordinate_tuples, enumerate_classes, ext,
-                  hom_induced, middle, pullback_seq, pushout_seq, sweep)
+                  hom_induced, hom_postcomposed, middle, pullback_seq,
+                  pushout_seq, sweep)
 from .modules import (ModMap, _free_cover_matrix, _image_length, direct_sum,
                       from_fractional_ideal, from_quotient_ideal, hom, is_mcm,
                       length, mu, nu, power, regular_module, residue_field,
@@ -146,12 +147,9 @@ def exactness_on(fn, ses):
         H = hom(ses.A, C).module
         return _image_length(H, hom_induced(ses.i, C)) == length(H)
     if fn.kind == "hom_from":
-        C = fn.payload
-        hp_B, hp_C = hom(C, ses.B), hom(C, ses.C)
-        cols = [hp_C.coords_of(ModMap(C, ses.C, ses.p.mat @ phi.mat))
-                for phi in hp_B.maps]
-        mat = Mat.from_cols(C.handle.base, hp_C.module.n, cols)
-        return _image_length(hp_C.module, mat) == length(hp_C.module)
+        H = hom(fn.payload, ses.C).module
+        return (_image_length(H, hom_postcomposed(fn.payload, ses.p))
+                == length(H))
     if fn.kind in ("colength", "tensor"):
         if fn.kind == "colength":
             C = from_quotient_ideal(ses.B.handle, fn.payload)

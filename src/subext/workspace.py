@@ -128,14 +128,8 @@ def parse_element(handle, text, lineno=None, col=None):
             except SubextError as exc:
                 err(str(exc))
         else:
-            exps = [0] * len(handle.spec.variables)
-            for factor in mono.split("*"):
-                fm = re.fullmatch(r"([A-Za-z]\w*?)(?:\^(\d+))?", factor)
-                if fm is None or fm.group(1) not in handle.spec.variables:
-                    err(f"bad monomial factor {factor!r}")
-                exps[handle.spec.variables.index(fm.group(1))] += \
-                    int(fm.group(2) or 1)
-            elem = handle.monomial(exps)
+            elem = handle.monomial(_parse_artin_monomial(
+                handle.spec.variables, mono, lineno, col))
         c = handle.base.from_int(coeff)
         total = total + handle.elt([x * c for x in elem.coords])
     return total
@@ -147,7 +141,7 @@ def _parse_artin_monomial(variables, text, lineno, col):
         fm = re.fullmatch(r"([A-Za-z]\w*?)(?:\^(\d+))?", factor)
         if fm is None or fm.group(1) not in variables:
             raise WorkspaceSyntaxError(
-                f"bad ideal monomial factor {factor!r}", lineno, col)
+                f"bad monomial factor {factor!r}", lineno, col)
         exps[variables.index(fm.group(1))] += int(fm.group(2) or 1)
     return tuple(exps)
 
