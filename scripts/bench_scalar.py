@@ -24,12 +24,20 @@ Counters: one `perfbench/worker.py` pass per checkout and workload at
 the engine functions named in COUNTED: in `subext.dcoeff`,
 `Scalar.__init__`, `Scalar._norm`, `pgcd`, `pmul`, `smith`,
 `Subquotient.__init__`, the transform replays `SNF.u`, `SNF.uinv` and
-`SNF.v`, and `Mat.__matmul__`; in `subext.modules`, `CoeffModule.__init__` (every module built),
-`CoeffModule.basis_action`, `hom` (every call, cache hits included) and
-`ModMap.is_r_linear`; `ext.middle`, `ext.pushout_seq`,
-`SES.certify` and `ext.classify`; and
-`ulrich.multiplicity`, `ulrich.multiplicity_hilbert` and
-`ulrich.is_ulrich`.  A function the engine lacks reads null.  On an engine
+`SNF.v`, `Mat.__matmul__` and the copying `Mat.__init__` (the builders
+that keep fresh rows bypass it); in `subext.modules`,
+`CoeffModule.__init__` (every module built), `CoeffModule.basis_action`,
+`CoeffModule.rel` (every call) and `CoeffModule._relations` (the builds
+behind it), `hom` (every call, cache hits included) and
+`ModMap.is_r_linear`; `ext.middle`, `ext.pushout_seq`, `SES.certify` and
+`ext.classify`; `NumFn.__call__` (every call) and `NumFn._value` (the
+values computed); and `ulrich.multiplicity`,
+`ulrich.multiplicity_hilbert` and `ulrich.is_ulrich`.  A function the
+engine lacks reads null: on an engine that keeps no relation matrix or
+NumFn value, every call is a build.  After the pass, with the pass's
+verdicts (and so its rings and shared modules) still held, the child
+collects garbage and counts the `CoeffModule`s alive (`live_modules`):
+what the engine's caches keep beyond the inputs.  On an engine
 whose `Base` has an operation table, the child also counts the table's
 lookups and entries (the hit rate is 1 - entries/lookups).
 They are deterministic, unlike the times.  `--limit N` makes the counter
@@ -47,6 +55,7 @@ import argparse
 import contextlib
 import cProfile
 import dataclasses
+import gc
 import importlib
 import io
 import json
@@ -73,15 +82,21 @@ COUNTED = {"Scalar.__init__": ("dcoeff", "Scalar", "__init__"),
            "SNF.uinv": ("dcoeff", "SNF", "uinv"),
            "SNF.v": ("dcoeff", "SNF", "v"),
            "Mat.__matmul__": ("dcoeff", "Mat", "__matmul__"),
+           "Mat.__init__": ("dcoeff", "Mat", "__init__"),
            "CoeffModule.__init__": ("modules", "CoeffModule", "__init__"),
            "CoeffModule.basis_action": ("modules", "CoeffModule",
                                         "basis_action"),
+           "CoeffModule.rel": ("modules", "CoeffModule", "rel"),
+           "CoeffModule._relations": ("modules", "CoeffModule",
+                                      "_relations"),
            "modules.hom": ("modules", None, "hom"),
            "ModMap.is_r_linear": ("modules", "ModMap", "is_r_linear"),
            "ext.middle": ("ext", None, "middle"),
            "ext.pushout_seq": ("ext", None, "pushout_seq"),
            "SES.certify": ("ext", "SES", "certify"),
            "ext.classify": ("ext", None, "classify"),
+           "NumFn.__call__": ("subfun", "NumFn", "__call__"),
+           "NumFn._value": ("subfun", "NumFn", "_value"),
            "ulrich.multiplicity": ("ulrich", None, "multiplicity"),
            "ulrich.multiplicity_hilbert": ("ulrich", None,
                                            "multiplicity_hilbert"),
@@ -165,6 +180,14 @@ def counter_pass(root, workload, seed, limit):
 
     sys.path.insert(0, os.path.join(root, "perfbench"))
     import worker
+    import workloads
+    built = []  # the pass's verdicts, held until the live modules are counted
+    build = workloads.build
+
+    def kept_build(*args):
+        built.append(build(*args))
+        return built[-1]
+    workloads.build = kept_build
     argv = ["--workload", workload, "--seed", str(seed),
             "--t0", repr(time.monotonic())]
     if limit is not None:
@@ -183,6 +206,10 @@ def counter_pass(root, workload, seed, limit):
         out["table_entries"] = seen["entries"]
         out["table_hit_rate"] = (1 - seen["entries"] / seen["lookups"]
                                  if seen["lookups"] else None)
+    gc.collect()
+    module_cls = engine["modules"].CoeffModule
+    out["live_modules"] = sum(isinstance(o, module_cls)
+                              for o in gc.get_objects())
     out["verdicts"] = len(pass_result["latencies"])
     out["failed_verdicts"] = len(pass_result["failures"])
     out["digest"] = pass_result["digest"]

@@ -26,7 +26,11 @@ invariants, and a Subquotient helper that puts U/V (for V <= U <= D^n) into
 the canonical form D^f + D/t^a1 + ... + D/t^ak together with coordinate maps.
 Each matrix is eliminated once: smith records its row and column operations,
 and every transform a caller needs (U, U^-1 or V applied to a vector) is
-applied by replaying them, so no transform matrix is ever built.
+applied by replaying them, so no transform matrix is ever built.  Mat(base,
+rows) copies rows that may belong to another matrix; the builders (zeros,
+identity, from_cols, with_rows, transpose, hstack, products) make fresh rows
+and keep them without a copy, so no two matrices share a row.  Products list
+the nonzero entries of the right operand once and visit only those.
 """
 
 from __future__ import annotations
@@ -393,25 +397,28 @@ class Mat:
         self.m = len(self.rows)
         self.n = len(self.rows[0]) if self.rows else 0
 
+    @classmethod
+    def _own(cls, base, rows, n):
+        """The width-n matrix that keeps the fresh row lists rows as is."""
+        out = object.__new__(cls)
+        out.base, out.rows, out.m, out.n = base, rows, len(rows), n
+        return out
+
     @staticmethod
     def zeros(base, m, n):
         z = base.zero()
-        out = Mat(base, [[z] * n for _ in range(m)])
-        out.n = n  # a matrix with no rows keeps its width
-        return out
+        return Mat._own(base, [[z] * n for _ in range(m)], n)
 
     @staticmethod
     def identity(base, n):
         z, o = base.zero(), base.one()
-        return Mat(base, [[o if i == j else z for j in range(n)] for i in range(n)])
+        return Mat._own(base, [[o if i == j else z for j in range(n)]
+                               for i in range(n)], n)
 
     @staticmethod
     def from_cols(base, m, cols):
-        out = Mat.zeros(base, m, len(cols))
-        for j, c in enumerate(cols):
-            for i in range(m):
-                out.rows[i][j] = c[i]
-        return out
+        return Mat._own(base, [[c[i] for c in cols] for i in range(m)],
+                        len(cols))
 
     def col(self, j):
         return [r[j] for r in self.rows]
@@ -420,33 +427,36 @@ class Mat:
         return [self.col(j) for j in range(self.n)]
 
     def __matmul__(self, other):
+        # the right operand's nonzero entries are listed once, and each sum
+        # runs over them in ascending order, as the dense loop would
+        z = self.base.zero()  # scalars are immutable: one zero serves all
         if isinstance(other, list):
-            z = self.base.zero()  # scalars are immutable: one zero serves all
+            nz = [(j, b) for j, b in enumerate(other) if b.num]
             out = [z] * self.m
             for i, row in enumerate(self.rows):
                 acc = z
-                for j, a in enumerate(row):
-                    if a.num and other[j].num:
-                        acc = acc + a * other[j]
+                for j, b in nz:
+                    a = row[j]
+                    if a.num:
+                        acc = acc + a * b
                 out[i] = acc
             return out
         assert self.n == other.m, (self.n, other.m)
-        out = Mat.zeros(self.base, self.m, other.n)
-        for i, row in enumerate(self.rows):
-            orow = out.rows[i]
+        nz_rows = [[(j, b) for j, b in enumerate(brow) if b.num]
+                   for brow in other.rows]
+        rows = []
+        for row in self.rows:
+            orow = [z] * other.n
             for k, a in enumerate(row):
                 if a.num:
-                    brow = other.rows[k]
-                    for j, b in enumerate(brow):
-                        if b.num:
-                            orow[j] = orow[j] + a * b
-        return out
+                    for j, b in nz_rows[k]:
+                        orow[j] = orow[j] + a * b
+            rows.append(orow)
+        return Mat._own(self.base, rows, other.n)
 
     def with_rows(self, rows):
-        """A matrix of this width with the given rows (possibly none)."""
-        out = Mat(self.base, rows)
-        out.n = self.n
-        return out
+        """A matrix of this width keeping the fresh row lists rows."""
+        return Mat._own(self.base, rows, self.n)
 
     def __add__(self, other):
         return self.with_rows([[a + b for a, b in zip(r1, r2)]
@@ -463,10 +473,8 @@ class Mat:
         return self.with_rows([[a * s for a in r] for r in self.rows])
 
     def transpose(self):
-        out = Mat(self.base, [[self.rows[i][j] for i in range(self.m)]
-                              for j in range(self.n)])
-        out.n = self.m  # a transpose with no rows keeps its width
-        return out
+        return Mat._own(self.base, [[r[j] for r in self.rows]
+                                    for j in range(self.n)], self.m)
 
     def is_zero(self):
         return all(a.is_zero() for r in self.rows for a in r)
@@ -488,9 +496,7 @@ def hstack(base, mats, m=None):
     for mat in mats:
         for i in range(mat.m):
             rows[i].extend(mat.rows[i])
-    out = Mat(base, rows)
-    out.n = sum(x.n for x in mats)  # blocks with no rows keep their width
-    return out
+    return Mat._own(base, rows, sum(x.n for x in mats))
 
 
 def vstack(base, mats):

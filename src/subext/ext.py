@@ -19,8 +19,9 @@ from .errors import (BudgetExceeded, CertificateError, InfiniteLengthError,
                      SubextError)
 from .modules import (CoeffModule, ModMap, _free_cover_matrix,
                       _generator_cols, _image_length, _rmatrix_of, _unvec,
-                      direct_sum, hom, normalize_rows, power, power_rel,
-                      resolution, slot_map, subquotient_module, zero_module)
+                      direct_sum, hom, normalize_rows, pair_cache, power,
+                      power_rel, resolution, slot_map, subquotient_module,
+                      zero_module)
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +178,7 @@ class ExtClass:
         N = pres.N
         cols = _unvec(N.handle.base, pres.sq.lift(list(self.coords)), N.n,
                       pres.beta)
-        mat = _free_cover_matrix(N.handle, N.basis_action, cols)
+        mat = _free_cover_matrix(N, cols)
         return ModMap(pres.res.frees[pres.j], N, mat)
 
     def __repr__(self):
@@ -185,16 +186,16 @@ class ExtClass:
 
 
 def ext(M, N, j):
-    """Ext^j_R(M, N) as an ExtPresentation (j >= 1); Hom for j = 0."""
+    """Ext^j_R(M, N) as an ExtPresentation (j >= 1), kept by pair_cache."""
     if j < 1:
         raise SubextError(f"Ext degree must be at least 1, got {j} "
                           "(use hom() for degree zero)")
     if not M.handle.same_ring(N.handle):
         raise SubextError(f"Ext needs M and N over one ring, got "
                           f"{M.handle.label} and {N.handle.label}")
-    key = ("ext", j, N)
-    if key in M._cache:
-        return M._cache[key]
+    cache, key = pair_cache(M, N, ("ext", j))
+    if key in cache:
+        return cache[key]
     res = resolution(M, j + 1)
     beta = res.betti[j]
     if beta == 0 or N.is_zero():
@@ -206,7 +207,7 @@ def ext(M, N, j):
         Z = preimage(slot_map(N, res.rmx[j]), power_rel(N, res.betti[j + 1]))
         module, sq, _ = subquotient_module(power(N, beta), [Z],
                                            [slot_map(N, res.rmx[j - 1])])
-    pres = M._cache[key] = ExtPresentation(M=M, N=N, j=j, module=module,
+    pres = cache[key] = ExtPresentation(M=M, N=N, j=j, module=module,
                                            sq=sq, beta=beta, res=res)
     return pres
 
@@ -253,7 +254,7 @@ def classify(ses, pres=None):
 def _cover_by(T, Y):
     """D-matrix of the R-linear map R^k -> T sending generator b to the
     first T.n coordinates of Y[b]."""
-    return _free_cover_matrix(T.handle, T.basis_action, Mat.from_cols(
+    return _free_cover_matrix(T, Mat.from_cols(
         T.handle.base, T.n, [y[:T.n] for y in Y]))
 
 

@@ -32,14 +32,19 @@ one object to every caller, and these do:
   share nothing;
   from_quotient_ideal(h, J) keeps R/J on the ideal J, next to its span
   basis, and is freed with J.
-Everything cached on a shared module (its basis_action products, its
-resolution, Hom and Ext out of it) is then computed once per handle or
-ideal instead of once per caller.  Identity tests (`M is N`) see the
-sharing: two calls of residue_field(h) give one module.
+Identity tests (`M is N`) see the sharing: two calls of residue_field(h)
+give one module.  What depends on one module is kept in its _cache and
+built once: rel() (no caller writes into it), the monomial actions of
+basis_action (each the last generator's action times the kept rest) and
+their nonzero entries by column, the resolution, and the values of NumFn
+and tensor_length.  What depends on a pair (hom, ext) is kept by pair_cache on
+the younger module, by creation serial, keyed by the other; so a shared
+module keeps no later one alive, and a middle is freed with its class.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .dcoeff import (Mat, Subquotient, block_diag, hstack, in_span, kernel,
@@ -49,13 +54,18 @@ from .errors import (BudgetExceeded, InfiniteLengthError, NotAModuleError,
 from .rings import FracIdeal, RingElement, canonical_ideal
 
 
+_SERIALS = itertools.count()  # a module built later gets a larger serial
+
+
 class CoeffModule:
     """Finite module over a ring handle, as a D-module with ring actions."""
 
-    __slots__ = ("handle", "exps", "actions", "n", "_basis_act", "_cache")
+    __slots__ = ("handle", "exps", "actions", "n", "serial", "_basis_act",
+                 "_cache")
 
     def __init__(self, handle, exps, actions):
         self.handle = handle
+        self.serial = next(_SERIALS)
         self.exps = tuple(exps)
         self.n = len(self.exps)
         self.actions = {g: normalize_rows(self.exps, actions[g])
@@ -76,14 +86,15 @@ class CoeffModule:
 
     def rel(self):
         """Relation columns: t^a * e_i for each torsion coordinate."""
+        if "rel" not in self._cache:
+            self._cache["rel"] = self._relations()
+        return self._cache["rel"]
+
+    def _relations(self):
         base = self.handle.base
-        cols = []
-        for i, e in enumerate(self.exps):
-            if e is not None:
-                col = [base.zero()] * self.n
-                col[i] = base.t_power(e)
-                cols.append(col)
-        return Mat.from_cols(base, self.n, cols)
+        return Mat.from_cols(base, self.n, [
+            [base.t_power(e) if k == i else base.zero() for k in range(self.n)]
+            for i, e in enumerate(self.exps) if e is not None])
 
     def span(self, *blocks):
         """The columns of the blocks, then the relation columns."""
@@ -124,13 +135,19 @@ class CoeffModule:
 
     def basis_action(self, i):
         """Action of the i-th ring basis monomial."""
-        if i not in self._basis_act:
-            h = self.handle
-            out = Mat.identity(h.base, self.n)
-            for g in h.basis_factor[i]:
-                out = self.actions[g] @ out
-            self._basis_act[i] = normalize_rows(self.exps, out)
-        return self._basis_act[i]
+        return self._monomial_action(tuple(self.handle.basis_factor[i]))
+
+    def _monomial_action(self, factors):
+        """Action of the product of the generators factors, kept by factors:
+        the last generator's action times the kept action of the others."""
+        if factors not in self._basis_act:
+            if factors:
+                rest = self._monomial_action(factors[:-1])
+                out = self.actions[factors[-1]] @ rest
+            else:
+                out = Mat.identity(self.handle.base, self.n)
+            self._basis_act[factors] = normalize_rows(self.exps, out)
+        return self._basis_act[factors]
 
     def element_action(self, elem):
         h = self.handle
@@ -319,14 +336,14 @@ def submodule(M, gens_mat):
     The span must be R-stable; returns (K, incl: K -> M).
     """
     # close under the R-action: multiply by all ring basis monomials
-    closed = _free_cover_matrix(M.handle, M.basis_action, gens_mat)
+    closed = _free_cover_matrix(M, gens_mat)
     K, _, B = subquotient_module(M, [closed])
     return K, ModMap(K, M, B)
 
 
 def quotient_module(M, gens_mat):
     """M / (R-span of the columns); returns (Q, proj: M -> Q)."""
-    closed = _free_cover_matrix(M.handle, M.basis_action, gens_mat)
+    closed = _free_cover_matrix(M, gens_mat)
     Q, sq, _ = subquotient_module(M, None, [closed])
     return Q, ModMap(M, Q, sq.project_cols(Mat.identity(M.handle.base, M.n)))
 
@@ -549,6 +566,15 @@ def _unvec(base, vec, nrows, ncols):
     return Mat.from_cols(base, nrows, cols)
 
 
+def pair_cache(M, N, name):
+    """(cache, key) keeping the data name of the pair (M, N) on the younger
+    of the two, keyed by the other, so that an older module (a shared
+    residue field, say) keeps nothing alive that was built after it."""
+    if M.serial >= N.serial:
+        return M._cache, (name, "to", N)
+    return N._cache, (name, "from", M)
+
+
 def hom(M, N):
     """Hom_R(M, N) as a CoeffModule with lifted generator maps.  A D-linear
     phi : M -> N is stored as the slots phi(e_j) of P = N^{M.n}; it is
@@ -558,9 +584,9 @@ def hom(M, N):
     if not M.handle.same_ring(N.handle):
         raise SubextError(f"Hom needs M and N over one ring, got "
                           f"{M.handle.label} and {N.handle.label}")
-    key = ("hom", N)
-    if key in M._cache:
-        return M._cache[key]
+    cache, key = pair_cache(M, N, "hom")
+    if key in cache:
+        return cache[key]
     base = M.handle.base
     if M.is_zero() or N.is_zero():
         Hmod = zero_module(M.handle)
@@ -587,7 +613,7 @@ def hom(M, N):
                 conds.append((T, N.rel()))
         Hmod, sq, B = subquotient_module(P, [preimage_all(base, P.n, conds)])
         maps = [ModMap(M, N, _unvec(base, w, N.n, M.n)) for w in B.cols()]
-    out = M._cache[key] = HomPres(module=Hmod, maps=maps, sq=sq, src=M, dst=N)
+    out = cache[key] = HomPres(module=Hmod, maps=maps, sq=sq, src=M, dst=N)
     return out
 
 
@@ -627,16 +653,27 @@ def _min_gens_of_submodule(F, K_cols):
                                  for g in F.handle.gen_names]).basis()
 
 
-def _free_cover_matrix(handle, target_basis_action, gens_cols):
-    """D-matrix of R^mu -> target sending generator j to column j."""
-    base = handle.base
-    nR = handle.nR
+def _free_cover_matrix(M, gens_cols):
+    """D-matrix of R^mu -> M sending generator j to column j: the basis
+    monomials of R act on each column through the nonzero entries of each
+    column of their actions, listed once per module and kept on M."""
+    acts = M._cache.get("sparse_actions")
+    if acts is None:
+        acts = M._cache["sparse_actions"] = [
+            [[(r, a) for r, a in enumerate(col) if a.num]
+             for col in M.basis_action(b).cols()]
+            for b in range(M.handle.nR)]
+    z = M.handle.base.zero()
     cols = []
     for j in range(gens_cols.n):
-        v = gens_cols.col(j)
-        for b in range(nR):
-            cols.append(target_basis_action(b) @ v)
-    return Mat.from_cols(base, gens_cols.m, cols)
+        v = [(k, x) for k, x in enumerate(gens_cols.col(j)) if x.num]
+        for act in acts:
+            out = [z] * M.n
+            for k, x in v:  # as act @ v: each sum runs over k ascending
+                for r, a in act[k]:
+                    out[r] = out[r] + a * x
+            cols.append(out)
+    return Mat.from_cols(M.handle.base, gens_cols.m, cols)
 
 
 def _generator_cols(handle, mat, k):
@@ -675,7 +712,7 @@ def resolution(M, length_):
     if cached is None:
         # step 0: minimal generators of M
         gens = M.quotient(None, [M.actions[g] for g in h.gen_names]).basis()
-        cover_mat = _free_cover_matrix(h, M.basis_action, gens)
+        cover_mat = _free_cover_matrix(M, gens)
         F0 = free_module(h, gens.n)
         cover = ModMap(F0, M, cover_mat)
         res = Resolution(cover=cover, diffs=[], betti=[gens.n], rmx=[],
@@ -692,7 +729,7 @@ def resolution(M, length_):
         else:
             Kc = kernel(res.diffs[i - 1])
         gens = _min_gens_of_submodule(F_prev, Kc)
-        d = _free_cover_matrix(h, F_prev.basis_action, gens)
+        d = _free_cover_matrix(F_prev, gens)
         res.betti.append(gens.n)
         res.frees.append(free_module(h, gens.n))
         res.diffs.append(d)
@@ -766,8 +803,7 @@ def is_isomorphic(M, N, budget=2 ** 20):
     if p ** kappa > budget:
         raise BudgetExceeded(f"{p ** kappa} hom classes exceed budget {budget}")
     lifts = [H.map_from_coords(hb.reduce_vec(w)) for w in sqm.basis().cols()]
-    import itertools as it
-    for combo in it.product(range(p), repeat=kappa):
+    for combo in itertools.product(range(p), repeat=kappa):
         if not any(combo):
             continue
         phi = None

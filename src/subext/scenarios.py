@@ -493,8 +493,7 @@ def _scn_mintype(seed, budget, tally):
         S = power(W, muW)
         vcol = [a for gen in _generator_cols(h, res.cover.mat, muW)
                 for a in gen]
-        imat = _free_cover_matrix(h, S.basis_action,
-                                  Mat.from_cols(base, S.n, [vcol]))
+        imat = _free_cover_matrix(S, Mat.from_cols(base, S.n, [vcol]))
         F = regular_module(h)
         C, p = quotient_module(S, imat)
         SES(A=F, B=S, C=C, i=ModMap(F, S, imat), p=p).certify()

@@ -40,11 +40,15 @@ def _tensor_presentation(X, res):
 
 
 def tensor_length(X, C):
-    """lambda(X (x)_R C), via a minimal presentation of C."""
+    """lambda(X (x)_R C), via a minimal presentation of C; kept on X."""
     if X.is_zero() or C.is_zero():
         return 0
-    P, V = _tensor_presentation(X, resolution(C, 1))
-    return P.quotient_length(None, [V], "tensor product has infinite length")
+    key = ("tensor_length", C)
+    if key not in X._cache:
+        P, V = _tensor_presentation(X, resolution(C, 1))
+        X._cache[key] = P.quotient_length(
+            None, [V], "tensor product has infinite length")
+    return X._cache[key]
 
 
 def _tensor_image_length(f, C):
@@ -91,6 +95,15 @@ class NumFn:
     payload: object = None
 
     def __call__(self, M):
+        """The value on M, kept on M by the kind and the payload's identity
+        (a FracIdeal is unhashable); the entry holds the payload, so the id
+        is not reused while it lives.  A raised error stores nothing."""
+        key = ("numfn", self.kind, id(self.payload))
+        if key not in M._cache:
+            M._cache[key] = (self.payload, self._value(M))
+        return M._cache[key][1]
+
+    def _value(self, M):
         if self.kind == "mu":
             return mu(M)
         if self.kind == "colength":
@@ -190,7 +203,7 @@ def submodule_members(module, cols, budget=2 ** 20):
     base = module.handle.base
     if module.n == 0:
         return {()}
-    closed = _free_cover_matrix(module.handle, module.basis_action, cols)
+    closed = _free_cover_matrix(module, cols)
     sq = module.quotient([closed])
     basis = sq.basis()
     return {tuple(module.reduce_vec(basis @ list(v)))

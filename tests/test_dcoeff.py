@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from subext.dcoeff import (
     Base, Mat, Scalar, Subquotient, cokernel_invariants, hstack, in_span,
     kernel, padd, pgcd, pinv_series, pmod_tk, pmul, pneg, preimage_all,
-    pshift, smith, solve, solve_matrix,
+    pshift, smith, solve, solve_matrix, vstack,
 )
 from subext.errors import ExactDivisionError, NotInSpanError
 
@@ -609,3 +609,72 @@ def test_in_span_and_hstack():
     assert hstack(L2, [A, A]).m == 2
     T = Mat.zeros(L2, 2, 0).transpose()
     assert (T.m, T.n) == (0, 2)
+
+
+# ---------------------------------------------------------------------------
+# matrix builders and products
+# ---------------------------------------------------------------------------
+
+F2, F3 = Base(2, local=False), Base(3, local=False)
+
+
+@st.composite
+def sparse_products(draw):
+    """(A, B, v) with A of m x n, B of n x k and v of length n (each of
+    0..4), over F_2, F_3 or the local base, with whole rows and columns of
+    A and B set to zero."""
+    base = draw(st.sampled_from([F2, F3, L2, L3]))
+    m, n, k = (draw(st.integers(0, 4)) for _ in range(3))
+    entry = st.one_of(st.just(base.zero()), scalars(base))
+
+    def matrix(rows, cols):
+        dead_rows = draw(st.sets(st.integers(0, max(rows - 1, 0))))
+        dead_cols = draw(st.sets(st.integers(0, max(cols - 1, 0))))
+        return Mat.from_cols(base, rows, [
+            [base.zero() if i in dead_rows or j in dead_cols else draw(entry)
+             for i in range(rows)] for j in range(cols)])
+    return matrix(m, n), matrix(n, k), [draw(entry) for _ in range(n)]
+
+
+def _dense_sum(base, terms):
+    acc = base.zero()
+    for t in terms:
+        acc = acc + t
+    return acc
+
+
+@given(sparse_products())
+@settings(max_examples=200, deadline=None)
+def test_products_equal_the_dense_sums(case):
+    A, B, v = case
+    base = A.base
+    Av = A @ v
+    assert Av == [_dense_sum(base, [A.rows[i][j] * v[j] for j in range(A.n)])
+                  for i in range(A.m)]
+    AB = A @ B
+    assert (AB.m, AB.n) == (A.m, B.n)
+    assert AB.rows == [
+        [_dense_sum(base, [A.rows[i][j] * B.rows[j][c] for j in range(A.n)])
+         for c in range(B.n)] for i in range(A.m)]
+
+
+def _row_ids(*mats):
+    return [id(row) for mat in mats for row in mat.rows]
+
+
+@given(sparse_products())
+@settings(max_examples=50, deadline=None)
+def test_builders_share_no_row_list(case):
+    A, B, _ = case
+    base = A.base
+    built = [Mat.zeros(base, A.m, A.n), Mat.zeros(base, 3, 0),
+             Mat.identity(base, A.m), Mat.identity(base, 3),
+             Mat.from_cols(base, A.n, A.rows), Mat.from_cols(base, A.m, A.cols()),
+             hstack(base, [A, A], m=A.m), hstack(base, [B], m=B.m),
+             A.transpose(), B.transpose(), A @ B, A + A, -A, A.scale(base.one()),
+             A.with_rows([list(r) for r in A.rows])]
+    ids = _row_ids(A, B, *built)
+    assert len(ids) == len(set(ids))
+    # vstack copies the rows of its blocks, which stay theirs
+    ids = _row_ids(A, B, vstack(base, [A, A, B.transpose()]))
+    assert len(ids) == len(set(ids))
