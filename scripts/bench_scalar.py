@@ -31,10 +31,13 @@ that keep fresh rows bypass it); in `subext.modules`,
 behind it), `hom` (every call, cache hits included) and
 `ModMap.is_r_linear`; `ext.middle`, `ext.pushout_seq`, `SES.certify` and
 `ext.classify`; `NumFn.__call__` (every call) and `NumFn._value` (the
-values computed); and `ulrich.multiplicity`,
-`ulrich.multiplicity_hilbert` and `ulrich.is_ulrich`.  A function the
-engine lacks reads null: on an engine that keeps no relation matrix or
-NumFn value, every call is a build.  After the pass, with the pass's
+values computed); `ulrich.multiplicity`,
+`ulrich.multiplicity_hilbert` and `ulrich.is_ulrich`; and the orbit
+machinery of `ext.sweep`: `ext.orbit_actions` (a generator, so cProfile
+counts one call per action matrix asked for, plus one for each generator
+that runs to its end) and `modules.automorphisms` (every call, kept
+values included).  A function the engine lacks reads null: on an engine
+that keeps no relation matrix or NumFn value, every call is a build.  After the pass, with the pass's
 verdicts (and so its rings and shared modules) still held, the child
 collects garbage and counts the `CoeffModule`s alive (`live_modules`):
 what the engine's caches keep beyond the inputs.  On an engine
@@ -43,10 +46,11 @@ lookups and entries (the hit rate is 1 - entries/lookups).
 They are deterministic, unlike the times.  `--limit N` makes the counter
 pass run only the first N verdicts.
 
-Middles: without `--limit`, one more child per checkout runs every
-scenario of the registry once, `run_scenario(name, 0)`, under cProfile and
-records the `ext.middle` calls of each scenario and their total
-(`scenario_middles`).
+Middles: without `--limit`, one more child per checkout runs each of the
+28 scenarios once, `run_scenario(name, 0)`, under cProfile and records the
+`ext.middle` calls of each scenario and their total (`scenario_middles`).
+This covers the six scenarios that the `registry` workload leaves out
+(`uliso`, `uladd`, `axioms-ul`, `prop1-ulrich`, `dvr-mu` and `loewy`).
 """
 
 from __future__ import annotations
@@ -100,7 +104,9 @@ COUNTED = {"Scalar.__init__": ("dcoeff", "Scalar", "__init__"),
            "ulrich.multiplicity": ("ulrich", None, "multiplicity"),
            "ulrich.multiplicity_hilbert": ("ulrich", None,
                                            "multiplicity_hilbert"),
-           "ulrich.is_ulrich": ("ulrich", None, "is_ulrich")}
+           "ulrich.is_ulrich": ("ulrich", None, "is_ulrich"),
+           "ext.orbit_actions": ("ext", None, "orbit_actions"),
+           "modules.automorphisms": ("modules", None, "automorphisms")}
 ENGINE = ("dcoeff", "rings", "modules", "ext", "subfun", "ulrich",
           "scenarios", "workspace", "cli")
 CHILD_TIMEOUT_S = 900

@@ -19,9 +19,9 @@ from .errors import (BudgetExceeded, CertificateError, InfiniteLengthError,
                      SubextError)
 from .modules import (CoeffModule, ModMap, _free_cover_matrix,
                       _generator_cols, _image_length, _rmatrix_of, _unvec,
-                      direct_sum, hom, normalize_rows, pair_cache, power,
-                      power_rel, resolution, slot_map, subquotient_module,
-                      zero_module)
+                      automorphisms, direct_sum, hom, normalize_rows,
+                      pair_cache, power, power_rel, resolution, slot_map,
+                      slotwise, subquotient_module, zero_module)
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +117,8 @@ class ExtPresentation:
     beta: int
     res: object
     _presentation: SES = field(default=None, repr=False, compare=False)
+    # the orbits of class_orbits, found once for every sweep of the group
+    _orbits: list = field(default=None, repr=False, compare=False)
 
     def presentation(self):
         """The presentation sequence F_1 -d_1-> F_0 -> M, built once."""
@@ -396,8 +398,9 @@ def _primitive_root(p):
 
 
 def orbit_units(handle):
-    """Units of R whose orbits sweep merges: a primitive root lam of F_p^x
-    (p > 2), and 1 + g and 1 + lam g for each ring generator g."""
+    """Units of R whose orbits sweep merges, the first maps of
+    orbit_actions: a primitive root lam of F_p^x (p > 2), and 1 + g and
+    1 + lam g for each ring generator g."""
     base = handle.base
     one = handle.one_elt()
     if base.p == 2:
@@ -407,49 +410,123 @@ def orbit_units(handle):
                           for c in (base.one(), lam)]
 
 
-def unit_orbits(pres, classes):
-    """The orbits of the units of orbit_units on classes, all the elements
-    of the Ext group: lists of indices into classes, each in enumeration
-    order, the lists ordered by their first index.  A union-find over the
-    class coordinates, with each unit's action matrix built once."""
-    module = pres.module
-    index = {cls.coords: k for k, cls in enumerate(classes)}
-    root = list(range(len(classes)))
+def orbit_actions(pres):
+    """The matrices, on the coordinates of the degree-1 Ext group, of the
+    maps whose orbits sweep merges, in this order: each unit of
+    orbit_units; the pushout along each automorphism g of N (g on every
+    slot of the cocycles); and the pullback along each automorphism f of M
+    (Ext^1(f, N)).  The automorphisms are those of modules.automorphisms,
+    each found when the first matrix that needs it is asked for."""
+    module, sq, N = pres.module, pres.sq, pres.N
+    for u in orbit_units(N.handle):
+        yield module.element_action(u)
+    if automorphisms(N):
+        basis = sq.basis()
+        for g in automorphisms(N):
+            yield sq.project_cols(slotwise(g, pres.beta) @ basis)
+    for f in automorphisms(pres.M):
+        yield ext_induced(f, N, 1)
 
-    def find(k):
-        while root[k] != k:
-            root[k] = root[root[k]]
-            k = root[k]
-        return k
-    for u in orbit_units(pres.N.handle):
-        act = module.element_action(u)
-        for k, cls in enumerate(classes):
-            a = find(k)
-            b = find(index[tuple(module.reduce_vec(act @ list(cls.coords)))])
-            root[max(a, b)] = min(a, b)
-    orbits = {}
-    for k in range(len(classes)):
-        orbits.setdefault(find(k), []).append(k)
-    return list(orbits.values())
+
+def _digits(module, coords):
+    """The t-adic digits of reduced coordinates, one per coordinate over a
+    field base, in the order coordinate_tuples enumerates them: the first
+    digit is the most significant."""
+    if not module.handle.base.local:
+        return [c.num[0] if c.num else 0 for c in coords]
+    return [d for c, e in zip(coords, module.exps)
+            for d in c.num + (0,) * (e - len(c.num))]
+
+
+def _image_indices(cols, p):
+    """For an F_p-linear map of the classes whose digit unit r goes to the
+    digits cols[r], the index of the image of each class, in enumeration
+    order.  The classes are walked like an odometer: a step to the next
+    class raises its last digit that is below p - 1 and wraps the ones
+    after it to 0, so each digit r that changes moves by +1 mod p and the
+    image moves by cols[r]; the image index follows digit by digit."""
+    lam = len(cols)
+    weights = [p ** (lam - 1 - r) for r in range(lam)]
+    moves = [[(s, c) for s, c in enumerate(col) if c] for col in cols]
+    digits, image, index = [0] * lam, [0] * lam, 0
+    out = [0]
+    for _ in range(p ** lam - 1):
+        r = lam - 1
+        while True:
+            for s, c in moves[r]:
+                new = (image[s] + c) % p
+                index += (new - image[s]) * weights[s]
+                image[s] = new
+            digits[r] = (digits[r] + 1) % p
+            if digits[r]:
+                break
+            r -= 1
+        out.append(index)
+    return out
+
+
+def class_orbits(pres):
+    """The orbits of the maps of orbit_actions on the classes of the
+    degree-1 Ext group: lists of indices into enumerate_classes(pres), each
+    in enumeration order, the lists ordered by their first index; found
+    once and kept on pres.  Each map is F_p-linear on the t-adic digits of
+    the coordinates, so it becomes one integer digit matrix, and a
+    union-find over class indices merges the orbits.  The maps are
+    invertible, so the zero class is an orbit of its own; once the other
+    classes form one orbit, no further map is built."""
+    if pres._orbits is None:
+        module = pres.module
+        base = module.handle.base
+        zero = base.zero()
+        digit_vecs = []  # the coordinates of each digit unit, in order
+        for i, e in enumerate(module.exps):
+            for j in range(e if base.local else 1):
+                digit_vecs.append([zero] * module.n)
+                digit_vecs[-1][i] = base.t_power(j)
+        root = list(range(group_order(pres)))
+        count = len(root)  # orbits so far
+
+        def find(k):
+            while root[k] != k:
+                root[k] = root[root[k]]
+                k = root[k]
+            return k
+        for act in orbit_actions(pres) if count > 2 else ():
+            cols = [_digits(module, module.reduce_vec(act @ v))
+                    for v in digit_vecs]
+            for k, image in enumerate(_image_indices(cols, base.p)):
+                a, b = find(k), find(image)
+                if a != b:
+                    root[max(a, b)] = min(a, b)
+                    count -= 1
+            if count == 2:
+                break
+        orbits = {}
+        for k in range(len(root)):
+            orbits.setdefault(find(k), []).append(k)
+        pres._orbits = list(orbits.values())
+    return pres._orbits
 
 
 def sweep(pres, f, budget=2 ** 20):
     """[(cls, f(middle(cls))) for every class of the degree-1 Ext group],
-    with one middle built per unit orbit.
+    with one middle built per orbit of class_orbits.
 
     Contract: f may read only the isomorphism class of the middle.  Basis:
-    for a unit u of R the middle of u.c is isomorphic to the middle of c,
-    by the pushout along the automorphism u.id_N, so f is constant on each
-    R^x-orbit.  The classes are split into orbits under the units of
-    orbit_units; these generate a subgroup of R^x, whose orbits lie inside
-    the R^x-orbits.  f runs once per orbit, on the middle of its first
-    class, and the value is copied to the rest of the orbit.  Check: in a
-    group with an orbit of more than one class, the last class of the
-    largest orbit gets a middle of its own, and an f value other than the
-    copied one raises CertificateError.
+    the pushout of a sequence along an automorphism of N, or its pullback
+    along an automorphism of M, has a middle isomorphic to the original one
+    (Mac Lane, Homology, Ch. III); the action of a unit u of R is the
+    pushout along u.id_N.  So f is constant on each orbit of the maps of
+    orbit_actions: the units of orbit_units and the pushouts and pullbacks
+    along the certified automorphisms of modules.automorphisms, each of
+    which has passed is_surjective.  f runs once per orbit, on the middle
+    of its first class, and the value is copied to the rest of the orbit.
+    Check: in a group with an orbit of more than one class, the last class
+    of the largest orbit gets a middle of its own, and an f value other
+    than the copied one raises CertificateError.
     """
     classes = enumerate_classes(pres, budget)
-    orbits = unit_orbits(pres, classes)
+    orbits = class_orbits(pres)
     values = [None] * len(classes)
     for orbit in orbits:
         v = f(middle(classes[orbit[0]]))
@@ -462,7 +539,7 @@ def sweep(pres, f, budget=2 ** 20):
         if v != values[last]:
             raise CertificateError(
                 f"sweep: f gives {v!r} on class {classes[last].coords} but "
-                f"{values[last]!r} on the first class of its unit orbit")
+                f"{values[last]!r} on the first class of its orbit")
     return list(zip(classes, values))
 
 
@@ -488,7 +565,7 @@ def chain_lift(f, depth):
     res = resolution(M, depth)
     # level 0: cover o f0 = f o cover'
     lifts = [_cover_by(res.frees[0], _solve_each(
-        lambda: smith(M.span(res.cover.mat)),
+        lambda: res.form(0),
         [f.mat @ v for v in _generator_cols(h, resp.cover.mat, resp.betti[0])],
         SubextError("chain lift failed at level 0")))]
     for lev in range(1, depth + 1):
@@ -499,7 +576,7 @@ def chain_lift(f, depth):
         # the D-span of the columns of d_lev is exactly the kernel of the
         # previous map, so a plain solve suffices
         lifts.append(_cover_by(res.frees[lev], _solve_each(
-            lambda: smith(res.diffs[lev - 1]),
+            lambda: res.form(lev),
             [lifts[lev - 1] @ v for v in
              _generator_cols(h, resp.diffs[lev - 1], resp.betti[lev])],
             SubextError(f"chain lift failed at level {lev}"))))

@@ -36,19 +36,21 @@ Identity tests (`M is N`) see the sharing: two calls of residue_field(h)
 give one module.  What depends on one module is kept in its _cache and
 built once: rel() (no caller writes into it), the monomial actions of
 basis_action (each the last generator's action times the kept rest) and
-their nonzero entries by column, the resolution, and the values of NumFn
-and tensor_length.  What depends on a pair (hom, ext) is kept by pair_cache on
-the younger module, by creation serial, keyed by the other; so a shared
-module keeps no later one alive, and a middle is freed with its class.
+their nonzero entries by column, the resolution with the Smith forms chain
+maps are lifted through, the certified automorphisms, and the values of
+NumFn and tensor_length.  What depends on a pair (hom, ext) is kept by
+pair_cache on the younger module, by creation serial, keyed by the other;
+so a shared module keeps no later one alive, and a middle is freed with
+its class.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .dcoeff import (Mat, Subquotient, block_diag, hstack, in_span, kernel,
-                     preimage, preimage_all)
+                     preimage, preimage_all, smith)
 from .errors import (BudgetExceeded, InfiniteLengthError, NotAModuleError,
                      SubextError)
 from .rings import FracIdeal, RingElement, canonical_ideal
@@ -275,6 +277,11 @@ def power(N, k):
     """N^k, the sum of k copies of N (slot b holds coordinates b*N.n up to
     (b+1)*N.n - 1); power(N, 1) is N."""
     return N if k == 1 else _sum_module(N.handle, [N] * k)
+
+
+def slotwise(f, k):
+    """D-matrix of f on each of k slots, X^k -> Y^k for f : X -> Y."""
+    return block_diag(f.src.handle.base, [f.mat] * k)
 
 
 def power_rel(N, k):
@@ -643,6 +650,18 @@ class Resolution:
     betti: list
     rmx: list
     frees: list
+    # level -> Smith form that form(level) returns
+    _forms: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def form(self, level):
+        """The Smith form of [cover | rel_M] at level 0 and of d_level
+        above it, the systems a chain map into this resolution is lifted
+        through; built once."""
+        if level not in self._forms:
+            self._forms[level] = smith(
+                self.cover.dst.span(self.cover.mat) if level == 0
+                else self.diffs[level - 1])
+        return self._forms[level]
 
 
 def _min_gens_of_submodule(F, K_cols):
@@ -787,6 +806,13 @@ def invariant_factors(M):
     return sorted(M.exps, key=lambda e: (e is not None, e or 0))
 
 
+def _lifts_mod_m(H):
+    """ModMap lifts of a basis of H/mH, for H = hom(M, N)."""
+    hb = H.module
+    sqm = hb.quotient(None, [hb.actions[g] for g in hb.handle.gen_names])
+    return [H.map_from_coords(hb.reduce_vec(w)) for w in sqm.basis().cols()]
+
+
 def is_isomorphic(M, N, budget=2 ** 20):
     """Equal invariant factors plus a surjective homomorphism found by
     enumerating Hom/mHom representatives."""
@@ -794,15 +820,12 @@ def is_isomorphic(M, N, budget=2 ** 20):
         return False
     if M.is_zero():
         return True
-    H = hom(M, N)
-    hb = H.module
+    lifts = _lifts_mod_m(hom(M, N))
     base = M.handle.base
-    sqm = hb.quotient(None, [hb.actions[g] for g in hb.handle.gen_names])
-    kappa = len(sqm.exps)
+    kappa = len(lifts)
     p = base.p
     if p ** kappa > budget:
         raise BudgetExceeded(f"{p ** kappa} hom classes exceed budget {budget}")
-    lifts = [H.map_from_coords(hb.reduce_vec(w)) for w in sqm.basis().cols()]
     for combo in itertools.product(range(p), repeat=kappa):
         if not any(combo):
             continue
@@ -814,3 +837,22 @@ def is_isomorphic(M, N, budget=2 ** 20):
         if phi is not None and is_surjective(phi):
             return True
     return False
+
+
+def automorphisms(X):
+    """Certified automorphisms of X, kept on X: for each lift psi of a
+    basis of End(X)/m End(X), psi and id + psi, each kept only when
+    is_surjective holds (a surjective endomorphism of a finitely generated
+    module is an automorphism, Matsumura, Commutative Ring Theory, 2.4).
+    Empty when End(X)/m End(X) has dimension at most 1: then End(X) = R.id
+    by Nakayama, and Aut(X) adds nothing to the units of R.  A cyclic X =
+    R/I has End(X) = R/I, so it gets no hom(X, X) at all."""
+    if "automorphisms" not in X._cache:
+        lifts = _lifts_mod_m(hom(X, X)) if mu(X) > 1 else []
+        out = []
+        if len(lifts) > 1:
+            one = ModMap.identity(X)
+            out = [g for psi in lifts for g in (psi, one + psi)
+                   if is_surjective(g)]
+        X._cache["automorphisms"] = out
+    return X._cache["automorphisms"]

@@ -13,15 +13,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .dcoeff import Mat, block_diag, hstack, preimage
+from .dcoeff import Mat, hstack, preimage
 from .errors import CertificateError, SubextError
-from .ext import (SES, coordinate_tuples, enumerate_classes, ext,
-                  hom_induced, hom_postcomposed, middle, pullback_seq,
-                  pushout_seq, sweep)
+from .ext import (SES, coordinate_tuples, ext, hom_induced,
+                  hom_postcomposed, middle, pullback_seq, pushout_seq, sweep)
 from .modules import (ModMap, _free_cover_matrix, _image_length, direct_sum,
                       from_fractional_ideal, from_quotient_ideal, hom, is_mcm,
                       length, mu, nu, power, regular_module, residue_field,
-                      resolution, slot_map, submodule)
+                      resolution, slot_map, slotwise, submodule)
 from .rings import m_ideal
 from .ulrich import _stabilized, ulrich_middle
 
@@ -59,8 +58,8 @@ def _tensor_image_length(f, C):
     if b0 == 0 or A.is_zero() or B.is_zero():
         return 0
     P, V = _tensor_presentation(B, res)
-    F = block_diag(A.handle.base, [f.mat] * b0)  # f on each presentation slot
-    return P.quotient_length([F, V], [V], "tensor image has infinite length")
+    return P.quotient_length([slotwise(f, b0), V], [V],
+                             "tensor image has infinite length")
 
 
 # ---------------------------------------------------------------------------
@@ -229,9 +228,9 @@ def subfunctor_result(pres, members, total, budget=2 ** 20):
 def ext1_subfunctor(pres, predicates, budget=2 ** 20):
     """For each predicate on sequences, the member classes
     {c : predicate(middle(c))} of Ext^1 with a submodule-closure
-    certificate; one sweep builds one middle per unit orbit for all
-    predicates, so each predicate may read only the isomorphism class of
-    the middle."""
+    certificate; one sweep builds one middle per orbit of units and
+    automorphisms of the ends for all predicates, so each predicate may
+    read only the isomorphism class of the middle."""
     rows = sweep(pres, lambda ses: [pred(ses) for pred in predicates], budget)
     return [subfunctor_result(pres, [cls for cls, hits in rows if hits[k]],
                               len(rows), budget)
@@ -290,8 +289,11 @@ def check_closure_axioms(handle, predicate, pairs, rng_seed=0,
     (M, N) pairs: split sequences are members; members are closed under Baer
     sum, ring scalars (pushout and pullback along multiplication maps) and
     composed deflations, on BAER_SAMPLE members drawn with rng_seed and the
-    first two ring generators.  Returns an AxiomReport listing every
-    violation found; an Ext group past the budget raises BudgetExceeded."""
+    first two ring generators.  Membership in each Ext group comes from
+    sweep, so the predicate may read only the isomorphism class of the
+    middle; middles are built for the sampled members only.  Returns an
+    AxiomReport listing every violation found; an Ext group past the
+    budget raises BudgetExceeded."""
     rng = random.Random(rng_seed)
     if handle.base.local:
         elems = [handle.t_elt(v) for v in handle.semigroup[:2]]
@@ -308,29 +310,28 @@ def check_closure_axioms(handle, predicate, pairs, rng_seed=0,
 
     for (M, N) in pairs:
         pres = ext(M, N, 1)
-        rows = [(cls, middle(cls)) for cls in enumerate_classes(pres, budget)]
-        membership = {cls.coords: (cls, ses, predicate(ses))
-                      for cls, ses in rows}
-        mem = [v for v in membership.values() if v[2]]
-        note(membership[pres.zero_class().coords][2],
-             "split sequence rejected")
+        rows = sweep(pres, predicate, budget)
+        member = {cls.coords: hit for cls, hit in rows}
+        mem = [cls for cls, hit in rows if hit]
+        note(member[pres.zero_class().coords], "split sequence rejected")
         # Baer closure
         sample = (mem if len(mem) <= BAER_SAMPLE
                   else rng.sample(mem, BAER_SAMPLE))
-        for c1, _, _ in sample:
-            for c2, _, _ in sample:
+        for c1 in sample:
+            for c2 in sample:
                 s = c1 + c2
-                note(membership[s.coords][2],
+                note(member[s.coords],
                      f"Baer sum of members {c1.coords} + {c2.coords} left")
         # scalar closure
-        for c, _, _ in sample:
+        for c in sample:
             for r in elems:
                 s = c.scale(r)
-                note(membership[s.coords][2],
+                note(member[s.coords],
                      f"scalar multiple {c.coords} * {r} left")
         # pushout / pullback closure along multiplication maps (these
         # realize the scalar action through the universal constructions)
-        for c, ses, _ in sample:
+        seqs = [(c, middle(c)) for c in sample]
+        for c, ses in seqs:
             for r in elems:
                 f = ModMap(N, N, N.element_action(r))
                 note(predicate(pushout_seq(ses, f)),
@@ -340,7 +341,7 @@ def check_closure_axioms(handle, predicate, pairs, rng_seed=0,
                      f"pullback of {c.coords} along *{r} left")
         # composition of deflations: compose the epi of a member sequence
         # with a split epi on top and test the kernel sequence
-        for c, ses, _ in sample[:3]:
+        for c, ses in seqs[:3]:
             note(predicate(_composed_deflation(ses)),
                  f"composed deflation of {c.coords} left")
     return AxiomReport(checks=checks, violations=violations)

@@ -1,12 +1,20 @@
-"""Unit orbits in the class sweep.
+"""Orbits of units and automorphisms in the class sweep.
 
-`sweep` builds one middle per orbit of the units of `orbit_units` and
-copies its value across the orbit.  Laws on generated inputs: the orbit
-sweep equals the per-class comprehension for every numerical-function
-predicate, and each orbit is closed under the unit actions.  Guards: the
-callers that need one sequence per class still build one, the second route
-fires on a function that moves with the class, and the middles built by
-`cycquot` and `loewy` stay pinned.
+`sweep` builds one middle per orbit of `class_orbits` and copies its value
+across the orbit.  The orbits are those of the units of `orbit_units` and
+of the pushouts and pullbacks along the automorphisms of the ends that
+`modules.automorphisms` certifies: for each lift of a basis of
+End(X)/m End(X), the lift and id + lift, each kept only when
+`is_surjective` holds, and none when End(X)/m End(X) has dimension 1
+(for a cyclic X without computing End(X)).
+Laws on generated inputs, F_2 groups included: the orbit sweep equals the
+per-class comprehension for every numerical-function predicate, each
+orbit is closed under the actions, the integer digit kernel gives the
+partition that the Scalar action matrices give, and merged classes have
+isomorphic middles.  Guards: every automorphism is surjective, `k`, `R`
+and the cyclic DVR modules have none, the callers that need one sequence
+per class still build one, the second route fires on a function that moves
+with the class, and the middles built per scenario stay pinned.
 """
 
 import pytest
@@ -17,11 +25,13 @@ import subext.scenarios
 import subext.subfun
 import subext.ulrich
 from subext.errors import CertificateError
-from subext.ext import (SES, classify, enumerate_classes, ext, group_order,
-                        middle, orbit_units, sweep, unit_orbits)
-from subext.modules import (ModMap, direct_sum, from_fractional_ideal,
-                            from_quotient_ideal, regular_module,
-                            residue_field, zero_module)
+from subext.ext import (SES, ExtClass, class_orbits, classify,
+                        enumerate_classes, ext, group_order, middle,
+                        orbit_actions, orbit_units, sweep)
+from subext.modules import (ModMap, automorphisms, direct_sum,
+                            from_fractional_ideal, from_quotient_ideal,
+                            invariant_factors, is_isomorphic, is_surjective,
+                            regular_module, residue_field, zero_module)
 from subext.rings import FracIdeal, RingSpec, blow_up, build_ring, m_ideal
 from subext.scenarios import (DEFAULT_BUDGET, Tally, _halfexact_pool,
                               _minmult, _sg, run_scenario)
@@ -41,20 +51,30 @@ def _cyclic(h, a):
     return from_quotient_ideal(h, FracIdeal(h, [h.t_elt(a)]))
 
 
-def _artin(variables, monos):
-    return build_ring(RingSpec(family="artin_monomial", p=3,
+def _artin(variables, monos, p=3):
+    return build_ring(RingSpec(family="artin_monomial", p=p,
                                variables=tuple(variables),
                                ideal_monomials=tuple(monos)))
+
+
+def _pool(h):
+    """k, R and one or two ideal modules over a semigroup or artin ring."""
+    k, F = residue_field(h), regular_module(h)
+    if h.dim == 1:
+        m = m_ideal(h)
+        return [k, F, from_fractional_ideal(h, m),
+                from_fractional_ideal(h, blow_up(m)[0])]
+    return [k, F, from_quotient_ideal(h, FracIdeal(h, h.m_gens()[:1]))]
 
 
 @st.composite
 def orbit_groups(draw):
     """(handle, M, N) with at most MAX_CLASSES classes in Ext^1(M, N): DVR
-    sums over F_3 or F_5, pairs over <2,b>/F_3, or pairs over an F_3
-    monomial artin ring."""
+    sums over F_2, F_3 or F_5, pairs over <2,3> or <2,5> over F_2 or F_3,
+    or pairs over an F_2 or F_3 monomial artin ring."""
     family = draw(st.sampled_from(["dvr", "two-b", "artin"]))
     if family == "dvr":
-        h = _dvr(draw(st.sampled_from([3, 5])))
+        h = _dvr(draw(st.sampled_from([2, 3, 5])))
 
         def module(free, exps):
             parts = ([regular_module(h)] * free
@@ -66,18 +86,15 @@ def orbit_groups(draw):
                    draw(st.lists(st.integers(1, 3), max_size=2)))
     else:
         if family == "two-b":
-            h = _sg(3, 2, draw(st.sampled_from([3, 5])))
-            m = m_ideal(h)
-            pool = [residue_field(h), regular_module(h),
-                    from_fractional_ideal(h, m),
-                    from_fractional_ideal(h, blow_up(m)[0])]
+            h = _sg(draw(st.sampled_from([2, 3])), 2,
+                    draw(st.sampled_from([3, 5])))
         else:
+            p = draw(st.sampled_from([2, 3]))
             h = draw(st.sampled_from([
-                _artin("x", [(3,)]),
-                _artin("xy", [(2, 0), (1, 1), (0, 2)]),
-                _artin("xy", [(2, 0), (0, 2)])]))
-            pool = [residue_field(h), regular_module(h),
-                    from_quotient_ideal(h, FracIdeal(h, h.m_gens()[:1]))]
+                _artin("x", [(3,)], p),
+                _artin("xy", [(2, 0), (1, 1), (0, 2)], p),
+                _artin("xy", [(2, 0), (0, 2)], p)]))
+        pool = _pool(h)
         M, N = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
     assume(group_order(ext(M, N, 1)) <= MAX_CLASSES)
     return h, M, N
@@ -105,22 +122,105 @@ def test_orbit_sweep_equals_the_per_class_sweep(case):
     assert sweep(pres, _predicates(h, pres)) == per_class
 
 
+def _scalar_orbits(pres, acts):
+    """The orbits of the matrices acts on the classes, by a union-find over
+    the Scalar coordinates: each class's image is acts @ coords, reduced
+    and looked up."""
+    classes = enumerate_classes(pres)
+    index = {cls.coords: k for k, cls in enumerate(classes)}
+    root = list(range(len(classes)))
+
+    def find(k):
+        while root[k] != k:
+            k = root[k]
+        return k
+    for act in acts:
+        for k, cls in enumerate(classes):
+            image = tuple(pres.module.reduce_vec(act @ list(cls.coords)))
+            a, b = find(k), find(index[image])
+            root[max(a, b)] = min(a, b)
+    orbits = {}
+    for k in range(len(classes)):
+        orbits.setdefault(find(k), []).append(k)
+    return list(orbits.values())
+
+
 @given(orbit_groups())
 @settings(max_examples=25, deadline=None)
 def test_unit_orbits_partition_the_group_and_are_closed(case):
     h, M, N = case
     pres = ext(M, N, 1)
     classes = enumerate_classes(pres)
-    orbits = unit_orbits(pres, classes)
+    orbits = class_orbits(pres)
     assert sorted(k for orbit in orbits for k in orbit) == list(
         range(len(classes)))
     assert [orbit[0] for orbit in orbits] == sorted(
         orbit[0] for orbit in orbits)
+    acts = list(orbit_actions(pres))
     for orbit in orbits:
         assert orbit == sorted(orbit)
         members = {classes[k] for k in orbit}
         for u in orbit_units(h):
             assert {c.scale(u) for c in members} == members
+        for act in acts:
+            assert {ExtClass(pres, act @ list(c.coords))
+                    for c in members} == members
+
+
+@given(orbit_groups())
+@settings(max_examples=25, deadline=None)
+def test_digit_kernel_orbits_equal_the_scalar_orbits(case):
+    _, M, N = case
+    pres = ext(M, N, 1)
+    assert class_orbits(pres) == _scalar_orbits(pres,
+                                                list(orbit_actions(pres)))
+
+
+@given(orbit_groups())
+@settings(max_examples=20, deadline=None)
+def test_merged_classes_have_isomorphic_middles(case):
+    _, M, N = case
+    pres = ext(M, N, 1)
+    classes = enumerate_classes(pres)
+    for orbit in class_orbits(pres):
+        first = middle(classes[orbit[0]]).B
+        for k in orbit[1:]:
+            other = middle(classes[k]).B
+            assert invariant_factors(other) == invariant_factors(first)
+            assert is_isomorphic(other, first)
+
+
+@given(orbit_groups())
+@settings(max_examples=25, deadline=None)
+def test_automorphisms_are_surjective_r_linear_endomorphisms(case):
+    _, M, N = case
+    for X in (M, N):
+        for g in automorphisms(X):
+            assert g.src is X and g.dst is X
+            assert g.is_r_linear() and is_surjective(g)
+
+
+def test_automorphisms_are_empty_when_end_is_cyclic():
+    rings = [_dvr(2), _dvr(3), _sg(2, 2, 3), _sg(2, 3, 4, 5),
+             _artin("xy", [(2, 0), (1, 1), (0, 2)], 2)]
+    for h in rings:
+        assert automorphisms(residue_field(h)) == []
+        assert automorphisms(regular_module(h)) == []
+    for p in (2, 3):
+        for a in (1, 2, 3):
+            assert automorphisms(_cyclic(_dvr(p), a)) == []
+
+
+def test_automorphisms_merge_what_the_units_cannot():
+    """Over <2,3>/F_2 the units merge none of the 4 classes of
+    Ext^1(m, m); the automorphisms of m merge two of them (Probe S)."""
+    h = _sg(2, 2, 3)
+    Mm = from_fractional_ideal(h, m_ideal(h))
+    pres = ext(Mm, Mm, 1)
+    units = [pres.module.element_action(u) for u in orbit_units(h)]
+    assert len(_scalar_orbits(pres, units)) == 4
+    assert automorphisms(Mm)
+    assert len(class_orbits(pres)) == 3
 
 
 def test_orbit_units_over_f2_and_f5():
@@ -138,7 +238,7 @@ def test_orbit_units_over_f2_and_f5():
 def test_sweep_rejects_a_function_that_moves_with_the_class():
     D = _dvr(3)
     pres = ext(_cyclic(D, 2), _cyclic(D, 2), 1)
-    with pytest.raises(CertificateError, match="unit orbit"):
+    with pytest.raises(CertificateError, match="of its orbit"):
         sweep(pres, lambda ses: classify(ses).coords)
 
 
@@ -180,7 +280,9 @@ def test_blowup_comparison_classifies_every_class():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("name, most", [("cycquot", 130), ("loewy", 140)])
+@pytest.mark.parametrize("name, most", [
+    ("cycquot", 130), ("loewy", 140), ("uladd", 50), ("prop1-ulrich", 50),
+    ("uliso", 70), ("mr-minmult", 25)])
 def test_middles_built_by_scenario_stay_pinned(monkeypatch, name, most):
     built = 0
 
