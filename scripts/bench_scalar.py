@@ -22,33 +22,39 @@ change read lower.
 Counters: one `perfbench/worker.py` pass per checkout and workload at
 `--seed`, run in a child process under cProfile, gives the call counts of
 the engine functions named in COUNTED: in `subext.dcoeff`,
-`Scalar.__init__`, `Scalar._norm`, `pgcd`, `pmul`, `smith`,
+`Scalar.__init__`, `Scalar._norm`, `pgcd`, `pmul`, `smith` (every call)
+and `_eliminate` (the eliminations it runs, `eliminations`),
 `Subquotient.__init__`, the transform replays `SNF.u`, `SNF.uinv` and
 `SNF.v`, `Mat.__matmul__` and the copying `Mat.__init__` (the builders
 that keep fresh rows bypass it); in `subext.modules`,
 `CoeffModule.__init__` (every module built), `CoeffModule.basis_action`,
 `CoeffModule.rel` (every call) and `CoeffModule._relations` (the builds
 behind it), `hom` (every call, cache hits included) and
-`ModMap.is_r_linear`; `ext.middle`, `ext.pushout_seq`, `SES.certify` and
-`ext.classify`; `NumFn.__call__` (every call) and `NumFn._value` (the
-values computed); `ulrich.multiplicity`,
+`ModMap.is_r_linear`; `ext.middle` (every call), `ExtClass.cocycle` (the
+middles built, `middles_built`: each build lifts one cocycle),
+`ext.pushout_seq`, `SES.certify` and `ext.classify`; `NumFn.__call__`
+(every call) and `NumFn._value` (the values computed); `ulrich.multiplicity`,
 `ulrich.multiplicity_hilbert` and `ulrich.is_ulrich`; and the orbit
 machinery of `ext.sweep`: `ext.orbit_actions` (a generator, so cProfile
 counts one call per action matrix asked for, plus one for each generator
 that runs to its end) and `modules.automorphisms` (every call, kept
 values included).  A function the engine lacks reads null: on an engine
-that keeps no relation matrix or NumFn value, every call is a build.  After the pass, with the pass's
-verdicts (and so its rings and shared modules) still held, the child
+that keeps no relation matrix, NumFn value or Smith form, every call is a
+build.  After the pass, with the pass's verdicts (and so its rings and
+shared modules) still held, the child
 collects garbage and counts the `CoeffModule`s alive (`live_modules`):
 what the engine's caches keep beyond the inputs.  On an engine
 whose `Base` has an operation table, the child also counts the table's
-lookups and entries (the hit rate is 1 - entries/lookups).
+lookups and entries (the hit rate is 1 - entries/lookups); on one whose
+`Base` keeps Smith forms, it counts that table's lookups and entries
+apart, as `form_table_*`.
 They are deterministic, unlike the times.  `--limit N` makes the counter
 pass run only the first N verdicts.
 
 Middles: without `--limit`, one more child per checkout runs each of the
 28 scenarios once, `run_scenario(name, 0)`, under cProfile and records the
-`ext.middle` calls of each scenario and their total (`scenario_middles`).
+`ext.middle` calls of each scenario and their total (`scenario_middles`),
+and the middles each one built (`ExtClass.cocycle` calls) and their total.
 This covers the six scenarios that the `registry` workload leaves out
 (`uliso`, `uladd`, `axioms-ul`, `prop1-ulrich`, `dvr-mu` and `loewy`).
 """
@@ -81,6 +87,7 @@ COUNTED = {"Scalar.__init__": ("dcoeff", "Scalar", "__init__"),
            "pgcd": ("dcoeff", None, "pgcd"),
            "pmul": ("dcoeff", None, "pmul"),
            "smith": ("dcoeff", None, "smith"),
+           "eliminations": ("dcoeff", None, "_eliminate"),
            "Subquotient.__init__": ("dcoeff", "Subquotient", "__init__"),
            "SNF.u": ("dcoeff", "SNF", "u"),
            "SNF.uinv": ("dcoeff", "SNF", "uinv"),
@@ -96,6 +103,7 @@ COUNTED = {"Scalar.__init__": ("dcoeff", "Scalar", "__init__"),
            "modules.hom": ("modules", None, "hom"),
            "ModMap.is_r_linear": ("modules", "ModMap", "is_r_linear"),
            "ext.middle": ("ext", None, "middle"),
+           "middles_built": ("ext", "ExtClass", "cocycle"),
            "ext.pushout_seq": ("ext", None, "pushout_seq"),
            "SES.certify": ("ext", "SES", "certify"),
            "ext.classify": ("ext", None, "classify"),
@@ -107,6 +115,8 @@ COUNTED = {"Scalar.__init__": ("dcoeff", "Scalar", "__init__"),
            "ulrich.is_ulrich": ("ulrich", None, "is_ulrich"),
            "ext.orbit_actions": ("ext", None, "orbit_actions"),
            "modules.automorphisms": ("modules", None, "automorphisms")}
+# Base table field -> the prefix of its lookup, entry and hit-rate counters
+TABLES = {"_ops": "table", "_forms": "form_table"}
 ENGINE = ("dcoeff", "rings", "modules", "ext", "subfun", "ulrich",
           "scenarios", "workspace", "cli")
 CHILD_TIMEOUT_S = 900
@@ -164,24 +174,29 @@ def counter_pass(root, workload, seed, limit):
         home = engine[module]
         f = getattr(getattr(home, owner, None) if owner else home, fn, None)
         codes[name] = getattr(f, "__code__", None)
-    seen = {"lookups": 0, "entries": 0}
+    fields = {f.name for f in dataclasses.fields(dcoeff.Base)}
+    tables = [name for name in TABLES if name in fields]
+    seen = {name: {"lookups": 0, "entries": 0} for name in tables}
 
-    class CountingTable(dict):
-        def get(self, key, default=None):
-            seen["lookups"] += 1
-            return dict.get(self, key, default)
+    def counting_table(counts):
+        class CountingTable(dict):
+            def get(self, key, default=None):
+                counts["lookups"] += 1
+                return dict.get(self, key, default)
 
-        def __setitem__(self, key, value):
-            seen["entries"] += 1
-            dict.__setitem__(self, key, value)
+            def __setitem__(self, key, value):
+                counts["entries"] += 1
+                dict.__setitem__(self, key, value)
+        return CountingTable
 
-    has_table = "_ops" in {f.name for f in dataclasses.fields(dcoeff.Base)}
-    if has_table:
+    if tables:
         base_init = dcoeff.Base.__init__
+        kinds = {name: counting_table(seen[name]) for name in tables}
 
         def counted_init(self, *args, **kwargs):
             base_init(self, *args, **kwargs)
-            object.__setattr__(self, "_ops", CountingTable())
+            for name, kind in kinds.items():
+                object.__setattr__(self, name, kind())
         dcoeff.Base.__init__ = counted_init
 
     sys.path.insert(0, os.path.join(root, "perfbench"))
@@ -207,11 +222,12 @@ def counter_pass(root, workload, seed, limit):
     out = {name: None if c is None else
            stats.get((c.co_filename, c.co_firstlineno, c.co_name), (0, 0))[1]
            for name, c in codes.items()}
-    if has_table:
-        out["table_lookups"] = seen["lookups"]
-        out["table_entries"] = seen["entries"]
-        out["table_hit_rate"] = (1 - seen["entries"] / seen["lookups"]
-                                 if seen["lookups"] else None)
+    for name in tables:
+        prefix, counts = TABLES[name], seen[name]
+        out[prefix + "_lookups"] = counts["lookups"]
+        out[prefix + "_entries"] = counts["entries"]
+        out[prefix + "_hit_rate"] = (1 - counts["entries"] / counts["lookups"]
+                                     if counts["lookups"] else None)
     gc.collect()
     module_cls = engine["modules"].CoeffModule
     out["live_modules"] = sum(isinstance(o, module_cls)
@@ -223,8 +239,9 @@ def counter_pass(root, workload, seed, limit):
 
 
 def count_scenario_middles(root):
-    """The ext.middle calls of each scenario at seed 0 and their total,
-    from a child process that runs scenario_pass in the checkout at root."""
+    """The ext.middle calls and the middles built of each scenario at seed
+    0 and their totals, from a child process that runs scenario_pass in the
+    checkout at root."""
     cmd = [sys.executable, os.path.abspath(__file__), "--scenario-pass"]
     proc = subprocess.run(cmd, cwd=root, env=_env(root), capture_output=True,
                           text=True, timeout=CHILD_TIMEOUT_S)
@@ -236,17 +253,20 @@ def count_scenario_middles(root):
 
 def scenario_pass():
     """In this process: each scenario of the engine on sys.path, run once
-    at seed 0 under its own cProfile, and its ext.middle call count."""
+    at seed 0 under its own cProfile, its ext.middle call count and its
+    ExtClass.cocycle call count (the middles built)."""
     ext = importlib.import_module("subext.ext")
     scenarios = importlib.import_module("subext.scenarios")
-    code = ext.middle.__code__
-    key = (code.co_filename, code.co_firstlineno, code.co_name)
-    out = {}
+    keys = [(c.co_filename, c.co_firstlineno, c.co_name)
+            for c in (ext.middle.__code__, ext.ExtClass.cocycle.__code__)]
+    calls, built = {}, {}
     for name in scenarios.list_scenarios():
         prof = cProfile.Profile()
         prof.runcall(scenarios.run_scenario, name, 0)
-        out[name] = pstats.Stats(prof).stats.get(key, (0, 0))[1]
-    return {"per_scenario": out, "total": sum(out.values())}
+        stats = pstats.Stats(prof).stats
+        calls[name], built[name] = (stats.get(k, (0, 0))[1] for k in keys)
+    return {"per_scenario": calls, "total": sum(calls.values()),
+            "built_per_scenario": built, "built_total": sum(built.values())}
 
 
 def _median_block(runs):
@@ -300,7 +320,7 @@ def main(argv=None):
         report["scenario_middles"] = {side: count_scenario_middles(root)
                                       for side, root in sides.items()}
         print("scenario_middles", json.dumps(
-            {side: c["total"]
+            {side: [c["total"], c["built_total"]]
              for side, c in report["scenario_middles"].items()}),
             file=sys.stderr, flush=True)
     for workload in args.workloads:

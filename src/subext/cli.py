@@ -3,6 +3,7 @@ computations over a plain-text workspace."""
 
 from __future__ import annotations
 
+import gc
 import json
 import sys
 
@@ -72,6 +73,9 @@ def cmd_verify(scenario, seed, budget, out):
     statuses = set()
     reports = []
     for name in names:
+        # the last scenario's rings (each Base and its Scalars form a cycle)
+        # are freed before this one starts, not at the next gen-2 collection
+        gc.collect()
         try:
             result = run_scenario(name, seed=seed, budget=budget)
         except SubextError as exc:

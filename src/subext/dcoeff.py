@@ -31,6 +31,15 @@ rows) copies rows that may belong to another matrix; the builders (zeros,
 identity, from_cols, with_rows, transpose, hstack, products) make fresh rows
 and keep them without a copy, so no two matrices share a row.  Products list
 the nonzero entries of the right operand once and visit only those.
+
+Each Base also keeps a form table beside its operation table: smith keys a
+matrix by its shape and the (num, den) of every entry and keeps the SNF it
+computes, so an equal matrix, built anew or over an equal but distinct
+Base, is eliminated no second time.  The key determines the elimination
+(pivots and operations read only the entries), so a kept SNF is the one a
+fresh elimination would give; SNFs are frozen, so one serves every caller.
+The table holds its SNFs for the life of the Base and is freed with it,
+like the operation table.
 """
 
 from __future__ import annotations
@@ -154,6 +163,9 @@ class Base:
     # operation key -> the shared result Scalar (see the module docstring)
     _ops: dict = field(default_factory=dict, init=False, compare=False,
                        hash=False, repr=False)
+    # matrix key -> the shared SNF that smith returns for it
+    _forms: dict = field(default_factory=dict, init=False, compare=False,
+                         hash=False, repr=False)
 
     def scalar(self, num, den=(1,)):
         return Scalar(self, num, den)
@@ -525,7 +537,7 @@ def block_diag(base, mats):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class SNF:
     """U @ A @ V = diag(t^e for e in exps), padded by zeros; rank = len(exps).
 
@@ -538,15 +550,19 @@ class SNF:
     product of the row operations and V that of the column operations, so
     u, uinv and v apply U, U^-1 and V to a vector by replaying the lists,
     and solve and kernel read the solutions and the kernel of A off them.
+
+    One SNF serves every caller of smith on an equal matrix, so it is
+    frozen and its exps, row_ops and col_ops are tuples; the form table
+    keeps it for the life of its Base, so it has slots and no __dict__.
     """
 
     base: Base
     m: int
     n: int
-    exps: list
+    exps: tuple
     rank: int
-    row_ops: list
-    col_ops: list
+    row_ops: tuple
+    col_ops: tuple
 
     def u(self, w):
         """U w, for w of length m."""
@@ -626,7 +642,26 @@ def smith(A):
     Pivots are chosen by minimal t-valuation, ties broken by smallest row then
     smallest column index.  Diagonal entries are normalized to exact powers t^e
     (over a field base, to 1), with exponents nondecreasing.
+
+    The form is kept in the table of A.base, keyed by the shape of A and the
+    num and den of every entry (None for the dens when all of them are 1),
+    and eliminated only on a miss; an equal matrix, even over an equal but
+    distinct Base, gets the kept SNF itself.
     """
+    entries = [a for row in A.rows for a in row]
+    dens = None
+    if any(a.den != (1,) for a in entries):
+        dens = tuple([a.den for a in entries])
+    key = (A.m, A.n, tuple([a.num for a in entries]), dens)
+    forms = A.base._forms
+    snf = forms.get(key)
+    if snf is None:
+        snf = forms[key] = _eliminate(A)
+    return snf
+
+
+def _eliminate(A):
+    """The SNF of A, from one elimination (see smith)."""
     base = A.base
     W = [row[:] for row in A.rows]
     m, n = A.m, A.n
@@ -682,8 +717,8 @@ def smith(A):
                 W[r][j] = base.zero()
         exps.append(v)
         r += 1
-    return SNF(base=base, m=m, n=n, exps=exps, rank=len(exps),
-               row_ops=row_ops, col_ops=col_ops)
+    return SNF(base=base, m=m, n=n, exps=tuple(exps), rank=len(exps),
+               row_ops=tuple(row_ops), col_ops=tuple(col_ops))
 
 
 def kernel(A):

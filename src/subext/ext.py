@@ -142,11 +142,13 @@ class ExtPresentation:
 
 
 class ExtClass:
-    __slots__ = ("pres", "coords")
+    # _middle: the sequence middle(self) built, kept for the life of the class
+    __slots__ = ("pres", "coords", "_middle")
 
     def __init__(self, pres, coords):
         self.pres = pres
         self.coords = tuple(pres.module.reduce_vec(list(coords)))
+        self._middle = None
 
     def __eq__(self, other):
         return (isinstance(other, ExtClass) and self.pres is other.pres
@@ -226,9 +228,13 @@ def ext_length(M, N, j):
 
 def middle(cls):
     """The extension 0 -> N -> E -> M -> 0 represented by a degree-1 class:
-    the pushout of the presentation F_1 -d_1-> F_0 -> M along a cocycle."""
+    the pushout of the presentation F_1 -d_1-> F_0 -> M along a cocycle.
+    Built once per class object and kept on it, so it lives exactly as long
+    as the class; an equal class built anew builds its own."""
     assert cls.pres.j == 1
-    return pushout_seq(cls.pres.presentation(), cls.cocycle())
+    if cls._middle is None:
+        cls._middle = pushout_seq(cls.pres.presentation(), cls.cocycle())
+    return cls._middle
 
 
 def classify(ses, pres=None):

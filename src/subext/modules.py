@@ -47,6 +47,7 @@ its class.
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass, field
 
 from .dcoeff import (Mat, Subquotient, block_diag, hstack, in_span, kernel,
@@ -813,28 +814,55 @@ def _lifts_mod_m(H):
     return [H.map_from_coords(hb.reduce_vec(w)) for w in sqm.basis().cols()]
 
 
+def _echelon_mod_p(rows, p):
+    """(pivot, row) for the nonzero rows of a row echelon form of rows,
+    lists of ints mod p; each row is 1 at its pivot and 0 at the pivots
+    of the rows before it."""
+    out = []
+    for r in rows:
+        for j, q in out:
+            if r[j]:
+                c = r[j]
+                r = [(x - c * y) % p for x, y in zip(r, q)]
+        j = next((j for j, x in enumerate(r) if x), None)
+        if j is not None:
+            inv = pow(r[j], p - 2, p)
+            out.append((j, [x * inv % p for x in r]))
+    return out
+
+
 def is_isomorphic(M, N, budget=2 ** 20):
-    """Equal invariant factors plus a surjective homomorphism found by
-    enumerating Hom/mHom representatives."""
+    """Equal invariant factors plus a surjective homomorphism M -> N.
+
+    By Nakayama, phi : M -> N is onto exactly when the images of M's
+    coordinate vectors span N/mN, and those images depend only on phi mod
+    m Hom(M, N).  So each lift of a basis of Hom/mHom becomes one integer
+    matrix mod p into N/mN, and the search runs over the span W of these
+    matrices, with p^dim W held to the budget: first 64 seeded random
+    elements of W, then every element."""
     if invariant_factors(M) != invariant_factors(N):
         return False
     if M.is_zero():
         return True
-    lifts = _lifts_mod_m(hom(M, N))
-    base = M.handle.base
-    kappa = len(lifts)
-    p = base.p
-    if p ** kappa > budget:
-        raise BudgetExceeded(f"{p ** kappa} hom classes exceed budget {budget}")
-    for combo in itertools.product(range(p), repeat=kappa):
-        if not any(combo):
-            continue
-        phi = None
-        for c, lift_map in zip(combo, lifts):
+    p = M.handle.base.p
+    top = N.quotient(None, [N.actions[g] for g in N.handle.gen_names])
+    basis = [q for _, q in _echelon_mod_p(
+        [[a.num[0] if a.num else 0 for row in top.project_cols(f.mat).rows
+          for a in row] for f in _lifts_mod_m(hom(M, N))], p)]
+    if p ** len(basis) > budget:
+        raise BudgetExceeded(
+            f"{p ** len(basis)} hom classes exceed budget {budget}")
+    k, n = len(top.exps), M.n
+    rng = random.Random(0)
+    for combo in itertools.chain(
+            ([rng.randrange(p) for _ in basis] for _ in range(64)),
+            itertools.product(range(p), repeat=len(basis))):
+        flat = [0] * (k * n)
+        for c, q in zip(combo, basis):
             if c:
-                term = ModMap(M, N, lift_map.mat.scale(base.from_int(c)))
-                phi = term if phi is None else phi + term
-        if phi is not None and is_surjective(phi):
+                flat = [(x + c * y) % p for x, y in zip(flat, q)]
+        if len(_echelon_mod_p([flat[i * n:(i + 1) * n]
+                               for i in range(k)], p)) == k:
             return True
     return False
 

@@ -1,5 +1,8 @@
+import dataclasses
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -309,7 +312,7 @@ def check_smith(A):
             assert S.rows[i][j] == want, (i, j, S.rows[i][j], want)
     assert (U @ _replayed(base, snf.uinv, A.m)) == Mat.identity(base, A.m)
     assert _det(V).is_unit()  # V is unimodular
-    assert snf.exps == sorted(snf.exps)
+    assert list(snf.exps) == sorted(snf.exps)
     return snf
 
 
@@ -319,7 +322,7 @@ def test_smith_known_local():
                  [L2.t_power(2), L2.t_power(2)]])
     snf = check_smith(A)
     # det = t^3 + t^4 ~ val 3, min entry val 1 -> exps [1, 2]
-    assert snf.exps == [1, 2]
+    assert snf.exps == (1, 2)
 
 
 def test_smith_random_roundtrip():
@@ -375,6 +378,104 @@ def test_smith_replays_invert_and_solve(case):
     assert snf.solve(w) == got
     got = snf.solve(b)
     assert got is not None and A @ got == b
+
+
+# ---------------------------------------------------------------------------
+# the form table: smith keeps each SNF on the Base of its matrix
+# ---------------------------------------------------------------------------
+
+# Shared across examples, so their form tables fill up over the run.
+WARM_FORMS = {(b.p, b.local): Base(b.p, b.local) for b in (L2, L3, F5)}
+
+
+def _over(base, rows, n):
+    """The matrix of the entries of rows (n columns) rebuilt over base."""
+    out = Mat.zeros(base, len(rows), n)
+    out.rows = [[Scalar(base, a.num, a.den) for a in row] for row in rows]
+    return out
+
+
+def _answers(snf, A, xs, ws):
+    """What callers read off a form: exps, rank, solve, coords, kernel."""
+    return (snf.exps, snf.rank, snf.kernel(), [snf.solve(w) for w in ws],
+            [snf.coords(w, A.n) for w in ws], [snf.solve(A @ x) for x in xs])
+
+
+@given(smith_cases(), smith_cases())
+@settings(max_examples=150, deadline=None)
+def test_a_kept_form_equals_a_fresh_elimination(case, other):
+    A, x, w = case
+    warm = WARM_FORMS[(A.base.p, A.base.local)]
+    A = _over(warm, A.rows, A.n)
+    first = smith(A)
+    assert smith(A) is first  # a hit returns the kept SNF itself
+    assert smith(_over(warm, A.rows, A.n)) is first  # so does an equal copy
+    fresh = _over(Base(warm.p, warm.local), A.rows, A.n)
+    want = smith(fresh)
+    assert first == want and first.base is warm  # the same recorded operations
+    # more vectors of the right lengths, from the second case's entries
+    pool = [a for row in other[0].rows for a in row] + other[1] + other[2]
+    pool = [Scalar(warm, a.num, a.den) for a in pool if a.base.p == warm.p
+            and a.base.local == warm.local] or [warm.one()]
+    xs = [x] + [[pool[(i + k) % len(pool)] for i in range(A.n)]
+                for k in (0, 1)]
+    ws = [w] + [[pool[(i + k) % len(pool)] for i in range(A.m)]
+                for k in (0, 1)]
+    assert _answers(first, A, xs, ws) == _answers(want, fresh, xs, ws)
+
+
+@st.composite
+def fraction_matrices(draw):
+    """A local matrix with at least one entry t/(1 + c t), whose den is not 1,
+    over a warm base."""
+    base = WARM_FORMS[(draw(st.sampled_from([2, 3])), True)]
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    A = Mat.zeros(base, m, n)
+    A.rows = [[draw(scalars(base)) for _ in range(n)] for _ in range(m)]
+    c = draw(st.integers(1, base.p - 1))
+    A.rows[draw(st.integers(0, m - 1))][draw(st.integers(0, n - 1))] = (
+        base.scalar((0, 1), (1, c)))
+    return A
+
+
+@given(fraction_matrices())
+@settings(max_examples=100, deadline=None)
+def test_forms_of_equal_nums_and_other_dens_are_kept_apart(A):
+    warm = A.base
+    nums = _over(warm, [[Scalar(warm, a.num) for a in row] for row in A.rows],
+                 A.n)
+    assert nums != A
+    kept = smith(A), smith(nums)
+    assert kept[0] is not kept[1]
+    for B, snf in zip((A, nums), kept):
+        assert snf == smith(_over(Base(warm.p, True), B.rows, B.n))
+
+
+def test_forms_of_other_shapes_are_kept_apart():
+    base = Base(3, local=True)
+    t = [base.t_power(k) for k in range(6)]
+    mats = [Mat(base, [t[:3], t[3:]]), Mat(base, [t[:2], t[2:4], t[4:]]),
+            Mat.zeros(base, 0, 2), Mat.zeros(base, 2, 0),
+            Mat.zeros(base, 0, 3), Mat.zeros(base, 0, 0)]
+    forms = [smith(A) for A in mats]
+    assert len({id(f) for f in forms}) == len(forms)
+    assert [(f.m, f.n) for f in forms] == [(A.m, A.n) for A in mats]
+    assert len(base._forms) == len(mats)
+
+
+def test_kept_forms_are_immutable_and_freed_with_their_base():
+    base = Base(3, local=True)
+    snf = smith(Mat(base, [[base.t_power(1), base.one()],
+                           [base.zero(), base.t_power(2)]]))
+    for name in ("base", "m", "n", "exps", "rank", "row_ops", "col_ops"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(snf, name, getattr(snf, name))
+    assert all(isinstance(getattr(snf, name), tuple)
+               for name in ("exps", "row_ops", "col_ops"))
+    kept = weakref.ref(base)  # the table is a field of its Base
+    del snf, base
+    gc.collect()
+    assert kept() is None
 
 
 def test_kernel_is_saturated_and_exact():

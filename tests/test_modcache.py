@@ -6,15 +6,17 @@ Laws on the generated groups of `tests/test_orbits.py`: the value a
 a rebuilt copy of it, and a raised error is not kept.  Memory: after
 `half_exact_agreement` for `Hom(k, -)` and `Hom(-, k)` over every class of
 an artin group, the shared residue field keys nothing by a middle, and no
-middle outlives its class.  Gate: the `NumFn` values computed by
-`halfexact` and by the first `artin-yoneda` verdict, and the modules still
-alive after that verdict, stay pinned.
+middle outlives its class; a class builds its middle once and keeps it.
+Gate: the `NumFn` values computed by `halfexact` and by the first
+`artin-yoneda` verdict, the modules still alive after that verdict and the
+eliminations it runs stay pinned.
 """
 
 import gc
 import json
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -22,7 +24,7 @@ from hypothesis import assume, given, settings
 
 import subext.subfun
 from subext.errors import SubextError
-from subext.ext import enumerate_classes, ext, middle
+from subext.ext import ExtClass, enumerate_classes, ext, middle
 from subext.modules import CoeffModule, residue_field
 from subext.rings import FracIdeal, m_ideal
 from subext.scenarios import _sg, run_scenario
@@ -115,6 +117,22 @@ def test_the_residue_field_keeps_no_middle_alive(case):
                 if isinstance(X, CoeffModule) and X.serial in serials]
 
 
+def test_a_class_keeps_the_middle_it_built_for_its_life():
+    h = _sg(3, 2, 3)
+    k = residue_field(h)
+    pres = ext(k, k, 1)
+    cls = enumerate_classes(pres)[-1]
+    ses = middle(cls)
+    assert middle(cls) is ses
+    again = ExtClass(pres, cls.coords)  # an equal class builds its own
+    assert again == cls and middle(again) is not ses
+    assert middle(again).B.serial != ses.B.serial
+    kept = weakref.ref(ses)
+    del ses, cls
+    gc.collect()
+    assert kept() is None
+
+
 # ---------------------------------------------------------------------------
 # counter gate
 # ---------------------------------------------------------------------------
@@ -145,3 +163,6 @@ def test_first_artin_verdict_counters_stay_pinned(tmp_path):
     assert 0 < counts["NumFn._value"] <= 15 < counts["NumFn.__call__"]
     # 42 modules stayed alive when the shared k kept its Hom entries
     assert 0 < counts["live_modules"] <= 34
+    # of 157 smith calls, each an elimination before the Base kept its forms
+    assert 0 < counts["eliminations"] <= 56 < counts["smith"]
+    assert counts["form_table_entries"] == counts["eliminations"]
