@@ -24,12 +24,17 @@ Counters: one `perfbench/worker.py` pass per checkout and workload at
 the engine functions named in COUNTED: in `subext.dcoeff`,
 `Scalar.__init__`, `Scalar._norm`, `pgcd`, `pmul`, `smith` (every call)
 and `_eliminate` (the eliminations it runs, `eliminations`),
-`Subquotient.__init__`, the transform replays `SNF.u`, `SNF.uinv` and
-`SNF.v`, `Mat.__matmul__` and the copying `Mat.__init__` (the builders
-that keep fresh rows bypass it); in `subext.modules`,
-`CoeffModule.__init__` (every module built), `CoeffModule.basis_action`,
-`CoeffModule.rel` (every call) and `CoeffModule._relations` (the builds
-behind it), `hom` (every call, cache hits included) and
+`Subquotient.__init__`, the transform replays on blocks of columns
+`SNF.u_block`, `SNF.uinv_block` and `SNF.v_block` and on one vector
+`SNF.u`, `SNF.uinv` and `SNF.v` (on an engine with blocks, each vector
+replay is also a one-column block replay), `Mat.__matmul__` and the
+copying `Mat.__init__` (the builders that keep fresh rows bypass it); in
+`subext.modules`, `CoeffModule.__init__` (every module built),
+`CoeffModule.basis_action`, `CoeffModule.rel` (every call) and
+`CoeffModule._relations` (the builds behind it),
+`CoeffModule.element_action` (every call) and
+`CoeffModule._element_action` (the actions computed,
+`element_actions_computed`), `hom` (every call, cache hits included) and
 `ModMap.is_r_linear`; `ext.middle` (every call), `ExtClass.cocycle` (the
 middles built, `middles_built`: each build lifts one cocycle),
 `ext.pushout_seq`, `SES.certify` and `ext.classify`; `NumFn.__call__`
@@ -39,11 +44,14 @@ machinery of `ext.sweep`: `ext.orbit_actions` (a generator, so cProfile
 counts one call per action matrix asked for, plus one for each generator
 that runs to its end) and `modules.automorphisms` (every call, kept
 values included).  A function the engine lacks reads null: on an engine
-that keeps no relation matrix, NumFn value or Smith form, every call is a
-build.  After the pass, with the pass's verdicts (and so its rings and
-shared modules) still held, the child
-collects garbage and counts the `CoeffModule`s alive (`live_modules`):
-what the engine's caches keep beyond the inputs.  On an engine
+that keeps no relation matrix, NumFn value, element action or Smith form,
+every call is a build.  Next to them, `replay_walks` counts the walks over a recorded
+operation list (one per block replay, or one per vector replay on an
+engine without blocks) and `replay_columns` the columns those walks
+carried, by wrapping the replay methods for the pass.  After the pass,
+with the pass's verdicts (and so its rings and shared modules) still held,
+the child collects garbage and counts the `CoeffModule`s alive
+(`live_modules`): what the engine's caches keep beyond the inputs.  On an engine
 whose `Base` has an operation table, the child also counts the table's
 lookups and entries (the hit rate is 1 - entries/lookups); on one whose
 `Base` keeps Smith forms, it counts that table's lookups and entries
@@ -92,6 +100,9 @@ COUNTED = {"Scalar.__init__": ("dcoeff", "Scalar", "__init__"),
            "SNF.u": ("dcoeff", "SNF", "u"),
            "SNF.uinv": ("dcoeff", "SNF", "uinv"),
            "SNF.v": ("dcoeff", "SNF", "v"),
+           "SNF.u_block": ("dcoeff", "SNF", "u_block"),
+           "SNF.uinv_block": ("dcoeff", "SNF", "uinv_block"),
+           "SNF.v_block": ("dcoeff", "SNF", "v_block"),
            "Mat.__matmul__": ("dcoeff", "Mat", "__matmul__"),
            "Mat.__init__": ("dcoeff", "Mat", "__init__"),
            "CoeffModule.__init__": ("modules", "CoeffModule", "__init__"),
@@ -100,6 +111,10 @@ COUNTED = {"Scalar.__init__": ("dcoeff", "Scalar", "__init__"),
            "CoeffModule.rel": ("modules", "CoeffModule", "rel"),
            "CoeffModule._relations": ("modules", "CoeffModule",
                                       "_relations"),
+           "CoeffModule.element_action": ("modules", "CoeffModule",
+                                          "element_action"),
+           "element_actions_computed": ("modules", "CoeffModule",
+                                        "_element_action"),
            "modules.hom": ("modules", None, "hom"),
            "ModMap.is_r_linear": ("modules", "ModMap", "is_r_linear"),
            "ext.middle": ("ext", None, "middle"),
@@ -117,6 +132,10 @@ COUNTED = {"Scalar.__init__": ("dcoeff", "Scalar", "__init__"),
            "modules.automorphisms": ("modules", None, "automorphisms")}
 # Base table field -> the prefix of its lookup, entry and hit-rate counters
 TABLES = {"_ops": "table", "_forms": "form_table"}
+# the SNF replay methods: over blocks of columns, or over one vector on an
+# engine without blocks
+BLOCK_REPLAYS = ("u_block", "uinv_block", "v_block")
+VECTOR_REPLAYS = ("u", "uinv", "v")
 ENGINE = ("dcoeff", "rings", "modules", "ext", "subfun", "ulrich",
           "scenarios", "workspace", "cli")
 CHILD_TIMEOUT_S = 900
@@ -195,9 +214,23 @@ def counter_pass(root, workload, seed, limit):
 
         def counted_init(self, *args, **kwargs):
             base_init(self, *args, **kwargs)
-            for name, kind in kinds.items():
-                object.__setattr__(self, name, kind())
+            for name, kind in kinds.items():  # entries made at init kept
+                object.__setattr__(self, name, kind(getattr(self, name)))
         dcoeff.Base.__init__ = counted_init
+
+    replays = {"replay_walks": 0, "replay_columns": 0}
+
+    def counting_replay(replay, blocks):
+        def counted(self, arg):
+            replays["replay_walks"] += 1
+            replays["replay_columns"] += arg.n if blocks else 1
+            return replay(self, arg)
+        return counted
+
+    blocks = hasattr(dcoeff.SNF, BLOCK_REPLAYS[0])
+    for meth in BLOCK_REPLAYS if blocks else VECTOR_REPLAYS:
+        setattr(dcoeff.SNF, meth,
+                counting_replay(getattr(dcoeff.SNF, meth), blocks))
 
     sys.path.insert(0, os.path.join(root, "perfbench"))
     import worker
@@ -222,6 +255,7 @@ def counter_pass(root, workload, seed, limit):
     out = {name: None if c is None else
            stats.get((c.co_filename, c.co_firstlineno, c.co_name), (0, 0))[1]
            for name, c in codes.items()}
+    out.update(replays)
     for name in tables:
         prefix, counts = TABLES[name], seen[name]
         out[prefix + "_lookups"] = counts["lookups"]

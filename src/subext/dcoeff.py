@@ -9,7 +9,9 @@ normal and t^v divides out by a shift of num, so these paths skip the gcd.
 Each Base keeps one operation table for +, -, * and div, keyed by the op and
 the (num, den) of both operands, holding the result Scalar itself, built once
 on a miss; negation (0 - x), inverse (1 / x), reduction mod t^k and the
-constants zero, one, t^k and from_int share the same table.  A hit is exact:
+constants from_int share the same table.  zero and one are built with the
+Base and held by it, and each t^k on its first use, so asking for a
+constant is an attribute or dict read and builds no key.  A hit is exact:
 the representation is canonical, so the key determines the value, and the
 stored Scalar is the one a fresh computation would give.  The key is
 structural, so operands from an equal but distinct Base hit safely.  Scalars
@@ -25,11 +27,17 @@ kernels and preimages modulo relations, deterministic solves, cokernel
 invariants, and a Subquotient helper that puts U/V (for V <= U <= D^n) into
 the canonical form D^f + D/t^a1 + ... + D/t^ak together with coordinate maps.
 Each matrix is eliminated once: smith records its row and column operations,
-and every transform a caller needs (U, U^-1 or V applied to a vector) is
-applied by replaying them, so no transform matrix is ever built.  Mat(base,
-rows) copies rows that may belong to another matrix; the builders (zeros,
-identity, from_cols, with_rows, transpose, hstack, products) make fresh rows
-and keep them without a copy, so no two matrices share a row.  Products list
+and every transform a caller needs (U, U^-1 or V) is applied by replaying
+them, so no transform matrix is ever built.  A replay acts on a block, a
+Mat whose columns are the vectors, one list operation on whole rows per
+recorded operation, so a caller with many vectors (the actions a
+Subquotient projects, its basis, a kernel, the right-hand sides of a
+solve) walks each operation list once; one vector is the one-column case.
+Mat(base, rows) copies rows that may belong to another matrix; the builders
+(zeros, identity, from_cols, with_rows, transpose, hstack, products) make
+fresh rows and keep them without a copy, so no two matrices share a row.
+The one exception is a block built only to be replayed: the replays read
+its rows, never write into them, and return fresh ones.  Products list
 the nonzero entries of the right operand once and visit only those.
 
 Each Base also keeps a form table beside its operation table: smith keys a
@@ -166,6 +174,17 @@ class Base:
     # matrix key -> the shared SNF that smith returns for it
     _forms: dict = field(default_factory=dict, init=False, compare=False,
                          hash=False, repr=False)
+    # k -> the shared t^k, and the shared zero and one, held as attributes
+    _powers: dict = field(default_factory=dict, init=False, compare=False,
+                          hash=False, repr=False)
+    _zero: object = field(default=None, init=False, compare=False,
+                          hash=False, repr=False)
+    _one: object = field(default=None, init=False, compare=False,
+                         hash=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_zero", self._canonical(()))
+        object.__setattr__(self, "_one", self._canonical((1,)))
 
     def scalar(self, num, den=(1,)):
         return Scalar(self, num, den)
@@ -182,16 +201,19 @@ class Base:
         return self._canonical(pconst(c, self.p))
 
     def zero(self):
-        return self._canonical(())
+        return self._zero
 
     def one(self):
-        return self._canonical((1,))
+        return self._one
 
     def t_power(self, k):
         """t^k; over a field base only t^0 = 1 exists."""
-        if k and not self.local:
-            raise ValueError("t only exists over the local base")
-        return self._canonical(pshift((1,), k))
+        s = self._powers.get(k)
+        if s is None:
+            if k and not self.local:
+                raise ValueError("t only exists over the local base")
+            s = self._powers[k] = self._canonical(pshift((1,), k))
+        return s
 
     def poly(self, coeffs):
         return Scalar(self, coeffs, (1,))
@@ -547,9 +569,14 @@ class SNF:
     None, s) multiplies row i by the unit s, and ("add", i, j, f) subtracts
     f times row j from row i.  ``col_ops`` lists the column operations the
     same way, as ("swap", i, j, None) and ("add", i, j, g).  U is the
-    product of the row operations and V that of the column operations, so
-    u, uinv and v apply U, U^-1 and V to a vector by replaying the lists,
-    and solve and kernel read the solutions and the kernel of A off them.
+    product of the row operations and V that of the column operations.
+
+    Transforms act on blocks: u_block, uinv_block and v_block apply U, U^-1
+    and V to a Mat whose columns are the vectors, by one walk over the
+    recorded operations, each operation one list operation on whole rows of
+    the block.  coords_block, image_block and solve_block build on them,
+    and the one-vector methods u, uinv, v, coords, image and solve are
+    their one-column case, so each transform has one replay loop.
 
     One SNF serves every caller of smith on an equal matrix, so it is
     frozen and its exps, row_ops and col_ops are tuples; the form table
@@ -564,76 +591,126 @@ class SNF:
     row_ops: tuple
     col_ops: tuple
 
-    def u(self, w):
-        """U w, for w of length m."""
-        w = list(w)
+    # -- blocks: Mats whose columns are the vectors; a block is read and
+    # never written into, and each result has fresh rows
+
+    def u_block(self, B):
+        """U B, for B with m rows."""
+        W = [row[:] for row in B.rows]
         for kind, i, j, s in self.row_ops:
             if kind == "swap":
-                w[i], w[j] = w[j], w[i]
+                W[i], W[j] = W[j], W[i]
             elif kind == "scale":
-                w[i] = w[i] * s
-            elif w[j].num:
-                w[i] = w[i] - s * w[j]
-        return w
+                W[i] = [a * s for a in W[i]]
+            else:
+                W[i] = [a - s * b if b.num else a for a, b in zip(W[i], W[j])]
+        return B.with_rows(W)
 
-    def uinv(self, w):
-        """U^-1 w, for w of length m: the inverse operations in reverse."""
-        w = list(w)
+    def uinv_block(self, B):
+        """U^-1 B, for B with m rows: the inverse operations in reverse."""
+        W = [row[:] for row in B.rows]
         for kind, i, j, s in reversed(self.row_ops):
             if kind == "swap":
-                w[i], w[j] = w[j], w[i]
+                W[i], W[j] = W[j], W[i]
             elif kind == "scale":
-                w[i] = w[i].div(s)
-            elif w[j].num:
-                w[i] = w[i] + s * w[j]
-        return w
+                W[i] = [a.div(s) for a in W[i]]
+            else:
+                W[i] = [a + s * b if b.num else a for a, b in zip(W[i], W[j])]
+        return B.with_rows(W)
 
-    def v(self, x):
-        """V x, for x of length n: the column operations in reverse."""
-        x = list(x)
+    def v_block(self, X):
+        """V X, for X with n rows: the column operations in reverse."""
+        W = [row[:] for row in X.rows]
         for kind, i, j, g in reversed(self.col_ops):
             if kind == "swap":
-                x[i], x[j] = x[j], x[i]
-            elif x[i].num:
-                x[j] = x[j] - g * x[i]
-        return x
+                W[i], W[j] = W[j], W[i]
+            else:
+                W[j] = [a - g * b if b.num else a for a, b in zip(W[j], W[i])]
+        return X.with_rows(W)
+
+    def coords_block(self, B, n):
+        """The X with n rows and diag(t^e) X = U B, or None when a column of
+        U B has a nonzero entry past the rank or one that t^e does not
+        divide; for columns of B in the column span of A, A = U^-1 diag(t^e)
+        V^-1 gives B = image_block(X)."""
+        base = self.base
+        Z = self.u_block(B).rows
+        if any(a.num for row in Z[self.rank:] for a in row):
+            return None
+        zero = base.zero()
+        X = Z[:self.rank] + [[zero] * B.n for _ in range(n - self.rank)]
+        for i, e in enumerate(self.exps):
+            if e:
+                tp = base.t_power(e)
+                try:
+                    X[i] = [a.div(tp) for a in X[i]]
+                except ExactDivisionError:
+                    return None
+        return B.with_rows(X)
+
+    def image_block(self, C):
+        """U^-1 applied to diag(t^e) C, zero-padded to m rows; the columns
+        of image_block of the rank x rank identity are a basis of the column
+        span of A."""
+        base = self.base
+        zero = base.zero()
+        Z = [[zero] * C.n for _ in range(self.m)]
+        for i, e in enumerate(self.exps):
+            tp = base.t_power(e)
+            Z[i] = [c * tp for c in C.rows[i]] if e else C.rows[i]
+        return self.uinv_block(C.with_rows(Z))
+
+    def solve_block(self, B):
+        """One solution X of A X = B (deterministic), or None when a column
+        has none."""
+        X = self.coords_block(B, self.n)
+        return None if X is None else self.v_block(X)
+
+    def kernel_block(self):
+        """A free, saturated basis of {x : A x = 0}, as the columns of an
+        n-row Mat."""
+        base, r = self.base, self.rank
+        z, o = base.zero(), base.one()
+        return self.v_block(Mat._own(base, [
+            [o if i == j + r else z for j in range(self.n - r)]
+            for i in range(self.n)], self.n - r))
+
+    # -- one vector: the one-column case of each block method
+
+    def u(self, w):
+        """U w, for w of length m."""
+        return self.u_block(_column(self.base, w)).col(0)
+
+    def uinv(self, w):
+        """U^-1 w, for w of length m."""
+        return self.uinv_block(_column(self.base, w)).col(0)
+
+    def v(self, x):
+        """V x, for x of length n."""
+        return self.v_block(_column(self.base, x)).col(0)
 
     def coords(self, w, n):
-        """The x of length n with diag(t^e) x = U w, or None when U w has a
-        nonzero entry past the rank or one that t^e does not divide; for w
-        in the column span of A, A = U^-1 diag(t^e) V^-1 gives w = image(x).
-        """
-        base = self.base
-        x = [base.zero()] * n
-        for i, a in enumerate(self.u(w)):
-            if not a.num:
-                continue
-            if i >= self.rank:
-                return None
-            try:
-                x[i] = a.div(base.t_power(self.exps[i]))
-            except ExactDivisionError:
-                return None
-        return x
+        """coords_block on the one column w, as a vector of length n."""
+        X = self.coords_block(_column(self.base, w), n)
+        return None if X is None else X.col(0)
 
     def image(self, c):
-        """U^-1 applied to diag(t^e) c, zero-padded to length m; the columns
-        image(e_i), i < rank, are a basis of the column span of A."""
-        base = self.base
-        z = [base.zero()] * self.m
-        for i, e in enumerate(self.exps):
-            z[i] = c[i] * base.t_power(e)
-        return self.uinv(z)
+        """image_block on the one column c, as a vector of length m."""
+        return self.image_block(_column(self.base, c)).col(0)
 
     def solve(self, b):
         """One solution x of A x = b (deterministic), or None if insolvable."""
-        x = self.coords(b, self.n)
-        return None if x is None else self.v(x)
+        X = self.solve_block(_column(self.base, b))
+        return None if X is None else X.col(0)
 
     def kernel(self):
-        """A free, saturated basis of {x : A x = 0}, as a list of vectors."""
-        units = Mat.identity(self.base, self.n).rows
-        return [self.v(units[j]) for j in range(self.rank, self.n)]
+        """The columns of kernel_block, as a list of vectors."""
+        return self.kernel_block().cols()
+
+
+def _column(base, w):
+    """The one-column Mat with entries w."""
+    return Mat._own(base, [[a] for a in w], 1)
 
 
 def smith(A):
@@ -723,7 +800,7 @@ def _eliminate(A):
 
 def kernel(A):
     """Free, saturated basis of {x : A x = 0}, as columns of a matrix."""
-    return Mat.from_cols(A.base, A.n, smith(A).kernel())
+    return smith(A).kernel_block()
 
 
 def preimage(A, span):
@@ -755,14 +832,7 @@ def solve(A, b):
 
 def solve_matrix(A, B):
     """Columnwise solve; returns X with A X = B, or None."""
-    snf = smith(A)
-    cols = []
-    for j in range(B.n):
-        x = snf.solve(B.col(j))
-        if x is None:
-            return None
-        cols.append(x)
-    return Mat.from_cols(A.base, A.n, cols)
+    return smith(A).solve_block(B)
 
 
 def in_span(A, b):
@@ -792,9 +862,12 @@ class Subquotient:
     for each free invariant and the exponent for each torsion one.
 
     Construction runs one Smith form of U_gens (the V <= U check, which
-    raises NotInSpanError here) and one of V's coordinates in U.  Both keep
-    their recorded operations: project, lift and basis replay them, and no
-    elimination runs again.
+    raises NotInSpanError here) and one of V's coordinates in U, found for
+    all of V's columns in one block.  Both keep their recorded operations:
+    project_cols and lift_cols replay them over a block of columns, so
+    projecting an action or building the basis walks each operation list
+    once, and project, lift and basis are their one-column and identity
+    cases; no elimination runs again.
     """
 
     def __init__(self, base, n, U_gens, V_gens):
@@ -806,9 +879,7 @@ class Subquotient:
         else:
             self._snfU = smith(U_gens)
             self.rankU = self._snfU.rank
-        self._snfX = smith(Mat.from_cols(
-            base, self.rankU,
-            [self._coords_in_U(V_gens.col(j)) for j in range(V_gens.n)]))
+        self._snfX = smith(self._coords_in_U(V_gens))
         exps_X = self._snfX.exps
         free_idx = list(range(len(exps_X), self.rankU))
         tors_idx = [i for i, e in enumerate(exps_X) if e > 0]
@@ -816,54 +887,61 @@ class Subquotient:
         self.exps = tuple([None] * len(free_idx)
                           + [exps_X[i] for i in tors_idx])
 
-    # coordinates of an ambient vector w inside U (basis from smith of U_gens)
-    def _coords_in_U(self, w):
+    def _coords_in_U(self, W):
+        """The coordinates inside U (basis from the Smith form of U_gens) of
+        the columns of the ambient block W; NotInSpanError when a column
+        lies outside U."""
         if self._snfU is None:
-            return list(w)
-        c = self._snfU.coords(w, self.rankU)
-        if c is None:
+            return W
+        X = self._snfU.coords_block(W, self.rankU)
+        if X is None:
             raise NotInSpanError("vector not in U")
-        return c
+        return X
 
     def contains(self, w):
         try:
-            self._coords_in_U(w)
+            self._coords_in_U(_column(self.base, w))
             return True
         except NotInSpanError:
             return False
 
-    def project(self, w):
-        """Canonical coordinates of the class of w (w must lie in U)."""
-        z = self._snfX.u(self._coords_in_U(w))
-        out = []
+    def project_cols(self, W):
+        """Canonical coordinates of each column of W (each must lie in U),
+        as columns."""
+        Z = self._snfX.u_block(self._coords_in_U(W)).rows
+        rows = []
         for pos, i in enumerate(self.kept):
-            a = z[i]
             e = self.exps[pos]
             if e is not None and self.base.local:
-                a = a.reduce_mod(e)
-            out.append(a)
-        return out
+                rows.append([a.reduce_mod(e) for a in Z[i]])
+            else:
+                rows.append(Z[i])
+        return W.with_rows(rows)
+
+    def project(self, w):
+        """Canonical coordinates of the class of w (w must lie in U)."""
+        return self.project_cols(_column(self.base, w)).col(0)
+
+    def lift_cols(self, C):
+        """Ambient representatives of the canonical coordinates in each
+        column of C, as columns."""
+        zero = self.base.zero()
+        Z = [[zero] * C.n for _ in range(self.rankU)]
+        for pos, i in enumerate(self.kept):
+            Z[i] = C.rows[pos]
+        X = self._snfX.uinv_block(C.with_rows(Z))
+        if self._snfU is None:  # U = D^n: coordinates are ambient already
+            return X
+        return self._snfU.image_block(X)
 
     def lift(self, coords):
         """Ambient representative of canonical coordinates."""
-        z = [self.base.zero()] * self.rankU
-        for pos, i in enumerate(self.kept):
-            z[i] = coords[pos]
-        c = self._snfX.uinv(z)
-        if self._snfU is None:  # U = D^n: coordinates are ambient already
-            return c
-        return self._snfU.image(c)
+        return self.lift_cols(_column(self.base, coords)).col(0)
 
     def basis(self):
         """Ambient lifts of the canonical basis, as the columns of an n x k
         matrix (with k = 0 it keeps its n rows)."""
-        units = Mat.identity(self.base, len(self.exps)).cols()
-        return Mat.from_cols(self.base, self.n, [self.lift(e) for e in units])
-
-    def project_cols(self, M):
-        """Canonical coordinates of each column of M, as columns."""
-        return Mat.from_cols(self.base, len(self.exps),
-                             [self.project(M.col(j)) for j in range(M.n)])
+        return self.lift_cols(Mat.identity(self.base, len(self.exps)))
 
     # -- invariants ---------------------------------------------------------
 

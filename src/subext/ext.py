@@ -78,9 +78,9 @@ class SES:
         snf_p = self._form("p")
         if snf_p.rank != self.C.n or any(snf_p.exps):
             raise CertificateError("p is not surjective")
-        snf_i = self._form("i")
-        if any(snf_i.coords(k[:self.B.n], snf_i.n) is None
-               for k in snf_p.kernel()):
+        snf_i, K = self._form("i"), snf_p.kernel_block()
+        if snf_i.coords_block(K.with_rows(K.rows[:self.B.n]),
+                              snf_i.n) is None:
             raise CertificateError("sequence is not exact in the middle")
         return True
 
@@ -117,8 +117,10 @@ class ExtPresentation:
     beta: int
     res: object
     _presentation: SES = field(default=None, repr=False, compare=False)
-    # the orbits of class_orbits, found once for every sweep of the group
+    # the orbits of class_orbits and the classes of the first sweep, with
+    # the middles they keep: found once for every sweep of the group
     _orbits: list = field(default=None, repr=False, compare=False)
+    _classes: list = field(default=None, repr=False, compare=False)
 
     def presentation(self):
         """The presentation sequence F_1 -d_1-> F_0 -> M, built once."""
@@ -268,17 +270,15 @@ def _cover_by(T, Y):
 
 def _solve_each(form, targets, error):
     """One solution per target of the system with Smith form form(), which
-    is called once, and not at all without targets; raises error when a
-    target has no solution."""
+    is called once, and not at all without targets, all solved in one
+    block; raises error when a target has no solution."""
     if not targets:
         return []
     snf = form()
-    out = []
-    for b in targets:
-        out.append(snf.solve(b))
-        if out[-1] is None:
-            raise error
-    return out
+    X = snf.solve_block(Mat.from_cols(snf.base, snf.m, targets))
+    if X is None:
+        raise error
+    return X.cols()
 
 
 def is_split(ses, pres=None):
@@ -377,14 +377,20 @@ def _coord_values(base, e):
     return vals
 
 
-def coordinate_tuples(base, exps, budget):
-    """Every coordinate tuple of a finite module with invariant factors
-    exps, lexicographically."""
+def _check_budget(base, exps, budget):
+    """Raise unless a module with invariant factors exps is finite with at
+    most budget elements."""
     if base.local and any(e is None for e in exps):
         raise InfiniteLengthError("module has a free summand")
     total = base.p ** (sum(exps) if base.local else len(exps))
     if total > budget:
         raise BudgetExceeded(f"{total} elements exceed budget {budget}")
+
+
+def coordinate_tuples(base, exps, budget):
+    """Every coordinate tuple of a finite module with invariant factors
+    exps, lexicographically."""
+    _check_budget(base, exps, budget)
     return itertools.product(*[_coord_values(base, e if e is not None else 1)
                                for e in exps])
 
@@ -530,8 +536,17 @@ def sweep(pres, f, budget=2 ** 20):
     Check: in a group with an orbit of more than one class, the last class
     of the largest orbit gets a middle of its own, and an f value other
     than the copied one raises CertificateError.
+
+    The first sweep of a group keeps its classes on pres, and each class
+    keeps the middle it builds, so a later sweep of the group runs only its
+    own f: it builds no middle, the check middle included.  The budget is
+    checked on every call, kept classes or not.
     """
-    classes = enumerate_classes(pres, budget)
+    if pres._classes is None:
+        pres._classes = enumerate_classes(pres, budget)
+    else:
+        _check_budget(pres.N.handle.base, pres.module.exps, budget)
+    classes = pres._classes
     orbits = class_orbits(pres)
     values = [None] * len(classes)
     for orbit in orbits:

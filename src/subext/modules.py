@@ -36,9 +36,10 @@ Identity tests (`M is N`) see the sharing: two calls of residue_field(h)
 give one module.  What depends on one module is kept in its _cache and
 built once: rel() (no caller writes into it), the monomial actions of
 basis_action (each the last generator's action times the kept rest) and
-their nonzero entries by column, the resolution with the Smith forms chain
-maps are lifted through, the certified automorphisms, and the values of
-NumFn and tensor_length.  What depends on a pair (hom, ext) is kept by
+their nonzero entries by column, the action of each ring element asked for
+(keyed by its coordinates; no caller writes into it either), the
+resolution with the Smith forms chain maps are lifted through, the
+certified automorphisms, and the values of NumFn and tensor_length.  What depends on a pair (hom, ext) is kept by
 pair_cache on the younger module, by creation serial, keyed by the other;
 so a shared module keeps no later one alive, and a middle is freed with
 its class.
@@ -153,9 +154,15 @@ class CoeffModule:
         return self._basis_act[factors]
 
     def element_action(self, elem):
-        h = self.handle
-        out = Mat.zeros(h.base, self.n, self.n)
-        for i, c in enumerate(elem.coords):
+        """Action of a ring element, kept by its coordinates."""
+        key = ("element_action", elem.coords)
+        if key not in self._cache:
+            self._cache[key] = self._element_action(elem.coords)
+        return self._cache[key]
+
+    def _element_action(self, coords):
+        out = Mat.zeros(self.handle.base, self.n, self.n)
+        for i, c in enumerate(coords):
             if c.num:
                 ba = self.basis_action(i)
                 for r in range(self.n):
@@ -330,11 +337,16 @@ def residue_field(handle):
 def subquotient_module(M, top=None, bottom=()):
     """The module E = M.quotient(top, bottom) = U/V with the actions induced
     from M; returns (E, sq, B) with sq that Subquotient and B = sq.basis(),
-    the lifts of E's coordinates into M, which callers usually need too."""
+    the lifts of E's coordinates into M, which callers usually need too.
+    Every generator's action is projected in one block, side by side."""
     sq = M.quotient(top, bottom)
     B = sq.basis()
-    actions = {g: sq.project_cols(M.actions[g] @ B)
-               for g in M.handle.gen_names}
+    gens, k = M.handle.gen_names, B.n
+    P = sq.project_cols(hstack(M.handle.base,
+                               [M.actions[g] @ B for g in gens], m=M.n))
+    actions = {g: Mat._own(M.handle.base,
+                           [row[i * k:(i + 1) * k] for row in P.rows], k)
+               for i, g in enumerate(gens)}
     return CoeffModule(M.handle, sq.exps, actions), sq, B
 
 

@@ -505,10 +505,8 @@ class FracIdeal:
     def span_basis(self):
         if self._span_basis is None:
             snf = smith(self.span())
-            base = self.handle.base
-            units = Mat.identity(base, snf.rank).rows
-            self._span_basis = Mat.from_cols(base, self.handle.nR,
-                                             [snf.image(e) for e in units])
+            self._span_basis = snf.image_block(
+                Mat.identity(self.handle.base, snf.rank))
         return self._span_basis
 
     # -- membership / comparison --------------------------------------------

@@ -779,3 +779,217 @@ def test_builders_share_no_row_list(case):
     # vstack copies the rows of its blocks, which stay theirs
     ids = _row_ids(A, B, vstack(base, [A, A, B.transpose()]))
     assert len(ids) == len(set(ids))
+
+
+# ---------------------------------------------------------------------------
+# block replays: one walk over the recorded operations for many columns
+# ---------------------------------------------------------------------------
+
+F2 = Base(2, local=False)
+F3 = Base(3, local=False)
+
+
+def _ref_u(snf, w):
+    """U w by the documented meaning of row_ops, one entry at a time."""
+    w = list(w)
+    for kind, i, j, s in snf.row_ops:
+        if kind == "swap":
+            w[i], w[j] = w[j], w[i]
+        elif kind == "scale":
+            w[i] = w[i] * s
+        else:
+            w[i] = w[i] - s * w[j]
+    return w
+
+
+def _ref_uinv(snf, w):
+    """U^-1 w: the inverse of each row operation, last first."""
+    w = list(w)
+    for kind, i, j, s in reversed(snf.row_ops):
+        if kind == "swap":
+            w[i], w[j] = w[j], w[i]
+        elif kind == "scale":
+            w[i] = w[i].div(s)
+        else:
+            w[i] = w[i] + s * w[j]
+    return w
+
+
+def _ref_v(snf, x):
+    """V x: column j of the working matrix lost g times column i, so V x
+    undoes the column operations in reverse on the coordinates."""
+    x = list(x)
+    for kind, i, j, g in reversed(snf.col_ops):
+        if kind == "swap":
+            x[i], x[j] = x[j], x[i]
+        else:
+            x[j] = x[j] - g * x[i]
+    return x
+
+
+def _ref_coords(snf, w, n):
+    """The x with diag(t^e) x = U w, or None, one column at a time."""
+    base = snf.base
+    z = _ref_u(snf, w)
+    if any(a.num for a in z[snf.rank:]):
+        return None
+    x = [base.zero()] * n
+    for i, e in enumerate(snf.exps):
+        try:
+            x[i] = z[i].div(base.t_power(e))
+        except ExactDivisionError:
+            return None
+    return x
+
+
+def _ref_image(snf, c):
+    """U^-1 diag(t^e) c, zero-padded to length m."""
+    base = snf.base
+    z = [base.zero()] * snf.m
+    for i, e in enumerate(snf.exps):
+        z[i] = c[i] * base.t_power(e)
+    return _ref_uinv(snf, z)
+
+
+def _cols_or_none(base, m, cols):
+    """The Mat of the columns cols (m rows), or None when one is None."""
+    if any(c is None for c in cols):
+        return None
+    return Mat.from_cols(base, m, cols)
+
+
+@st.composite
+def block_cases(draw):
+    """(A, B, X): A of 0..4 rows and columns over F_2, F_3, F_5 or a local
+    base, often rank-deficient (a product through fewer columns) and with
+    local entries whose den is not 1; blocks B of A.m rows and X of A.n rows,
+    each of width 0..3, whose columns are zero or drawn, and for B also
+    images of A."""
+    base = draw(st.sampled_from([F2, F3, F5, L2, L3]))
+    entry = scalars(base)
+    m, n = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+
+    def mat(rows, cols):
+        return Mat(base, [[draw(entry) for _ in range(cols)]
+                          for _ in range(rows)]) if rows else \
+            Mat.zeros(base, 0, cols)
+    r = draw(st.integers(0, 4))
+    A = mat(m, r) @ mat(r, n) if r < min(m, n) else mat(m, n)
+    if base.local and m and n and draw(st.booleans()):
+        A.rows[0][0] = base.scalar((0, 1), (1, draw(st.integers(1, base.p - 1))))
+
+    def block(rows, kinds):
+        cols = []
+        for _ in range(draw(st.integers(0, 3))):
+            how = draw(st.sampled_from(kinds))
+            if how == "image":
+                cols.append(A @ [draw(entry) for _ in range(n)])
+            else:
+                cols.append([base.zero() if how == "zero" else draw(entry)
+                             for _ in range(rows)])
+        return Mat.from_cols(base, rows, cols)
+    return A, block(m, ["image", "zero", "drawn"]), block(n, ["zero", "drawn"])
+
+
+@given(block_cases())
+@settings(max_examples=200, deadline=None)
+@example((Mat.zeros(L3, 0, 2), Mat.zeros(L3, 0, 3), Mat.zeros(L3, 2, 0)))
+@example((Mat.zeros(F3, 2, 0), Mat.zeros(F3, 2, 0), Mat.zeros(F3, 0, 2)))
+def test_block_replays_equal_per_column_replays(case):
+    A, B, X = case
+    snf = smith(A)
+    base, m, n = A.base, A.m, A.n
+    assert snf.u_block(B) == Mat.from_cols(
+        base, m, [_ref_u(snf, c) for c in B.cols()])
+    assert snf.uinv_block(B) == Mat.from_cols(
+        base, m, [_ref_uinv(snf, c) for c in B.cols()])
+    assert snf.v_block(X) == Mat.from_cols(
+        base, n, [_ref_v(snf, c) for c in X.cols()])
+    # coords and solve: None for the block exactly when a column has none
+    coords = [_ref_coords(snf, c, n) for c in B.cols()]
+    assert snf.coords_block(B, n) == _cols_or_none(base, n, coords)
+    got = snf.solve_block(B)
+    assert got == _cols_or_none(base, n, [None if x is None else
+                                          _ref_v(snf, x) for x in coords])
+    assert (got is None) == any(snf.solve(c) is None for c in B.cols())
+    if got is not None:
+        assert A @ got == B
+    # image of the columns of X, read as coordinates (n >= rank rows)
+    assert snf.image_block(X) == Mat.from_cols(
+        base, m, [_ref_image(snf, c) for c in X.cols()])
+    # the kernel block: n - rank columns that A kills
+    K = snf.kernel_block()
+    assert (K.m, K.n) == (n, n - snf.rank) and (A @ K).is_zero()
+    assert K == Mat.from_cols(base, n, [
+        _ref_v(snf, [base.one() if i == j else base.zero() for i in range(n)])
+        for j in range(snf.rank, n)])
+    # the one-vector methods are the one-column case
+    for c in B.cols():
+        assert snf.u(c) == _ref_u(snf, c) and snf.uinv(c) == _ref_uinv(snf, c)
+        assert snf.coords(c, n) == _ref_coords(snf, c, n)
+    for c in X.cols():
+        assert snf.v(c) == _ref_v(snf, c)
+    # a block replay writes into no row of its argument and shares none
+    before = [list(r) for r in B.rows]
+    out = snf.u_block(B)
+    assert [list(r) for r in B.rows] == before
+    assert not {id(r) for r in out.rows} & {id(r) for r in B.rows}
+
+
+@st.composite
+def subquotient_blocks(draw):
+    """(sq, W, inside): a Subquotient U/V of D^n over F_2, F_3 or a local
+    base with a proper U (t times a drawn basis over a local base, a
+    rank-deficient span over a field) and a block W of 0..3 columns, each in
+    U or drawn; inside says which columns lie in U by construction."""
+    base = draw(st.sampled_from([F2, F3, L2, L3]))
+    entry = scalars(base)
+    n = draw(st.integers(1, 3))
+    G = Mat(base, [[draw(entry) for _ in range(n)] for _ in range(n)])
+    if base.local:
+        U = G.scale(base.t_power(1))
+    else:
+        U = hstack(base, [Mat.from_cols(base, n, G.cols()[:n - 1])], m=n)
+    V = Mat.from_cols(base, n, [U @ [draw(entry) for _ in range(U.n)]
+                                for _ in range(draw(st.integers(0, 2)))])
+    sq = Subquotient(base, n, U, V)
+    cols, inside = [], []
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            cols.append(U @ [draw(entry) for _ in range(U.n)])
+            inside.append(True)
+        else:
+            cols.append([draw(entry) for _ in range(n)])
+            inside.append(None)  # in U or not, as it falls
+    return sq, Mat.from_cols(base, n, cols), inside
+
+
+def _project_or_raise(sq, w):
+    try:
+        return sq.project(w)
+    except NotInSpanError:
+        return None
+
+
+@given(subquotient_blocks())
+@settings(max_examples=200, deadline=None)
+def test_subquotient_blocks_equal_their_columns(case):
+    sq, W, inside = case
+    base, k = sq.base, len(sq.exps)
+    per_column = [_project_or_raise(sq, w) for w in W.cols()]
+    assert all(p is not None for p, ok in zip(per_column, inside) if ok)
+    if any(p is None for p in per_column):
+        # one column outside U fails the whole block, as it fails alone
+        with pytest.raises(NotInSpanError):
+            sq.project_cols(W)
+        assert not all(sq.contains(w) for w in W.cols())
+        return
+    assert all(sq.contains(w) for w in W.cols())
+    P = sq.project_cols(W)
+    assert P == Mat.from_cols(base, k, per_column)
+    # lift: a block of coordinates lifts column by column, back to P
+    L = sq.lift_cols(P)
+    assert L == Mat.from_cols(base, sq.n, [sq.lift(c) for c in P.cols()])
+    assert sq.project_cols(L) == P
+    assert sq.basis() == Mat.from_cols(
+        base, sq.n, [sq.lift(e) for e in Mat.identity(base, k).cols()])

@@ -17,6 +17,9 @@ and the cyclic DVR modules have none, the callers that need one sequence
 per class still build one, the second route fires on a function that moves
 with the class, and the middles built per scenario stay pinned, counted
 both as `middle` calls and as builds (a class keeps the middle it built).
+A group keeps the classes of its first sweep: a later sweep builds no
+middle and gives the rows a sweep of an equal group built anew gives, and
+it still raises BudgetExceeded past its own budget.
 """
 
 import itertools
@@ -29,10 +32,11 @@ import subext.scenarios
 import subext.subfun
 import subext.ulrich
 from subext.dcoeff import Mat
-from subext.errors import CertificateError
+from subext.errors import BudgetExceeded, CertificateError
 from subext.ext import (SES, ExtClass, class_orbits, classify,
-                        enumerate_classes, ext, group_order, middle,
-                        orbit_actions, orbit_units, sweep)
+                        coordinate_tuples, enumerate_classes, ext,
+                        group_order, middle, orbit_actions, orbit_units,
+                        sweep)
 from subext.modules import (ModMap, _lifts_mod_m, automorphisms, direct_sum,
                             from_fractional_ideal, from_quotient_ideal,
                             hom, invariant_factors, is_isomorphic,
@@ -308,6 +312,73 @@ def test_blowup_comparison_classifies_every_class():
                 p=ModMap(B, C, ses.p.mat)), pres_R)))
         assert blowup_sequence_comparison(Mb, Nb, handle, bh,
                                           pres_R) == expected
+
+
+# ---------------------------------------------------------------------------
+# kept classes: a later sweep of a group reuses the first sweep's classes
+# ---------------------------------------------------------------------------
+
+
+def _group(kind):
+    """A degree-1 Ext group built from scratch, with its residue field and
+    maximal ideal: each call builds a new ring, so two calls give equal
+    groups that share no object."""
+    if kind == "dvr":
+        h = _dvr(3)
+        M = N = _cyclic(h, 2)
+    elif kind == "artin":
+        h = _artin("xy", [(2, 0), (1, 1), (0, 2)], 2)
+        M = N = residue_field(h)
+    else:
+        p, b = {"<2,3>/F_2": (2, 3), "<2,5>/F_3": (3, 5)}[kind]
+        h = _sg(p, 2, b)
+        m = m_ideal(h)
+        M = from_fractional_ideal(h, m)
+        N = from_fractional_ideal(h, blow_up(m)[0])
+    return h, ext(M, N, 1)
+
+
+@pytest.mark.parametrize("kind", ["dvr", "artin", "<2,3>/F_2", "<2,5>/F_3"])
+def test_a_second_sweep_builds_no_middle(monkeypatch, kind):
+    built = 0
+    cocycle = ExtClass.cocycle
+
+    def counted(cls):  # each build lifts one cocycle
+        nonlocal built
+        built += 1
+        return cocycle(cls)
+    monkeypatch.setattr(ExtClass, "cocycle", counted)
+    h, pres = _group(kind)
+    first = sweep(pres, lambda ses: invariant_factors(ses.B))
+    assert 0 < built <= len(class_orbits(pres)) + 1
+    built = 0
+    second = sweep(pres, _predicates(h, pres))
+    assert built == 0
+    assert [c for c, _ in second] == [c for c, _ in first]
+    assert all(a is b for (a, _), (b, _) in zip(second, first))
+    # the rows equal those of a sweep of an equal group built anew
+    h2, fresh = _group(kind)
+    assert fresh is not pres
+    built = 0
+    again = sweep(fresh, _predicates(h2, fresh))
+    assert built > 0
+    assert ([(c.coords, v) for c, v in second]
+            == [(c.coords, v) for c, v in again])
+
+
+def test_a_later_sweep_still_checks_its_budget():
+    _, pres = _group("<2,5>/F_3")
+    order = group_order(pres)
+    assert order > 1
+    sweep(pres, lambda ses: invariant_factors(ses.B), budget=order)
+    with pytest.raises(BudgetExceeded) as kept:
+        sweep(pres, lambda ses: invariant_factors(ses.B), budget=order - 1)
+    with pytest.raises(BudgetExceeded) as fresh:
+        coordinate_tuples(pres.N.handle.base, pres.module.exps, order - 1)
+    assert str(kept.value) == str(fresh.value)
+    assert str(kept.value) == f"{order} elements exceed budget {order - 1}"
+    # and a sweep within the budget still runs on the kept classes
+    assert len(sweep(pres, lambda ses: None, budget=order)) == order
 
 
 # ---------------------------------------------------------------------------

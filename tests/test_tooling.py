@@ -70,10 +70,16 @@ def test_bench_scalar_counters_on_a_slice(tmp_path):
     assert counts["Scalar.__init__"] >= counts["Scalar._norm"] >= counts["pgcd"]
     assert counts["pmul"] > 0 and counts["Subquotient.__init__"] > 0
     # each Subquotient runs at least one smith, and the transforms are
-    # applied by replaying the recorded operations
+    # applied by replaying the recorded operations over blocks of columns;
+    # the one-vector replays are test-only, so the pass makes none
     assert counts["smith"] >= counts["Subquotient.__init__"]
-    assert counts["SNF.u"] > 0 and counts["SNF.uinv"] > 0
-    assert counts["SNF.v"] > 0
+    assert counts["SNF.u_block"] > 0 and counts["SNF.uinv_block"] > 0
+    assert counts["SNF.v_block"] > 0
+    assert counts["SNF.u"] == counts["SNF.uinv"] == counts["SNF.v"] == 0
+    assert counts["replay_walks"] == (counts["SNF.u_block"]
+                                      + counts["SNF.uinv_block"]
+                                      + counts["SNF.v_block"])
+    assert counts["replay_columns"] > counts["replay_walks"]
     # the dvr-mu verdicts certify every middle they build
     assert counts["SES.certify"] == counts["ext.middle"] > 0
     # every table entry follows a missed lookup
@@ -115,6 +121,9 @@ def test_bench_scalar_artin_counters_on_a_slice(tmp_path):
     # every pushout builds its middle module
     assert counts["ext.pushout_seq"] >= counts["ext.middle"] > 0
     assert counts["CoeffModule.__init__"] > counts["ext.pushout_seq"]
+    # an element's action is computed once per module and kept
+    assert (0 < counts["element_actions_computed"]
+            < counts["CoeffModule.element_action"])
 
 
 def _worker(*args):
