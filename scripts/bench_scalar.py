@@ -55,7 +55,9 @@ the child collects garbage and counts the `CoeffModule`s alive
 whose `Base` has an operation table, the child also counts the table's
 lookups and entries (the hit rate is 1 - entries/lookups); on one whose
 `Base` keeps Smith forms, it counts that table's lookups and entries
-apart, as `form_table_*`.
+apart, as `form_table_*`.  `bases_built` counts the `Base`s constructed
+(`Base.__init__`): one per ring on an engine whose rings have private
+bases, one per live coefficient ring on one whose rings share them.
 They are deterministic, unlike the times.  `--limit N` makes the counter
 pass run only the first N verdicts.
 
@@ -65,6 +67,14 @@ Middles: without `--limit`, one more child per checkout runs each of the
 and the middles each one built (`ExtClass.cocycle` calls) and their total.
 This covers the six scenarios that the `registry` workload leaves out
 (`uliso`, `uladd`, `axioms-ul`, `prop1-ulrich`, `dvr-mu` and `loewy`).
+
+Bytecode: before anything is run, a timed measurement refuses a checkout
+that holds a `__pycache__` under `src/` or `perfbench/`, with an `Error:`
+line naming it and exit status 2, since bytecode that is stale for some
+files makes one side compile them in every worker while the other loads
+them, which moves `setup_s` and `peak_rss_mb`.  Every child runs with
+`PYTHONDONTWRITEBYTECODE=1`, so measuring leaves no bytecode behind.
+Counters do not depend on bytecode, so `--counters-only` checks nothing.
 """
 
 from __future__ import annotations
@@ -142,8 +152,18 @@ CHILD_TIMEOUT_S = 900
 
 
 def _env(root):
-    return dict(os.environ, PYTHONHASHSEED="0",
+    return dict(os.environ, PYTHONHASHSEED="0", PYTHONDONTWRITEBYTECODE="1",
                 PYTHONPATH=os.path.join(root, "src"))
+
+
+def bytecode_dir(root):
+    """The first `__pycache__` directory under root's src/ or perfbench/,
+    or None."""
+    for top in ("src", "perfbench"):
+        for dirpath, dirnames, _ in sorted(os.walk(os.path.join(root, top))):
+            if "__pycache__" in dirnames:
+                return os.path.join(dirpath, "__pycache__")
+    return None
 
 
 def run_benchmark(root, workload, seed, seconds):
@@ -182,8 +202,8 @@ def count_calls(root, workload, seed, limit=None):
 
 def counter_pass(root, workload, seed, limit):
     """In this process: one cProfile'd `worker.py` pass of the engine on
-    sys.path, with table lookups/entries counted by a table installed
-    before any Base exists.  A counted function the engine lacks reads
+    sys.path, with the Bases built and their table lookups/entries
+    counted by a wrapper installed before any Base exists.  A counted function the engine lacks reads
     None."""
     engine = {name: importlib.import_module("subext." + name)
               for name in ENGINE}
@@ -208,15 +228,16 @@ def counter_pass(root, workload, seed, limit):
                 dict.__setitem__(self, key, value)
         return CountingTable
 
-    if tables:
-        base_init = dcoeff.Base.__init__
-        kinds = {name: counting_table(seen[name]) for name in tables}
+    base_init = dcoeff.Base.__init__
+    kinds = {name: counting_table(seen[name]) for name in tables}
+    bases = {"bases_built": 0}
 
-        def counted_init(self, *args, **kwargs):
-            base_init(self, *args, **kwargs)
-            for name, kind in kinds.items():  # entries made at init kept
-                object.__setattr__(self, name, kind(getattr(self, name)))
-        dcoeff.Base.__init__ = counted_init
+    def counted_init(self, *args, **kwargs):
+        bases["bases_built"] += 1
+        base_init(self, *args, **kwargs)
+        for name, kind in kinds.items():  # entries made at init kept
+            object.__setattr__(self, name, kind(getattr(self, name)))
+    dcoeff.Base.__init__ = counted_init
 
     replays = {"replay_walks": 0, "replay_columns": 0}
 
@@ -256,6 +277,7 @@ def counter_pass(root, workload, seed, limit):
            stats.get((c.co_filename, c.co_firstlineno, c.co_name), (0, 0))[1]
            for name, c in codes.items()}
     out.update(replays)
+    out.update(bases)
     for name in tables:
         prefix, counts = TABLES[name], seen[name]
         out[prefix + "_lookups"] = counts["lookups"]
@@ -346,6 +368,13 @@ def main(argv=None):
     sides = {"change": ROOT}
     if args.parent:
         sides = {"parent": os.path.abspath(args.parent), "change": ROOT}
+    if not args.counters_only:
+        for root in sides.values():
+            cache = bytecode_dir(root)
+            if cache:
+                print(f"Error: {cache} holds bytecode that may be stale; "
+                      f"remove it before measuring times", file=sys.stderr)
+                return 2
     report = {"topic": args.topic, "seed": args.seed,
               "host": {"cpus": os.cpu_count(),
                        "python": platform.python_version()},

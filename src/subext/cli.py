@@ -74,7 +74,8 @@ def cmd_verify(scenario, seed, budget, out):
     reports = []
     for name in names:
         # the last scenario's rings (each Base and its Scalars form a cycle)
-        # are freed before this one starts, not at the next gen-2 collection
+        # are freed before this one starts, not at the next gen-2 collection,
+        # so no shared Base and none of its tables outlive a scenario
         gc.collect()
         try:
             result = run_scenario(name, seed=seed, budget=budget)

@@ -48,10 +48,20 @@ Base, is eliminated no second time.  The key determines the elimination
 fresh elimination would give; SNFs are frozen, so one serves every caller.
 The table holds its SNFs for the life of the Base and is freed with it,
 like the operation table.
+
+Rings share their Base: shared_base(p, local) hands every ring over one
+coefficient ring the same Base, so a matrix eliminated for one ring over
+F_p[t]_(t) (a semigroup ring, its blow-ups, the DVR) is eliminated no
+second time for another, and equal scalar operations hit one table.  The
+keys are pure content and Bases are equal by (p, local), so sharing
+changes no result.  The shared Base is held weakly: it lives while any
+ring over it lives, and its tables are freed with the last such ring.
+Base(p, local) itself stays a private Base with tables of its own.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 from .errors import ExactDivisionError, NotInSpanError
@@ -217,6 +227,19 @@ class Base:
 
     def poly(self, coeffs):
         return Scalar(self, coeffs, (1,))
+
+
+# (p, local) -> the Base shared by every live ring over that coefficient ring
+_SHARED = weakref.WeakValueDictionary()
+
+
+def shared_base(p, local):
+    """The Base every ring over (p, local) shares, built on first use and
+    freed with the last ring over it (see the module docstring)."""
+    base = _SHARED.get((p, local))
+    if base is None:
+        base = _SHARED[(p, local)] = Base(p, local)
+    return base
 
 
 class Scalar:

@@ -29,7 +29,7 @@ one object to every caller, and these do:
   modules F_i of every resolution over h; free_module(h, 1) is
   regular_module(h)) and rings.m_ideal(h) are kept in h._cache, one per
   handle, and freed with the handle; two handles built from one RingSpec
-  share nothing;
+  share only their Base (dcoeff.shared_base);
   from_quotient_ideal(h, J) keeps R/J on the ideal J, next to its span
   basis, and is freed with J.
 Identity tests (`M is N`) see the sharing: two calls of residue_field(h)

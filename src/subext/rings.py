@@ -24,8 +24,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .dcoeff import (Base, Mat, Subquotient, hstack, in_span, preimage_all,
-                     smith, solve_matrix)
+from .dcoeff import (Mat, Subquotient, hstack, in_span, preimage_all,
+                     shared_base, smith, solve_matrix)
 from .errors import (ReductionNotFound, StabilizationBudget, SubextError)
 
 # STEP_BUDGET: the powers J^n that principal_reduction and blow_up try;
@@ -388,7 +388,7 @@ def _semigroup_handle(spec, p, sg_gens, embed_exp=None, family="semigroup",
     sg_gens = sorted(set(sg_gens))
     if embed_exp is None:
         embed_exp = sg_gens[0]
-    base = Base(p, local=True)
+    base = shared_base(p, local=True)
     exps, factor = apery_set(sg_gens, embed_exp)
     gen_names = [f"t^{g}" for g in sg_gens]
     basis_factor = [[f"t^{g}" for g in fac] for fac in factor]
@@ -403,7 +403,7 @@ def _semigroup_handle(spec, p, sg_gens, embed_exp=None, family="semigroup",
 
 def _artin_handle(spec):
     p = spec.p
-    base = Base(p, local=False)
+    base = shared_base(p, local=False)
     nvars = len(spec.variables)
     ideal = [tuple(m) for m in spec.ideal_monomials]
     # m-primary check: every variable has a pure power in the ideal

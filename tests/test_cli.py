@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -357,6 +361,42 @@ def test_cli_verify_all_reports_past_an_error(tmp_path, monkeypatch):
     # a single named scenario still stops with the error
     single = CliRunner().invoke(main, ["verify", broken])
     assert single.exit_code == 1 and single.stdout == ""
+
+
+# runs `subext verify all` and prints, per scenario, its name, the
+# coefficient rings with a live shared Base when it starts, and how many
+# shared Bases are live when it returns
+_VERIFY_ALL_PROBE = """
+import json
+from subext import cli, dcoeff
+seen, run = [], cli.run_scenario
+
+def probed(name, **kwargs):
+    seen.append([name, sorted(dcoeff._SHARED.keys())])
+    result = run(name, **kwargs)
+    seen[-1].append(len(dcoeff._SHARED))
+    return result
+
+cli.run_scenario = probed
+try:
+    cli.main(["verify", "all"])
+except SystemExit as exc:
+    print(json.dumps([exc.code, seen]))
+"""
+
+
+def test_cli_verify_all_starts_each_scenario_with_no_shared_base():
+    root = Path(__file__).resolve().parents[1]
+    run = subprocess.run(
+        [sys.executable, "-c", _VERIFY_ALL_PROBE], timeout=600,
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")))
+    code, seen = json.loads(run.stdout.splitlines()[-1])
+    assert code == 0
+    assert [name for name, _, _ in seen] == list_scenarios()
+    assert all(live == [] for _, live, _ in seen)
+    # each scenario's rings share Bases that are still live when it returns
+    assert all(left > 0 for _, _, left in seen)
 
 
 @pytest.mark.parametrize("workspace, command, message", [

@@ -1,5 +1,11 @@
+import gc
+import weakref
+
 import pytest
 
+from subext import dcoeff
+from subext import rings as rings_mod
+from subext.dcoeff import Base, Mat, smith
 from subext.errors import SubextError
 from subext.rings import (
     FracIdeal, RingSpec, apery_set, blow_up, build_ring, canonical_ideal,
@@ -302,3 +308,52 @@ def test_invariants_artin_gorenstein():
     # F_2[x]/(x^3): Gorenstein artinian
     inv = ring_invariants(artin(2, ["x"], [(3,)]))
     assert inv.gorenstein and inv.cm_type == 1 and inv.length == 3
+
+
+# ---------------------------------------------------------------------------
+# one Base per coefficient ring
+# ---------------------------------------------------------------------------
+
+def test_rings_over_one_coefficient_ring_share_one_base():
+    a, b, d = semigroup(3, 2, 3), semigroup(3, 3, 4, 5), dvr(3)
+    _, blowup = blow_up(m_ideal(a))
+    assert a.base is b.base is d.base is blowup.base
+    # Base(p, local) stays a private Base, equal to the shared one
+    private = Base(3, local=True)
+    assert private == a.base and private is not a.base
+
+
+def test_rings_over_other_coefficient_rings_do_not_share():
+    d2, a2, d3 = dvr(2), artin(2, "x", [(2,)]), dvr(3)
+    # F_2[t]_(t) and F_2 differ in local; F_2[t]_(t) and F_3[t]_(t) in p
+    assert d2.base != a2.base and d2.base is not a2.base
+    assert d2.base != d3.base and d2.base is not d3.base
+    assert artin(2, "xy", [(2, 0), (0, 2)]).base is a2.base
+
+
+def test_a_shared_base_is_freed_with_its_last_ring(monkeypatch):
+    p = 241  # no other test builds a ring over F_241
+    assert (p, True) not in dcoeff._SHARED
+    rings = [dvr(p), semigroup(p, 2, 3)]
+    base = rings[0].base
+    assert rings[1].base is base
+    ring_invariants(rings[1])
+    assert base._forms and base._ops
+    kept = weakref.ref(base)
+    del base
+    gc.collect()
+    assert kept() is rings[0].base  # a ring over it still lives
+    del rings
+    gc.collect()
+    assert kept() is None and (p, True) not in dcoeff._SHARED
+    # a new ring starts from tables as empty as a ring with a private Base
+    fresh = dvr(p).base
+    with monkeypatch.context() as patch:
+        patch.setattr(rings_mod, "shared_base", Base)
+        private = dvr(p).base
+    assert private is not fresh and private == fresh
+    assert fresh._forms == private._forms == {}
+    assert fresh._ops.keys() == private._ops.keys()
+    assert fresh._powers.keys() == private._powers.keys()
+    smith(Mat.identity(fresh, 2))
+    assert len(fresh._forms) == 1

@@ -1,5 +1,6 @@
 """Shared objects: the constructors that hand one object to every caller,
-and the pushout scaffolding kept on a sequence.
+the Base shared by the rings over one coefficient ring, and the pushout
+scaffolding kept on a sequence.
 
 residue_field, free_module, regular_module and m_ideal keep one object per
 ring handle; from_quotient_ideal keeps R/J on the ideal J; pushout_seq
@@ -8,16 +9,22 @@ depend on the map; middle pushes out the presentation sequence kept on its
 Ext group.  These tests check that sharing changes no answer.
 """
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subext.ext import (SES, classify, enumerate_classes, ext, group_order,
-                        middle, pushout_seq, scalar_by_pushout)
+from subext import rings as rings_mod
+from subext.dcoeff import Base
+from subext.ext import (SES, classify, enumerate_classes, ext, ext_length,
+                        group_order, middle, pushout_seq, scalar_by_pushout)
 from subext.modules import (ModMap, direct_sum, free_module,
                             from_fractional_ideal, from_quotient_ideal, hom,
                             quotient_module, regular_module, residue_field,
                             resolution)
-from subext.rings import FracIdeal, RingSpec, build_ring, m_ideal
+from subext.rings import FracIdeal, RingSpec, blow_up, build_ring, m_ideal
+from subext.subfun import (ext1_additive, ext1_ulrich, fn_colength,
+                           ideal_times_ext, member_coords)
 
 MAX_CLASSES = 27
 
@@ -65,7 +72,9 @@ def test_shared_constructors_return_one_object(spec):
 
 @pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
 def test_two_handles_from_one_spec_share_nothing(spec):
+    # nothing but their Base, which every ring over F_p or F_p[t]_(t) shares
     h1, h2 = build_ring(spec), build_ring(spec)
+    assert h1.base is h2.base
     for make in (residue_field, regular_module, m_ideal,
                  lambda h: free_module(h, 2),
                  lambda h: from_quotient_ideal(h, m_ideal(h))):
@@ -96,6 +105,57 @@ def test_shared_test_modules_have_the_invariants_of_direct_ones(spec):
     for shared in (residue_field(h), from_quotient_ideal(h, m_ideal(h))):
         assert shared.exps == direct.exps
         assert invariants(shared) == invariants(direct)
+
+
+# ---------------------------------------------------------------------------
+# rings over one coefficient ring share a Base, and that changes no answer
+# ---------------------------------------------------------------------------
+
+# minimal-multiplicity semigroup rings, where m and B(m) are Ulrich
+MINMULT = [(2, 3), (2, 5), (3, 4, 5), (3, 5, 7)]
+PAIRS = [("m", "m"), ("B(m)", "B(m)"), ("m", "B(m)"), ("k", "m")]
+MAX_GROUP = 64
+
+
+def _subfunctor_answers(p, gens_list, pairs):
+    """For each ring <gens> over F_p, built one after the other and all
+    kept alive, and each pair (M, N): the lengths of Ext^1 and Ext^2, and
+    the Ulrich-middle, colength-additive and m.Ext^1 member sets of
+    Ext^1(M, N) with the certified flags (left out past MAX_GROUP
+    classes); and whether the rings had one Base."""
+    handles, out = [], []
+    for gens in gens_list:
+        h = build_ring(_semigroup(p, *gens))
+        handles.append(h)
+        m = m_ideal(h)
+        mods = {"m": from_fractional_ideal(h, m), "k": residue_field(h),
+                "B(m)": from_fractional_ideal(h, blow_up(m)[0])}
+        for a, b in pairs:
+            M, N = mods[a], mods[b]
+            pres = ext(M, N, 1)
+            answer = [ext_length(M, N, 1), ext_length(M, N, 2)]
+            if group_order(pres) <= MAX_GROUP:
+                ul = ext1_ulrich(pres, m)
+                col = ext1_additive(pres, fn_colength(m))
+                answer += [member_coords(ul), ul.certified,
+                           member_coords(col), col.certified,
+                           ideal_times_ext(pres, m)]
+            out.append(answer)
+    return out, handles[0].base is handles[1].base
+
+
+@given(st.sampled_from([2, 3]),
+       st.lists(st.sampled_from(MINMULT), min_size=2, max_size=2,
+                unique=True),
+       st.lists(st.sampled_from(PAIRS), min_size=1, max_size=2,
+                unique=True))
+@settings(max_examples=12, deadline=None)
+def test_a_shared_base_gives_the_answers_of_private_ones(p, gens_list, pairs):
+    shared, one_base = _subfunctor_answers(p, gens_list, pairs)
+    with mock.patch.object(rings_mod, "shared_base", Base):
+        private, one_private_base = _subfunctor_answers(p, gens_list, pairs)
+    assert one_base and not one_private_base
+    assert shared == private
 
 
 # ---------------------------------------------------------------------------

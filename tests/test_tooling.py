@@ -5,7 +5,9 @@ at run time.  Deleting or renaming one of those names in the engine, or
 binding two table entries to one function object, breaks a traced run; the
 first test makes the same lookups without patching anything.  The next
 ones run the counter part of `scripts/bench_scalar.py` on two-verdict
-slices and check how its counters relate, and one runs a traced
+slices and check how its counters relate, pin its Base count on a whole
+`ulrich-sweep` pass, and check that it refuses to time a checkout holding
+bytecode; one runs a traced
 `perfbench/worker.py` pass against a plain one.  The last ones keep the engine's
 imports honest and its options in use.
 """
@@ -124,6 +126,45 @@ def test_bench_scalar_artin_counters_on_a_slice(tmp_path):
     # an element's action is computed once per module and kept
     assert (0 < counts["element_actions_computed"]
             < counts["CoeffModule.element_action"])
+
+
+def _bench_scalar():
+    spec = importlib.util.spec_from_file_location(
+        "bench_scalar", ROOT / "scripts" / "bench_scalar.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    return bench
+
+
+def test_bench_scalar_ulrich_pass_builds_one_base_per_coefficient_ring():
+    counts = _bench_scalar().count_calls(str(ROOT), "ulrich-sweep", 7)
+    assert counts["verdicts"] == 24 and counts["failed_verdicts"] == 0
+    # its semigroup rings and their blow-ups lie over F_2[t]_(t) and
+    # F_3[t]_(t), and all of them live to the end of the pass
+    assert counts["bases_built"] == 2
+    assert 0 < counts["eliminations"] <= 216
+    assert counts["form_table_entries"] == counts["eliminations"]
+
+
+@pytest.mark.parametrize("top", ["src/subext", "perfbench"])
+def test_bench_scalar_refuses_a_checkout_holding_bytecode(tmp_path, top):
+    bench = _bench_scalar()
+    parent = tmp_path / "parent"
+    (parent / "src" / "subext").mkdir(parents=True)
+    (parent / "perfbench").mkdir()
+    assert bench.bytecode_dir(str(parent)) is None
+    cache = parent / top / "__pycache__"
+    cache.mkdir()
+    assert bench.bytecode_dir(str(parent)) == str(cache)
+    out = tmp_path / "times.json"
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_scalar.py"),
+         "--parent", str(parent), "--workloads", "dvr-sweep", "--runs", "1",
+         "--limit", "1", "--out", str(out)],
+        timeout=300, capture_output=True, text=True)
+    assert run.returncode == 2
+    assert run.stderr.startswith(f"Error: {cache} ")
+    assert not out.exists()
 
 
 def _worker(*args):
