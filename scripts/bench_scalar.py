@@ -22,12 +22,11 @@ change read lower.
 Counters: one `perfbench/worker.py` pass per checkout and workload at
 `--seed`, run in a child process under cProfile, gives the call counts of
 the engine functions named in COUNTED: in `subext.dcoeff`,
-`Scalar.__init__`, `Scalar._norm`, `pgcd`, `pmul`, `smith` (every call)
-and `_eliminate` (the eliminations it runs, `eliminations`),
+`Scalar.__init__`, the Scalar builders that bypass the operation table
+`Base.scalar` and `Base.poly`, `Scalar._norm`, `pgcd`, `pmul`, `smith`
+(every call) and `_eliminate` (the eliminations it runs, `eliminations`),
 `Subquotient.__init__`, the transform replays on blocks of columns
-`SNF.u_block`, `SNF.uinv_block` and `SNF.v_block` and on one vector
-`SNF.u`, `SNF.uinv` and `SNF.v` (on an engine with blocks, each vector
-replay is also a one-column block replay), `Mat.__matmul__` and the
+`SNF.u_block`, `SNF.uinv_block` and `SNF.v_block`, `Mat.__matmul__` and the
 copying `Mat.__init__` (the builders that keep fresh rows bypass it); in
 `subext.modules`, `CoeffModule.__init__` (every module built),
 `CoeffModule.basis_action`, `CoeffModule.rel` (every call) and
@@ -101,15 +100,14 @@ METRICS = ("wall_s", "verdict_p50_s", "verdict_tail_s", "setup_s",
            "peak_rss_mb")
 # counter name -> (engine module, class or None, function name)
 COUNTED = {"Scalar.__init__": ("dcoeff", "Scalar", "__init__"),
+           "Base.scalar": ("dcoeff", "Base", "scalar"),
+           "Base.poly": ("dcoeff", "Base", "poly"),
            "Scalar._norm": ("dcoeff", "Scalar", "_norm"),
            "pgcd": ("dcoeff", None, "pgcd"),
            "pmul": ("dcoeff", None, "pmul"),
            "smith": ("dcoeff", None, "smith"),
            "eliminations": ("dcoeff", None, "_eliminate"),
            "Subquotient.__init__": ("dcoeff", "Subquotient", "__init__"),
-           "SNF.u": ("dcoeff", "SNF", "u"),
-           "SNF.uinv": ("dcoeff", "SNF", "uinv"),
-           "SNF.v": ("dcoeff", "SNF", "v"),
            "SNF.u_block": ("dcoeff", "SNF", "u_block"),
            "SNF.uinv_block": ("dcoeff", "SNF", "uinv_block"),
            "SNF.v_block": ("dcoeff", "SNF", "v_block"),

@@ -598,8 +598,8 @@ class SNF:
     and V to a Mat whose columns are the vectors, by one walk over the
     recorded operations, each operation one list operation on whole rows of
     the block.  coords_block, image_block and solve_block build on them,
-    and the one-vector methods u, uinv, v, coords, image and solve are
-    their one-column case, so each transform has one replay loop.
+    and solve is the one-column case of solve_block, so each transform has
+    one replay loop.
 
     One SNF serves every caller of smith on an equal matrix, so it is
     frozen and its exps, row_ops and col_ops are tuples; the form table
@@ -698,37 +698,10 @@ class SNF:
             [o if i == j + r else z for j in range(self.n - r)]
             for i in range(self.n)], self.n - r))
 
-    # -- one vector: the one-column case of each block method
-
-    def u(self, w):
-        """U w, for w of length m."""
-        return self.u_block(_column(self.base, w)).col(0)
-
-    def uinv(self, w):
-        """U^-1 w, for w of length m."""
-        return self.uinv_block(_column(self.base, w)).col(0)
-
-    def v(self, x):
-        """V x, for x of length n."""
-        return self.v_block(_column(self.base, x)).col(0)
-
-    def coords(self, w, n):
-        """coords_block on the one column w, as a vector of length n."""
-        X = self.coords_block(_column(self.base, w), n)
-        return None if X is None else X.col(0)
-
-    def image(self, c):
-        """image_block on the one column c, as a vector of length m."""
-        return self.image_block(_column(self.base, c)).col(0)
-
     def solve(self, b):
-        """One solution x of A x = b (deterministic), or None if insolvable."""
+        """solve_block on the one column b, as a vector; None if insolvable."""
         X = self.solve_block(_column(self.base, b))
         return None if X is None else X.col(0)
-
-    def kernel(self):
-        """The columns of kernel_block, as a list of vectors."""
-        return self.kernel_block().cols()
 
 
 def _column(base, w):

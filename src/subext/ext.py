@@ -72,7 +72,7 @@ class SES:
             raise CertificateError("sequence maps are not R-linear")
         if not (self.p @ self.i).is_zero_map():
             raise CertificateError("p o i is not zero")
-        if any(x.num for k in self._form("i").kernel()
+        if any(x.num for k in self._form("i").kernel_block().cols()
                for x in self.A.reduce_vec(k[:self.A.n])):
             raise CertificateError("i is not injective")
         snf_p = self._form("p")

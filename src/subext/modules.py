@@ -43,6 +43,11 @@ certified automorphisms, and the values of NumFn and tensor_length.  What depend
 pair_cache on the younger module, by creation serial, keyed by the other;
 so a shared module keeps no later one alive, and a middle is freed with
 its class.
+
+RingHandle.scalar_gen, when a ring has one, is the scalar t of D, so it
+acts as t*I on every module (the constructors here build it so, and
+validate_module checks hand-built ones): is_r_linear and hom skip it, and
+subquotient_module sets its action to t*I instead of projecting it.
 """
 
 from __future__ import annotations
@@ -228,8 +233,9 @@ class ModMap:
         return (isinstance(other, ModMap) and (self - other).is_zero_map())
 
     def is_r_linear(self):
-        """Check commutation with every ring generator (modulo relations)."""
-        for g in self.src.handle.gen_names:
+        """Check commutation with every generator but scalar_gen (t*I at both
+        ends, see the module docstring) and the torsion of the columns."""
+        for g in _general_gens(self.src.handle):
             diff = (self.mat @ self.src.actions[g]) - (self.dst.actions[g] @ self.mat)
             if not ModMap(self.src, self.dst, diff).mat_is_rel():
                 return False
@@ -338,16 +344,27 @@ def subquotient_module(M, top=None, bottom=()):
     """The module E = M.quotient(top, bottom) = U/V with the actions induced
     from M; returns (E, sq, B) with sq that Subquotient and B = sq.basis(),
     the lifts of E's coordinates into M, which callers usually need too.
-    Every generator's action is projected in one block, side by side."""
+    The actions of _general_gens are projected in one block, side by side;
+    scalar_gen's is t*I (reduced by E), which projecting, D-linear, gives."""
     sq = M.quotient(top, bottom)
     B = sq.basis()
-    gens, k = M.handle.gen_names, B.n
-    P = sq.project_cols(hstack(M.handle.base,
-                               [M.actions[g] @ B for g in gens], m=M.n))
-    actions = {g: Mat._own(M.handle.base,
+    h, k = M.handle, B.n
+    gens = _general_gens(h)
+    P = sq.project_cols(hstack(h.base, [M.actions[g] @ B for g in gens],
+                               m=M.n))
+    actions = {g: Mat._own(h.base,
                            [row[i * k:(i + 1) * k] for row in P.rows], k)
                for i, g in enumerate(gens)}
-    return CoeffModule(M.handle, sq.exps, actions), sq, B
+    if h.scalar_gen is not None:
+        z, t = h.base.zero(), h.base.t_power(1)
+        actions[h.scalar_gen] = Mat._own(h.base, [
+            [t if i == j else z for j in range(k)] for i in range(k)], k)
+    return CoeffModule(h, sq.exps, actions), sq, B
+
+
+def _general_gens(handle):
+    """The generators but scalar_gen: those whose action is not t*I."""
+    return [g for g in handle.gen_names if g != handle.scalar_gen]
 
 
 def submodule(M, gens_mat):
@@ -412,20 +429,19 @@ def canonical_module(handle):
 
 def validate_module(M):
     """Check that each generator acts R-linearly (so the actions commute and
-    keep the torsion exponents), the designated D-scalar identity, and
-    (artin) vanishing of the ideal monomials."""
+    keep the torsion exponents), that scalar_gen acts as t*I (is_r_linear
+    relies on it), and (artin) vanishing of the ideal monomials."""
     h = M.handle
     base = h.base
     for g in h.gen_names:
         if not ModMap(M, M, M.actions[g]).is_r_linear():
             raise NotAModuleError(f"action of {g} is not R-linear")
-    if base.local:
+    if h.scalar_gen is not None:
         s = base.t_power(1)
-        emb_act = M.element_action(h.t_elt(h.embed_exp))
-        d = emb_act - Mat.identity(base, M.n).scale(s)
+        d = M.actions[h.scalar_gen] - Mat.identity(base, M.n).scale(s)
         if not ModMap(M, M, d).mat_is_rel():
             raise NotAModuleError("designated generator does not act as the D-scalar")
-    else:
+    if not base.local:
         for mono in h.spec.ideal_monomials:
             A = Mat.identity(base, M.n)
             for i, e in enumerate(mono):
@@ -600,7 +616,9 @@ def hom(M, N):
     phi : M -> N is stored as the slots phi(e_j) of P = N^{M.n}; it is
     R-linear iff phi(g e_j) = g phi(e_j) modulo the relations of P for each
     ring generator g and, over the local base, t^e phi(e_j) = 0 in N for
-    each torsion coordinate e_j of exponent e."""
+    each torsion coordinate e_j of exponent e.  scalar_gen (t*I on M and P)
+    adds no rows: they are (A[j][j] - t) phi(e_j) mod rel_P, zero but on
+    exponent-1 slots, where the torsion rows imply them."""
     if not M.handle.same_ring(N.handle):
         raise SubextError(f"Hom needs M and N over one ring, got "
                           f"{M.handle.label} and {N.handle.label}")
@@ -615,7 +633,7 @@ def hom(M, N):
         nM, nN = M.n, N.n
         P = power(N, nM)
         rel, conds = P.rel(), []
-        for g in M.handle.gen_names:
+        for g in _general_gens(M.handle):
             # phi(g e_j) - g phi(e_j), with g e_j = sum_k A[k][j] e_k
             Ag = M.actions[g]
             C = Mat.zeros(base, P.n, P.n)
@@ -688,17 +706,20 @@ def _min_gens_of_submodule(F, K_cols):
 def _free_cover_matrix(M, gens_cols):
     """D-matrix of R^mu -> M sending generator j to column j: the basis
     monomials of R act on each column through the nonzero entries of each
-    column of their actions, listed once per module and kept on M."""
+    column of their actions, listed once per module and kept on M; monomial
+    0 is 1 (RingHandle.basis_factor), whose block copies each column."""
     acts = M._cache.get("sparse_actions")
     if acts is None:
         acts = M._cache["sparse_actions"] = [
             [[(r, a) for r, a in enumerate(col) if a.num]
              for col in M.basis_action(b).cols()]
-            for b in range(M.handle.nR)]
+            for b in range(1, M.handle.nR)]
     z = M.handle.base.zero()
     cols = []
     for j in range(gens_cols.n):
-        v = [(k, x) for k, x in enumerate(gens_cols.col(j)) if x.num]
+        col = gens_cols.col(j)
+        cols.append(col)
+        v = [(k, x) for k, x in enumerate(col) if x.num]
         for act in acts:
             out = [z] * M.n
             for k, x in v:  # as act @ v: each sum runs over k ascending

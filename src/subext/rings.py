@@ -187,8 +187,10 @@ class RingHandle:
                     tuples for artin)
       gen_names     ordered ring generator names (all lie in the maximal ideal)
       gen_action    dict name -> multiplication matrix on the regular rep
-      basis_factor  basis monomial i as a list of gen_names (empty = identity)
+      basis_factor  basis monomial i as a list of gen_names; monomial 0 is 1
       dim           Krull dimension (0 or 1)
+      scalar_gen    the generator t^embed_exp (the scalar t of D), or None
+                    when it is not one (artin rings, some blow-ups)
     """
 
     def __init__(self, spec, family, base, basis_desc, gen_names, gen_action,
@@ -205,6 +207,8 @@ class RingHandle:
         self.label = label
         self.semigroup = semigroup          # sorted minimal gens, dim 1 only
         self.embed_exp = embed_exp          # t-exponent of the D-scalar, dim 1
+        name = f"t^{embed_exp}"
+        self.scalar_gen = name if name in gen_names else None
         self._basis_mult = {}
         self._mono_cache = {}
         if dim == 1:
@@ -406,6 +410,8 @@ def _artin_handle(spec):
     base = shared_base(p, local=False)
     nvars = len(spec.variables)
     ideal = [tuple(m) for m in spec.ideal_monomials]
+    if any(not any(m) for m in ideal):
+        raise SubextError("artin ideal contains 1, so the ring is zero")
     # m-primary check: every variable has a pure power in the ideal
     for i in range(nvars):
         if not any(all(e == 0 for j, e in enumerate(m) if j != i) and m[i] > 0

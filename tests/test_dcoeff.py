@@ -280,9 +280,15 @@ def test_pgcd_monic():
 # smith / kernel / solve
 # ---------------------------------------------------------------------------
 
-def _replayed(base, replay, k):
-    """The k x k matrix of a replayed transform: its images of e_1..e_k."""
-    return Mat.from_cols(base, k, [replay(e) for e in Mat.identity(base, k).cols()])
+def _replayed(base, replay_block, k):
+    """The k x k matrix of a replayed transform: its block replay of the
+    identity."""
+    return replay_block(Mat.identity(base, k))
+
+
+def _col(base, w):
+    """The one-column block of the vector w."""
+    return Mat.from_cols(base, len(w), [w])
 
 
 def _det(M):
@@ -301,8 +307,8 @@ def _det(M):
 def check_smith(A):
     snf = smith(A)
     base = A.base
-    U = _replayed(base, snf.u, A.m)
-    V = _replayed(base, snf.v, A.n)
+    U = _replayed(base, snf.u_block, A.m)
+    V = _replayed(base, snf.v_block, A.n)
     S = U @ A @ V
     for i in range(A.m):
         for j in range(A.n):
@@ -310,7 +316,7 @@ def check_smith(A):
             if i == j and i < snf.rank:
                 want = base.t_power(snf.exps[i])
             assert S.rows[i][j] == want, (i, j, S.rows[i][j], want)
-    assert (U @ _replayed(base, snf.uinv, A.m)) == Mat.identity(base, A.m)
+    assert (U @ _replayed(base, snf.uinv_block, A.m)) == Mat.identity(base, A.m)
     assert _det(V).is_unit()  # V is unimodular
     assert list(snf.exps) == sorted(snf.exps)
     return snf
@@ -361,9 +367,15 @@ def smith_cases(draw):
 def test_smith_replays_invert_and_solve(case):
     A, x, w = case
     snf = smith(A)
-    assert snf.uinv(snf.u(w)) == w and snf.u(snf.uinv(w)) == w
+    W = _col(A.base, w)
+    assert snf.u_block(W).col(0) == _ref_u(snf, w)
+    assert snf.uinv_block(W).col(0) == _ref_uinv(snf, w)
+    assert snf.uinv_block(snf.u_block(W)) == W
+    assert snf.u_block(snf.uinv_block(W)) == W
     b = A @ x
-    assert snf.image(snf.coords(b, A.n)) == b
+    X = snf.coords_block(_col(A.base, b), A.n)
+    assert X.col(0) == _ref_coords(snf, b, A.n)
+    assert snf.image_block(X).col(0) == _ref_image(snf, X.col(0)) == b
     K = kernel(A)
     assert (K.m, K.n) == (A.n, A.n - snf.rank) and (A @ K).is_zero()
     got = solve(A, b)
@@ -373,8 +385,8 @@ def test_smith_replays_invert_and_solve(case):
     assert in_span(A, w) == (got is not None)
     # the form's own solve and kernel: the same answers, read off one form
     assert (snf.m, snf.n) == (A.m, A.n)
-    assert snf.kernel() == K.cols()
-    assert all(not a.num for k in snf.kernel() for a in A @ k)
+    assert snf.kernel_block() == K
+    assert all(not a.num for k in K.cols() for a in A @ k)
     assert snf.solve(w) == got
     got = snf.solve(b)
     assert got is not None and A @ got == b
@@ -397,8 +409,9 @@ def _over(base, rows, n):
 
 def _answers(snf, A, xs, ws):
     """What callers read off a form: exps, rank, solve, coords, kernel."""
-    return (snf.exps, snf.rank, snf.kernel(), [snf.solve(w) for w in ws],
-            [snf.coords(w, A.n) for w in ws], [snf.solve(A @ x) for x in xs])
+    return (snf.exps, snf.rank, snf.kernel_block(), [snf.solve(w) for w in ws],
+            [snf.coords_block(_col(A.base, w), A.n) for w in ws],
+            [snf.solve(A @ x) for x in xs])
 
 
 @given(smith_cases(), smith_cases())
@@ -923,12 +936,15 @@ def test_block_replays_equal_per_column_replays(case):
     assert K == Mat.from_cols(base, n, [
         _ref_v(snf, [base.one() if i == j else base.zero() for i in range(n)])
         for j in range(snf.rank, n)])
-    # the one-vector methods are the one-column case
+    # each column on its own: the one-column blocks
     for c in B.cols():
-        assert snf.u(c) == _ref_u(snf, c) and snf.uinv(c) == _ref_uinv(snf, c)
-        assert snf.coords(c, n) == _ref_coords(snf, c, n)
+        C = _col(base, c)
+        assert snf.u_block(C).col(0) == _ref_u(snf, c)
+        assert snf.uinv_block(C).col(0) == _ref_uinv(snf, c)
+        got = snf.coords_block(C, n)
+        assert (None if got is None else got.col(0)) == _ref_coords(snf, c, n)
     for c in X.cols():
-        assert snf.v(c) == _ref_v(snf, c)
+        assert snf.v_block(_col(base, c)).col(0) == _ref_v(snf, c)
     # a block replay writes into no row of its argument and shares none
     before = [list(r) for r in B.rows]
     out = snf.u_block(B)

@@ -72,12 +72,10 @@ def test_bench_scalar_counters_on_a_slice(tmp_path):
     assert counts["Scalar.__init__"] >= counts["Scalar._norm"] >= counts["pgcd"]
     assert counts["pmul"] > 0 and counts["Subquotient.__init__"] > 0
     # each Subquotient runs at least one smith, and the transforms are
-    # applied by replaying the recorded operations over blocks of columns;
-    # the one-vector replays are test-only, so the pass makes none
+    # applied by replaying the recorded operations over blocks of columns
     assert counts["smith"] >= counts["Subquotient.__init__"]
     assert counts["SNF.u_block"] > 0 and counts["SNF.uinv_block"] > 0
     assert counts["SNF.v_block"] > 0
-    assert counts["SNF.u"] == counts["SNF.uinv"] == counts["SNF.v"] == 0
     assert counts["replay_walks"] == (counts["SNF.u_block"]
                                       + counts["SNF.uinv_block"]
                                       + counts["SNF.v_block"])
@@ -88,9 +86,17 @@ def test_bench_scalar_counters_on_a_slice(tmp_path):
     assert 0 < counts["table_entries"] <= counts["table_lookups"]
     assert counts["table_hit_rate"] == pytest.approx(
         1 - counts["table_entries"] / counts["table_lookups"])
-    # a hit returns the stored Scalar, so constructions are a small
-    # fraction of the lookups
-    assert 10 * counts["Scalar.__init__"] < counts["table_lookups"]
+    # a hit returns the stored Scalar and builds none: a Scalar is built
+    # only on a miss (whose entry holds it), by Base.scalar or Base.poly, or
+    # as a new Base's zero and one (made before the table is counted); a
+    # miss of reduce_mod stores a canonical Scalar that may exist already,
+    # so entries can outnumber the builds behind them
+    assert counts["Scalar.__init__"] <= (
+        counts["table_entries"] + counts["Base.scalar"] + counts["Base.poly"]
+        + 2 * counts["bases_built"])
+    # the D-scalar generator is structure: certify, subquotients and free
+    # covers make no products by t or by 1 (370 on this slice when they did)
+    assert counts["Mat.__matmul__"] <= 142
 
 
 def test_bench_scalar_ulrich_counters_on_a_slice(tmp_path):
