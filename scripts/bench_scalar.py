@@ -98,6 +98,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("dvr-sweep", "ulrich-sweep", "artin-yoneda", "registry")
 METRICS = ("wall_s", "verdict_p50_s", "verdict_tail_s", "setup_s",
            "peak_rss_mb")
+# what one pass with a garbage collection after every verdict gives: its
+# wall time (collections included), median verdict latency and peak RSS
+COLLECTED_METRICS = ("wall_s", "verdict_p50_s", "peak_rss_mb")
 # counter name -> (engine module, class or None, function name)
 COUNTED = {"Scalar.__init__": ("dcoeff", "Scalar", "__init__"),
            "Base.scalar": ("dcoeff", "Base", "scalar"),
@@ -183,13 +186,51 @@ def run_benchmark(root, workload, seed, seconds):
             "digest": digest}
 
 
-def count_calls(root, workload, seed, limit=None):
+def run_collected(root, workload, seed):
+    """One `worker.py` pass of the checkout at root with a garbage
+    collection after every verdict, from a child process that runs
+    collected_pass: the COLLECTED_METRICS, failed count and digest."""
+    cmd = [sys.executable, os.path.abspath(__file__), "--collected-pass",
+           "--workloads", workload, "--seed", str(seed)]
+    proc = subprocess.run(cmd, cwd=root, env=_env(root), capture_output=True,
+                          text=True, timeout=CHILD_TIMEOUT_S)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{root}: collected pass failed:\n"
+                           f"{proc.stderr[-2000:]}")
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    result["verdict_p50_s"] = statistics.median(result["latencies"])
+    return {"metrics": {k: result[k] for k in COLLECTED_METRICS},
+            "failed": len(result["failures"]),
+            "correct": not result["failures"], "digest": result["digest"]}
+
+
+def collected_pass(root, workload, seed):
+    """In this process: one `worker.py` pass of the engine on sys.path,
+    with a garbage collection after every verdict; prints worker's line."""
+    sys.path.insert(0, os.path.join(root, "perfbench"))
+    import worker
+    import workloads
+    build = workloads.build
+
+    def collected_build(*args):
+        verdicts = build(*args)
+        for v in verdicts:
+            v.check = _collected(v.check)
+        return verdicts
+    workloads.build = collected_build
+    worker.main(["--workload", workload, "--seed", str(seed),
+                 "--t0", repr(time.monotonic())])
+
+
+def count_calls(root, workload, seed, limit=None, gc_each_verdict=False):
     """The counters of one worker pass of the checkout at root, from a
     child process that runs counter_pass."""
     cmd = [sys.executable, os.path.abspath(__file__), "--counter-pass",
            "--workloads", workload, "--seed", str(seed)]
     if limit is not None:
         cmd += ["--limit", str(limit)]
+    if gc_each_verdict:
+        cmd.append("--gc-each-verdict")
     proc = subprocess.run(cmd, cwd=root, env=_env(root), capture_output=True,
                           text=True, timeout=CHILD_TIMEOUT_S)
     if proc.returncode != 0:
@@ -198,11 +239,22 @@ def count_calls(root, workload, seed, limit=None):
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def counter_pass(root, workload, seed, limit):
+def _collected(check):
+    """check, followed by a full garbage collection."""
+    def collected(oracle):
+        try:
+            return check(oracle)
+        finally:
+            gc.collect()
+    return collected
+
+
+def counter_pass(root, workload, seed, limit, gc_each_verdict=False):
     """In this process: one cProfile'd `worker.py` pass of the engine on
     sys.path, with the Bases built and their table lookups/entries
-    counted by a wrapper installed before any Base exists.  A counted function the engine lacks reads
-    None."""
+    counted by a wrapper installed before any Base exists, and with a
+    garbage collection after every verdict when gc_each_verdict.  A counted
+    function the engine lacks reads None."""
     engine = {name: importlib.import_module("subext." + name)
               for name in ENGINE}
     dcoeff = engine["dcoeff"]
@@ -237,6 +289,17 @@ def counter_pass(root, workload, seed, limit):
             object.__setattr__(self, name, kind(getattr(self, name)))
     dcoeff.Base.__init__ = counted_init
 
+    modules = engine["modules"]
+    shared = getattr(modules, "_shared", None)
+    module_table = {"lookups": 0, "entries": 0}
+    if shared is not None:
+        def counted_shared(M):
+            out = shared(M)
+            module_table["lookups"] += 1
+            module_table["entries"] += out is M
+            return out
+        modules._shared = counted_shared
+
     replays = {"replay_walks": 0, "replay_columns": 0}
 
     def counting_replay(replay, blocks):
@@ -259,6 +322,9 @@ def counter_pass(root, workload, seed, limit):
 
     def kept_build(*args):
         built.append(build(*args))
+        if gc_each_verdict:
+            for v in built[-1]:
+                v.check = _collected(v.check)
         return built[-1]
     workloads.build = kept_build
     argv = ["--workload", workload, "--seed", str(seed),
@@ -282,8 +348,11 @@ def counter_pass(root, workload, seed, limit):
         out[prefix + "_entries"] = counts["entries"]
         out[prefix + "_hit_rate"] = (1 - counts["entries"] / counts["lookups"]
                                      if counts["lookups"] else None)
+    for name in ("lookups", "entries"):
+        out["module_table_" + name] = (module_table[name] if shared
+                                       else None)
     gc.collect()
-    module_cls = engine["modules"].CoeffModule
+    module_cls = modules.CoeffModule
     out["live_modules"] = sum(isinstance(o, module_cls)
                               for o in gc.get_objects())
     out["verdicts"] = len(pass_result["latencies"])
@@ -323,9 +392,9 @@ def scenario_pass():
             "built_per_scenario": built, "built_total": sum(built.values())}
 
 
-def _median_block(runs):
+def _median_block(runs, metrics):
     out = {}
-    for k in METRICS:
+    for k in metrics:
         values = [r["metrics"][k] for r in runs]
         q1, _, q3 = (statistics.quantiles(values, n=4) if len(values) > 1
                      else values * 3)
@@ -350,12 +419,24 @@ def main(argv=None):
     ap.add_argument("--scenario-pass", action="store_true",
                     help="internal: count the middles of every scenario in "
                          "this process and print them")
+    ap.add_argument("--collected-pass", action="store_true",
+                    help="internal: run one worker pass of the first "
+                         "workload in this process, collecting garbage "
+                         "after every verdict, and print its line")
+    ap.add_argument("--gc-each-verdict", action="store_true",
+                    help="collect garbage after every verdict: in the "
+                         "counter passes, and instead of run.py for times "
+                         "(one pass a round, COLLECTED_METRICS only)")
     ap.add_argument("--topic", default="scalar layer")
     ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_scalar.json"))
     args = ap.parse_args(argv)
     if args.counter_pass:
         print(json.dumps(counter_pass(os.getcwd(), args.workloads[0],
-                                      args.seed, args.limit)))
+                                      args.seed, args.limit,
+                                      args.gc_each_verdict)))
+        return 0
+    if args.collected_pass:
+        collected_pass(os.getcwd(), args.workloads[0], args.seed)
         return 0
     if args.scenario_pass:
         print(json.dumps(scenario_pass()))
@@ -376,6 +457,7 @@ def main(argv=None):
     report = {"topic": args.topic, "seed": args.seed,
               "host": {"cpus": os.cpu_count(),
                        "python": platform.python_version()},
+              "gc_each_verdict": args.gc_each_verdict,
               "counters": {}, "times": {}}
     if args.limit is None:
         report["scenario_middles"] = {side: count_scenario_middles(root)
@@ -386,34 +468,40 @@ def main(argv=None):
             file=sys.stderr, flush=True)
     for workload in args.workloads:
         report["counters"][workload] = {
-            side: count_calls(root, workload, args.seed, args.limit)
+            side: count_calls(root, workload, args.seed, args.limit,
+                              args.gc_each_verdict)
             for side, root in sides.items()}
         print(workload, json.dumps(report["counters"][workload]),
               file=sys.stderr, flush=True)
     if not args.counters_only:
         report["runs"], report["seconds"] = args.runs, seconds
+        metrics = COLLECTED_METRICS if args.gc_each_verdict else METRICS
+        if args.gc_each_verdict:
+            report["seconds"] = None  # one pass a round
         for workload in args.workloads:
             runs = {side: [] for side in sides}
             for i in range(args.runs):
                 order = list(sides) if i % 2 == 0 else list(sides)[::-1]
                 for side in order:
-                    runs[side].append(run_benchmark(
-                        sides[side], workload, args.seed, seconds))
+                    runs[side].append(
+                        run_collected(sides[side], workload, args.seed)
+                        if args.gc_each_verdict else run_benchmark(
+                            sides[side], workload, args.seed, seconds))
             entry = {}
             for side, rs in runs.items():
-                entry[side] = _median_block(rs)
+                entry[side] = _median_block(rs, metrics)
                 entry[side]["failed"] = [r["failed"] for r in rs]
                 entry[side]["correct"] = [r["correct"] for r in rs]
                 entry[side]["digests"] = sorted({r["digest"] for r in rs})
             if "parent" in entry:
                 entry["change_over_parent"] = {
                     k: entry["change"][k]["median"] / entry["parent"][k]["median"]
-                    for k in METRICS}
+                    for k in metrics}
                 # rounds in which the change read lower than the parent
                 entry["change_lower_rounds"] = {
                     k: sum(c < p for c, p in zip(entry["change"][k]["runs"],
                                                  entry["parent"][k]["runs"]))
-                    for k in METRICS}
+                    for k in metrics}
             report["times"][workload] = entry
             print(workload, json.dumps(entry.get("change_over_parent", {})),
                   file=sys.stderr, flush=True)

@@ -13,8 +13,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .dcoeff import (Mat, Subquotient, block_diag, hstack, in_span, preimage,
-                     smith, vstack)
+from .dcoeff import (Mat, Subquotient, _trim, block_diag, hstack, in_span,
+                     preimage, smith, vstack)
 from .errors import (BudgetExceeded, CertificateError, InfiniteLengthError,
                      SubextError)
 from .modules import (CoeffModule, ModMap, _free_cover_matrix,
@@ -231,8 +231,10 @@ def ext_length(M, N, j):
 def middle(cls):
     """The extension 0 -> N -> E -> M -> 0 represented by a degree-1 class:
     the pushout of the presentation F_1 -d_1-> F_0 -> M along a cocycle.
-    Built once per class object and kept on it, so it lives exactly as long
-    as the class; an equal class built anew builds its own."""
+    Built once per class object and kept on it, so it lives as long as the
+    class; an equal class built anew builds its own SES, whose middle
+    module E, of equal content, is the same module (see modules, Shared
+    objects) with the values kept on it."""
     assert cls.pres.j == 1
     if cls._middle is None:
         cls._middle = pushout_seq(cls.pres.presentation(), cls.cocycle())
@@ -369,12 +371,12 @@ def scalar_by_pullback(cls, elem):
 
 
 def _coord_values(base, e):
+    """The values of a coordinate of exponent e, the shared Scalars of the
+    base, lexicographically in the t-adic digits (constant term first)."""
     if not base.local:
         return [base.from_int(c) for c in range(base.p)]
-    vals = []
-    for digits in itertools.product(range(base.p), repeat=e):
-        vals.append(base.poly(digits))
-    return vals
+    return [base._canonical(_trim(digits))
+            for digits in itertools.product(range(base.p), repeat=e)]
 
 
 def _check_budget(base, exps, budget):

@@ -31,18 +31,29 @@ one object to every caller, and these do:
   handle, and freed with the handle; two handles built from one RingSpec
   share only their Base (dcoeff.shared_base);
   from_quotient_ideal(h, J) keeps R/J on the ideal J, next to its span
-  basis, and is freed with J.
+  basis, and is freed with J;
+  subquotient_module and direct_sum hash-cons (Filliatre and Conchon, ML
+  Workshop 2006): they return the live module of h with the exponents and
+  the (num, den) of every action entry they computed, when there is one,
+  so every middle, Hom or Ext module, syzygy or sum of equal content is
+  one module.  The table (h._cache["modules"]) holds its modules weakly,
+  so it keeps none alive, and a module not yet freed by the collector is
+  found too: answers never depend on when the collector runs, how often a
+  value is found kept does.  Free modules, power, residue_field and
+  modules built by hand (CoeffModule(...)) do not enter it.
 Identity tests (`M is N`) see the sharing: two calls of residue_field(h)
-give one module.  What depends on one module is kept in its _cache and
-built once: rel() (no caller writes into it), the monomial actions of
-basis_action (each the last generator's action times the kept rest) and
-their nonzero entries by column, the action of each ring element asked for
-(keyed by its coordinates; no caller writes into it either), the
-resolution with the Smith forms chain maps are lifted through, the
-certified automorphisms, and the values of NumFn and tensor_length.  What depends on a pair (hom, ext) is kept by
-pair_cache on the younger module, by creation serial, keyed by the other;
-so a shared module keeps no later one alive, and a middle is freed with
-its class.
+give one module, and so do R/J for two equal ideals J, or the middles of
+two equal classes.  What depends on one module is kept in its _cache and
+built once, for every construction that arrives at its content: rel() (no
+caller writes into it), the monomial actions of basis_action (each the
+last generator's action times the kept rest) and their nonzero entries by
+column, the action of each ring element asked for (keyed by its
+coordinates; no caller writes into it either), the resolution with the
+Smith forms chain maps are lifted through, the certified automorphisms,
+and the values of NumFn and tensor_length.  What depends on a pair (hom,
+ext) is kept by pair_cache on the younger module, by creation serial,
+keyed by the other; so a shared module keeps no later one alive, and a
+middle is freed with the last class or sequence that holds it.
 
 RingHandle.scalar_gen, when a ring has one, is the scalar t of D, so it
 acts as t*I on every module (the constructors here build it so, and
@@ -54,6 +65,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import weakref
 from dataclasses import dataclass, field
 
 from .dcoeff import (Mat, Subquotient, block_diag, hstack, in_span, kernel,
@@ -70,7 +82,7 @@ class CoeffModule:
     """Finite module over a ring handle, as a D-module with ring actions."""
 
     __slots__ = ("handle", "exps", "actions", "n", "serial", "_basis_act",
-                 "_cache")
+                 "_cache", "__weakref__")
 
     def __init__(self, handle, exps, actions):
         self.handle = handle
@@ -359,7 +371,21 @@ def subquotient_module(M, top=None, bottom=()):
         z, t = h.base.zero(), h.base.t_power(1)
         actions[h.scalar_gen] = Mat._own(h.base, [
             [t if i == j else z for j in range(k)] for i in range(k)], k)
-    return CoeffModule(h, sq.exps, actions), sq, B
+    return _shared(CoeffModule(h, sq.exps, actions)), sq, B
+
+
+def _shared(M):
+    """The live module of M's ring with M's exponents and actions, M when
+    there is none: hash-consing, kept in a weak table on the handle."""
+    h = M.handle
+    table = h._cache.get("modules")
+    if table is None:
+        table = h._cache["modules"] = weakref.WeakValueDictionary()
+    entries = [a for g in h.gen_names for row in M.actions[g].rows
+               for a in row]
+    key = (M.exps, tuple([a.num for a in entries]),
+           tuple([a.den for a in entries]))
+    return table.setdefault(key, M)
 
 
 def _general_gens(handle):
@@ -405,7 +431,7 @@ def from_fractional_ideal(handle, J):
 def direct_sum(mods):
     """Direct sum in slot-major coordinates (see Coordinates); returns (S,
     injections, projections), identity blocks at each summand's offset."""
-    S = _sum_module(mods[0].handle, mods)
+    S = _shared(_sum_module(mods[0].handle, mods))
     base = S.handle.base
     injections, projections = [], []
     off = 0
@@ -429,18 +455,26 @@ def canonical_module(handle):
 
 def validate_module(M):
     """Check that each generator acts R-linearly (so the actions commute and
-    keep the torsion exponents), that scalar_gen acts as t*I (is_r_linear
-    relies on it), and (artin) vanishing of the ideal monomials."""
+    keep the torsion exponents), that t^embed_exp, the scalar t of D, acts
+    as t*I (scalar_gen when there is one, which is_r_linear relies on; else
+    the product of the actions along a factorization into generators), and
+    (artin) vanishing of the ideal monomials."""
     h = M.handle
     base = h.base
     for g in h.gen_names:
         if not ModMap(M, M, M.actions[g]).is_r_linear():
             raise NotAModuleError(f"action of {g} is not R-linear")
-    if h.scalar_gen is not None:
-        s = base.t_power(1)
-        d = M.actions[h.scalar_gen] - Mat.identity(base, M.n).scale(s)
+    if h.dim == 1:
+        factors = _scalar_factorization(h)
+        A = M.actions[factors[0]]
+        for g in factors[1:]:
+            A = M.actions[g] @ A
+        d = A - Mat.identity(base, M.n).scale(base.t_power(1))
         if not ModMap(M, M, d).mat_is_rel():
-            raise NotAModuleError("designated generator does not act as the D-scalar")
+            raise NotAModuleError(
+                "designated generator does not act as the D-scalar"
+                if h.scalar_gen is not None else
+                "generators do not multiply to the D-scalar")
     if not base.local:
         for mono in h.spec.ideal_monomials:
             A = Mat.identity(base, M.n)
@@ -450,6 +484,20 @@ def validate_module(M):
             if not A.is_zero():
                 raise NotAModuleError("ideal monomial does not annihilate module")
     return True
+
+
+def _scalar_factorization(h):
+    """Generators (dim 1, named "t^e") whose exponents sum to embed_exp:
+    [scalar_gen] when there is one."""
+    if h.scalar_gen is not None:
+        return [h.scalar_gen]
+    found = {0: []}  # exponent -> generators summing to it
+    for v in range(1, h.embed_exp + 1):
+        for g in h.gen_names:
+            if v - int(g[2:]) in found:
+                found[v] = found[v - int(g[2:])] + [g]
+                break
+    return found[h.embed_exp]
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,12 @@ Laws on the generated groups of `tests/test_orbits.py`: the value a
 a rebuilt copy of it, and a raised error is not kept.  Memory: after
 `half_exact_agreement` for `Hom(k, -)` and `Hom(-, k)` over every class of
 an artin group, the shared residue field keys nothing by a middle, and no
-middle outlives its class; a class builds its middle once and keeps it.
-Gate: the `NumFn` values computed by `halfexact` and by the first
-`artin-yoneda` verdict, the modules still alive after that verdict and the
-eliminations it runs stay pinned.
+middle outlives the ends it was built from; a class builds its middle
+once and keeps it, and an equal class builds its own sequence around the
+same middle module.  Gate: the `NumFn` values computed by `halfexact` and
+by the first `artin-yoneda` verdict, the modules still alive after that
+verdict and the eliminations it runs stay pinned, with the collector left
+alone, switched off, or run after every value or verdict.
 """
 
 import gc
@@ -26,7 +28,7 @@ import subext.subfun
 from subext.errors import SubextError
 from subext.ext import ExtClass, enumerate_classes, ext, middle
 from subext.modules import CoeffModule, residue_field
-from subext.rings import FracIdeal, m_ideal
+from subext.rings import FracIdeal, build_ring, m_ideal
 from subext.scenarios import _sg, run_scenario
 from subext.subfun import (fn_colength, fn_hom_from, fn_hom_to, fn_mu,
                            fn_tensor, fn_tor_mult, half_exact_agreement,
@@ -34,11 +36,15 @@ from subext.subfun import (fn_colength, fn_hom_from, fn_hom_to, fn_mu,
 from test_orbits import orbit_groups
 
 ROOT = Path(__file__).resolve().parents[1]
+# the digest of the first artin-yoneda verdict at seed 7
+FIRST_ARTIN_DIGEST = ("e41b7f9ea10ed2c04d6c9924bebe549700ab705e"
+                      "6e312232fe7288836d566719")
 
 
-def _rebuilt(X):
-    """A module equal to X with nothing kept on it."""
-    return CoeffModule(X.handle, X.exps, X.actions)
+def _rebuilt(X, handle=None):
+    """A module equal to X with nothing kept on it, over X's ring handle
+    or over handle, a ring built alike."""
+    return CoeffModule(handle or X.handle, X.exps, X.actions)
 
 
 @given(orbit_groups())
@@ -110,7 +116,15 @@ def _hom_sweep(h, M, N):
 def test_the_residue_field_keeps_no_middle_alive(case):
     h, M, N = case
     assume(not h.base.local)
-    serials, keyed = _hom_sweep(h, M, N)
+    _, keyed = _hom_sweep(h, M, N)
+    assert keyed == []
+    # a middle equal to a module that the case's ends keep alive (their
+    # Ext group, say) is that module; over a ring built anew, with its k
+    # built before them, copies of the ends are all that holds the middles
+    # of a second sweep
+    h2 = build_ring(h.spec)
+    residue_field(h2)
+    serials, keyed = _hom_sweep(h2, _rebuilt(M, h2), _rebuilt(N, h2))
     assert keyed == []
     gc.collect()
     assert not [X for X in gc.get_objects()
@@ -126,7 +140,8 @@ def test_a_class_keeps_the_middle_it_built_for_its_life():
     assert middle(cls) is ses
     again = ExtClass(pres, cls.coords)  # an equal class builds its own
     assert again == cls and middle(again) is not ses
-    assert middle(again).B.serial != ses.B.serial
+    # ... sequence, whose middle module, equal to ses.B, is ses.B
+    assert middle(again).B is ses.B
     kept = weakref.ref(ses)
     del ses, cls
     gc.collect()
@@ -138,31 +153,66 @@ def test_a_class_keeps_the_middle_it_built_for_its_life():
 # ---------------------------------------------------------------------------
 
 
-def test_halfexact_values_computed_stay_pinned(monkeypatch):
+def _halfexact_values_computed(monkeypatch, collect=None):
+    """The NumFn values halfexact computes at seed 0, with the collector
+    left alone, switched off ("disabled") or run after every value."""
     computed = 0
     value = subext.subfun.NumFn._value
 
     def counted(self, M):
         nonlocal computed
         computed += 1
-        return value(self, M)
+        try:
+            return value(self, M)
+        finally:
+            if collect == "each value":
+                gc.collect()
     monkeypatch.setattr(subext.subfun.NumFn, "_value", counted)
-    assert run_scenario("halfexact", 0).status == "pass"
-    assert 0 < computed <= 705  # 1,995 NumFn calls, each a value before
+    if collect == "disabled":
+        gc.disable()
+    try:
+        assert run_scenario("halfexact", 0).status == "pass"
+    finally:
+        gc.enable()
+    return computed
 
 
-def test_first_artin_verdict_counters_stay_pinned(tmp_path):
+def test_halfexact_values_computed_stay_pinned(monkeypatch):
+    # 1,995 NumFn calls, each a value before values were kept on modules,
+    # 705 before equal modules were one module
+    assert 0 < _halfexact_values_computed(monkeypatch) <= 210
+
+
+@pytest.mark.parametrize("collect", ["disabled", "each value"])
+def test_halfexact_values_stay_pinned_whenever_the_collector_runs(
+        monkeypatch, collect):
+    assert 0 < _halfexact_values_computed(monkeypatch, collect) <= 210
+
+
+def _first_artin_verdict_counters(tmp_path, *flags):
     out = tmp_path / "counters.json"
     subprocess.run([sys.executable, str(ROOT / "scripts" / "bench_scalar.py"),
                     "--counters-only", "--workloads", "artin-yoneda",
-                    "--limit", "1", "--out", str(out)],
+                    "--limit", "1", "--out", str(out), *flags],
                    check=True, timeout=300, capture_output=True)
     counts = json.loads(out.read_text())["counters"]["artin-yoneda"]["change"]
     assert counts["verdicts"] == 1 and counts["failed_verdicts"] == 0
+    assert counts["digest"] == FIRST_ARTIN_DIGEST
     # of 30 NumFn calls, the ends' values are computed once per group
     assert 0 < counts["NumFn._value"] <= 15 < counts["NumFn.__call__"]
-    # 42 modules stayed alive when the shared k kept its Hom entries
-    assert 0 < counts["live_modules"] <= 34
+    # 42 modules stayed alive when the shared k kept its Hom entries, 34
+    # before equal modules were one module
+    assert 0 < counts["live_modules"] <= 32
+    assert 0 < counts["module_table_entries"] < counts["module_table_lookups"]
     # of 157 smith calls, each an elimination before the Base kept its forms
     assert 0 < counts["eliminations"] <= 56 < counts["smith"]
     assert counts["form_table_entries"] == counts["eliminations"]
+
+
+def test_first_artin_verdict_counters_stay_pinned(tmp_path):
+    _first_artin_verdict_counters(tmp_path)
+
+
+def test_first_artin_verdict_counters_stay_pinned_with_a_collection(
+        tmp_path):
+    _first_artin_verdict_counters(tmp_path, "--gc-each-verdict")

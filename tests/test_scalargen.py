@@ -11,9 +11,11 @@ has the action the old projection gives, which is t*I with reduced rows;
 Hom has the exponents and the maps of the old system that kept the scalar
 rows; and every map of every certified middle passes the old full
 commutation check.  Guards: `validate_module` rejects a hand-built module
-whose designated generator is not t*I, `is_r_linear` still rejects a map
-that fails the other generator or the torsion, and the zero ring, where
-basis monomial 0 would not be 1, is refused.
+whose designated generator is not t*I, and one over a ring without a
+designated generator whose generators do not multiply to t*I;
+`is_r_linear` still rejects a map that fails the other generator or the
+torsion; and the zero ring, where basis monomial 0 would not be 1, is
+refused.
 """
 
 import contextlib
@@ -194,6 +196,22 @@ def test_validate_module_rejects_a_designated_generator_that_is_not_t():
                              "D-scalar"):
         validate_module(M)
     assert validate_module(R)
+
+
+def test_validate_module_ties_the_generators_to_t_without_a_scalar_gen():
+    # the blow-up <1> of <2,3>: D = F_2[t^2]_(t^2), one generator t^1 and
+    # no scalar_gen, so t^2 = (t^1)^2 must act as the D-scalar t
+    h = blow_up(m_ideal(_sg(2, 2, 3)))[1]
+    assert h.scalar_gen is None and h.embed_exp == 2
+    base = h.base
+    # t^1 acting as t*I commutes with itself and the module is free, so it
+    # passes every other check, but (t^1)^2 acts as t^2*I
+    M = CoeffModule(h, (None,), {"t^1": _t_identity(base, 1)})
+    with pytest.raises(NotAModuleError,
+                       match="generators do not multiply to the D-scalar"):
+        validate_module(M)
+    for X in _pool(h):  # k, R, m and B(m)
+        assert validate_module(X)
 
 
 def test_is_r_linear_still_rejects_the_other_generator_and_torsion():

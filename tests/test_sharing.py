@@ -3,7 +3,9 @@ the Base shared by the rings over one coefficient ring, and the pushout
 scaffolding kept on a sequence.
 
 residue_field, free_module, regular_module and m_ideal keep one object per
-ring handle; from_quotient_ideal keeps R/J on the ideal J; pushout_seq
+ring handle; from_quotient_ideal keeps R/J on the ideal J, and R/J of an
+equal ideal is the same module, since subquotients and sums of equal
+content are one module per ring handle (tests/test_hashcons.py); pushout_seq
 keeps, per sequence and target module, the parts of the pushout that do not
 depend on the map; middle pushes out the presentation sequence kept on its
 Ext group.  These tests check that sharing changes no answer.
@@ -62,9 +64,12 @@ def test_shared_constructors_return_one_object(spec):
     assert regular_module(h) is regular_module(h) is free_module(h, 1)
     assert m_ideal(h) is m_ideal(h)
     assert from_quotient_ideal(h, J) is from_quotient_ideal(h, J)
-    # an equal ideal built again is another ideal, with its own R/J
+    # an equal ideal built again is another ideal, which keeps its own
+    # entry for R/J; R/J, a subquotient of R, is the same module
     J2 = FracIdeal(h, h.m_gens()[:1])
-    assert from_quotient_ideal(h, J2) is not from_quotient_ideal(h, J)
+    assert J2 is not J and h not in J2._quotients
+    assert from_quotient_ideal(h, J2) is from_quotient_ideal(h, J)
+    assert J2._quotients[h] is J._quotients[h]
     # the free modules of a resolution are the shared ones
     res = resolution(residue_field(h), 2)
     assert all(F is free_module(h, b) for F, b in zip(res.frees, res.betti))
@@ -156,6 +161,25 @@ def test_a_shared_base_gives_the_answers_of_private_ones(p, gens_list, pairs):
         private, one_private_base = _subfunctor_answers(p, gens_list, pairs)
     assert one_base and not one_private_base
     assert shared == private
+
+
+def test_class_enumeration_takes_its_scalars_from_the_table():
+    h = build_ring(_dvr(3))
+    base = h.base
+    M = from_quotient_ideal(h, FracIdeal(h, [h.t_elt(2)]))
+    pres = ext(M, M, 1)
+    assert pres.module.exps == (2,)
+
+    def no_poly(self, coeffs):
+        raise AssertionError("Base.poly builds a Scalar past the table")
+    with mock.patch.object(Base, "poly", no_poly):
+        classes = enumerate_classes(pres)
+    # the t-adic digits (c0, c1) of c0 + c1 t, lexicographically, each the
+    # table's Scalar
+    values = [c.coords[0] for c in classes]
+    assert values == [Base.scalar(base, (c0, c1))
+                      for c0 in range(3) for c1 in range(3)]
+    assert all(v is base._canonical(v.num) for v in values)
 
 
 # ---------------------------------------------------------------------------
